@@ -82,6 +82,7 @@ def _emit(config: RunConfig, results, csv_text: str | None = None) -> None:
             {"version": __version__, "config": config.to_dict(), "results": results},
             indent=2,
             sort_keys=True,
+            allow_nan=False,
         ) + "\n"
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8") as fh:
@@ -117,21 +118,13 @@ def parse_slice(text: str):
         raise ValidationError(f"bad slice {text!r} (expected TIME:R|R...): {exc}")
 
 
-def _graph_payload(g: graph.TrajectoryGraph) -> dict:
-    return g.to_dict()
-
-
-def _report_pair(name: str, report: typicality.TypicalityReport) -> tuple:
-    return name, report.to_dict()
-
-
 def _export_scenario(structure, path: str) -> None:
     data = core.structure_to_dict(structure)
     data["stochastic"] = stochastic.process_to_dict(
         stochastic.matched_markov_chain(structure)
     )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -153,28 +146,20 @@ def _cmd_scenario(args) -> int:
         g = graph.build_graph(
             st, model.partition_schedule(), args.epsilon_exclude, args.tau_link
         )
-        reports = dict(
-            [
-                _report_pair(
-                    "U1_vs_D3",
-                    typicality.mutual_typicality(
-                        st, SSet(1, {"U"}), SSet(3, {"D"}), args.threshold
-                    ),
-                ),
-                _report_pair(
-                    "D1_vs_U3",
-                    typicality.mutual_typicality(
-                        st, SSet(1, {"D"}), SSet(3, {"U"}), args.threshold
-                    ),
-                ),
-            ]
-        )
+        reports = {
+            "U1_vs_D3": typicality.mutual_typicality(
+                st, SSet(1, {"U"}), SSet(3, {"D"}), args.threshold
+            ).to_dict(),
+            "D1_vs_U3": typicality.mutual_typicality(
+                st, SSet(1, {"D"}), SSet(3, {"U"}), args.threshold
+            ).to_dict(),
+        }
         results = {
             "cells": list(st.labels),
             "detector_arrival": core.occupations(st, 3),
             "exclusion_U2": typicality.exclusion_measure(st, SSet(2, {"U"})),
             "typicality": reports,
-            "graph": _graph_payload(g),
+            "graph": g.to_dict(),
         }
         if "CLICK" in st.labels:
             # Mass diverted out of the photon arms, i.e. the counter's rate.
@@ -227,7 +212,7 @@ def _cmd_graph(args) -> int:
     schedule = graph.PartitionSchedule(parse_slice(s) for s in args.slice)
     config = _config_from_args(args, slices=list(args.slice))
     g = graph.build_graph(structure, schedule, args.epsilon_exclude, args.tau_link)
-    _emit(config, _graph_payload(g), csv_text=g.to_edge_csv())
+    _emit(config, g.to_dict(), csv_text=g.to_edge_csv())
     return 0
 
 

@@ -5,8 +5,13 @@ initial vector, a schedule of per-step unitaries (step ``k`` evolves time
 index ``k`` to ``k + 1``), and a labeled partition of the basis index set
 that plays the role of a projection-valued measure on configuration space.
 
-All values are immutable after construction and every operation is a pure
-function, so everything here is safe to evaluate concurrently.
+All inputs are copied and frozen at construction. Each structure keeps
+private caches, filled lazily and dropped with the structure: the trajectory
+``Psi(t)``, one boolean mask per region, and the Heisenberg-projected
+initial vectors served by ``project_initial``. Cached arrays are read-only,
+so callers can share them but never change them. Every cache entry is a
+pure function of its key, so two threads filling one entry store equal
+values and a structure stays safe to share between threads.
 """
 from __future__ import annotations
 
@@ -31,9 +36,11 @@ class FactorUnitary:
     """
 
     def __init__(self, matrix: np.ndarray, index: int, num_factors: int):
-        matrix = np.asarray(matrix, dtype=complex)
+        matrix = _frozen(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValidationError("factor matrix must be square")
+        if not np.all(np.isfinite(matrix)):
+            raise ValidationError("factor matrix has non-finite entries")
         if not 0 <= index < num_factors:
             raise ValidationError(f"factor index {index} out of range")
         self.matrix = matrix
@@ -56,6 +63,13 @@ class FactorUnitary:
         return float(np.abs(m.conj().T @ m - np.eye(self.base)).max())
 
 
+def _frozen(arr) -> np.ndarray:
+    """A read-only complex copy, so no caller can change it behind a cache."""
+    out = np.array(arr, dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
 def _step_dim(step) -> int:
     if isinstance(step, np.ndarray):
         return step.shape[0]
@@ -70,7 +84,8 @@ def _step_defect(step) -> float:
 
 def _apply_step(step, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
     if isinstance(step, np.ndarray):
-        return step.conj().T @ vec if adjoint else step @ vec
+        # (v* U)* equals U^dagger v without materializing the adjoint.
+        return (vec.conj() @ step).conj() if adjoint else step @ vec
     return step.apply(vec, adjoint=adjoint)
 
 
@@ -109,19 +124,22 @@ class QuantumStructure:
         cells: Mapping[str, Iterable[int]],
     ):
         self.dim = int(dim)
-        self.psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
+        self.psi0 = _frozen(psi0).reshape(-1)
         if self.psi0.shape[0] != self.dim:
             raise ValidationError("psi0 length does not match dim")
+        if not np.all(np.isfinite(self.psi0)):
+            raise ValidationError("psi0 has non-finite entries")
         if abs(np.vdot(self.psi0, self.psi0).real - 1.0) > NORM_TOL:
             raise ValidationError("psi0 is not unit norm")
 
         self.schedule = tuple(
-            np.asarray(s, dtype=complex) if not isinstance(s, FactorUnitary) else s
-            for s in schedule
+            s if isinstance(s, FactorUnitary) else _frozen(s) for s in schedule
         )
         for k, step in enumerate(self.schedule):
             if _step_dim(step) != self.dim:
                 raise ValidationError(f"schedule step {k} has wrong dimension")
+            if isinstance(step, np.ndarray) and not np.all(np.isfinite(step)):
+                raise ValidationError(f"schedule step {k} has non-finite entries")
             if _step_defect(step) > UNITARITY_TOL:
                 raise ValidationError(f"schedule step {k} is not unitary")
 
@@ -141,7 +159,14 @@ class QuantumStructure:
             self._label_to_id[label] = cid
         if np.any(cell_id == -1):
             raise ValidationError("cells do not cover the basis index set")
+        for idx in self.cells.values():
+            idx.setflags(write=False)
+        cell_id.setflags(write=False)
         self._cell_id = cell_id
+
+        self._trajectory = {0: self.psi0}  # requested time -> Psi(t)
+        self._masks: dict = {}  # frozenset region -> boolean mask
+        self._projections: dict = {}  # (time, region) -> U^dagger E U psi0
 
     # -- time bookkeeping ---------------------------------------------------
 
@@ -166,6 +191,11 @@ class QuantumStructure:
         return self._labels
 
     def region_mask(self, region: Iterable[str]) -> np.ndarray:
+        """Read-only boolean mask of the basis indices in ``region``'s cells."""
+        region = frozenset(region)
+        mask = self._masks.get(region)
+        if mask is not None:
+            return mask
         ids = []
         for label in region:
             try:
@@ -173,8 +203,12 @@ class QuantumStructure:
             except KeyError:
                 raise SchemaError(f"unknown cell label {label!r}") from None
         if len(ids) == len(self._labels):
-            return np.ones(self.dim, dtype=bool)
-        return np.isin(self._cell_id, np.asarray(ids, dtype=np.intp))
+            mask = np.ones(self.dim, dtype=bool)
+        else:
+            mask = np.isin(self._cell_id, np.asarray(ids, dtype=np.intp))
+        mask.setflags(write=False)
+        self._masks[region] = mask
+        return mask
 
     def check_sset(self, sset: SSet) -> SSet:
         self.check_time(sset.time)
@@ -199,8 +233,21 @@ def evolve(structure: QuantumStructure, state: ProjectedVector, to_time: int) ->
 
 
 def state_at(structure: QuantumStructure, time: int) -> ProjectedVector:
-    """The full state Psi(t) obtained by evolving the initial vector."""
-    return evolve(structure, ProjectedVector(structure.psi0, 0), time)
+    """The full state Psi(t), from the structure's cached trajectory.
+
+    A time not yet cached is reached by evolving the latest cached earlier
+    state. The result equals evolving the initial vector bit for bit, and
+    only requested times are kept.
+    """
+    time = structure.check_time(time)
+    traj = structure._trajectory
+    if time not in traj:
+        # list() copies the keys at once, so a concurrent insert is harmless.
+        known = max(t for t in list(traj) if t < time)
+        vec = evolve(structure, ProjectedVector(traj[known], known), time).amplitudes
+        vec.setflags(write=False)
+        traj[time] = vec
+    return ProjectedVector(traj[time], time)
 
 
 def heisenberg_project(
@@ -220,6 +267,44 @@ def heisenberg_project(
     moved = evolve(structure, state, sset.time)
     masked = moved.amplitudes * structure.region_mask(sset.region)
     return evolve(structure, ProjectedVector(masked, sset.time), ref)
+
+
+def project_initial(structure: QuantumStructure, sset: SSet) -> ProjectedVector:
+    """The cached Heisenberg projection U^dagger(t) E(region) U(t) psi0.
+
+    Expressed at time 0 and computed once per (time, region) of a structure;
+    bit for bit equal to ``heisenberg_project(structure, sset, psi0 at 0)``.
+    The amplitudes are read-only.
+    """
+    key = (sset.time, sset.region)
+    out = structure._projections.get(key)
+    if out is None:
+        out = heisenberg_project(structure, sset, state_at(structure, sset.time), at_time=0)
+        out.amplitudes.setflags(write=False)
+        structure._projections[key] = out
+    return out
+
+
+def chain_cell_masses(structure: QuantumStructure, sset: SSet) -> dict:
+    """Squared norms of every two-set chain starting at ``sset``.
+
+    Returns ``{t2: {label: ||E(label) U(t2, t1) E(region) Psi(t1)||^2}}`` for
+    every later time ``t2`` and every cell. One forward sweep applies the
+    same steps in the same order as ``chain_project``, so each value equals
+    ``chain_project(structure, [sset, SSet(t2, {label})]).norm_sq`` bit for
+    bit.
+    """
+    structure.check_sset(sset)
+    t1 = sset.time
+    vec = state_at(structure, t1).amplitudes * structure.region_mask(sset.region)
+    out = {}
+    for t2 in range(t1 + 1, structure.n_steps + 1):
+        vec = evolve(structure, ProjectedVector(vec, t2 - 1), t2).amplitudes
+        out[t2] = {
+            label: ProjectedVector(vec * structure.region_mask((label,)), t2).norm_sq
+            for label in structure.labels
+        }
+    return out
 
 
 def chain_project(

@@ -215,9 +215,7 @@ def branch_following_check(
         report = typicality.mutual_typicality(structure, s_i, s_j, threshold=tau)
         if not report.degenerate and report.m_big <= tau:
             continue
-        later = core.heisenberg_project(
-            structure, s_j, core.ProjectedVector(structure.psi0, 0)
-        )
+        later = core.project_initial(structure, s_j)
         chained = core.chain_project(structure, [s_i, s_j], at_time=0)
         if later.norm_sq < typicality.DEGENERATE_NORM_TOL:
             continue  # dead branch constrains nothing

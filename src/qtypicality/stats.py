@@ -81,36 +81,40 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def _multinomial(counts: Sequence[int]) -> int:
-    out = math.factorial(sum(counts))
-    for k in counts:
-        out //= math.factorial(k)
-    return out
-
-
 def typical_set_complement_mass(spec: ExperimentSpec) -> float:
     """Exact product-measure mass of sequences with deviation >= epsilon.
 
     Sequences are grouped by their frequency-count vector (the deviation
-    depends only on counts), with exact integer multinomial weights; the
-    result is identical to full sequence enumeration. The mass is checked
-    against the Markov-style bound sum_s p_s(1-p_s)/(eps*N) before return.
+    depends only on counts). Each group's weight, the multinomial
+    coefficient times the product of p_s**k_s, is formed in log space with
+    ``math.lgamma``, so large N neither overflows nor underflows to a wrong
+    sum; a count k_s > 0 of an outcome with p_s = 0 gives weight zero. The
+    mass is checked against the Markov-style bound
+    sum_s p_s(1-p_s)/(eps*N) before return.
     """
     n_compositions = math.comb(spec.N + spec.n - 1, spec.n - 1)
     if n_compositions > COMPOSITION_LIMIT and spec.n ** spec.N > ENUMERATION_LIMIT:
         raise ResourceLimitError(
             f"{n_compositions} count vectors exceed the aggregation limit"
         )
+    log_fact = [math.lgamma(k + 1) for k in range(spec.N + 1)]
+    log_p = [math.log(p) if p > 0.0 else None for p in spec.probs]
     mass = 0.0
     for counts in _compositions(spec.N, spec.n):
         if _count_deviation(counts, spec.N, spec.probs) < spec.epsilon:
             continue
-        weight = float(_multinomial(counts))
-        for k, p in zip(counts, spec.probs):
-            weight *= p**k
-        mass += weight
+        log_weight = log_fact[spec.N]
+        for k, lp in zip(counts, log_p):
+            if k == 0:
+                continue
+            if lp is None:
+                break
+            log_weight += k * lp - log_fact[k]
+        else:
+            mass += math.exp(log_weight)
     markov = sum(p * (1.0 - p) for p in spec.probs) / (spec.epsilon * spec.N)
-    assert mass <= markov + 1e-12, f"tail mass {mass} exceeds Markov bound {markov}"
+    if not mass <= markov + 1e-12:
+        raise ArithmeticError(f"tail mass {mass} exceeds Markov bound {markov}")
     return mass
 
 

@@ -24,7 +24,12 @@ NONADDITIVITY_WITNESS = 0.1
 
 
 class StochasticProcessSpec:
-    """States, initial distribution, and one row-stochastic kernel per step."""
+    """States, initial distribution, and one row-stochastic kernel per step.
+
+    The arrays are read-only after validation. Region masks and the masked,
+    propagated prefix distributions of ``cylinder_measure`` are cached per
+    process, filled lazily and dropped with it.
+    """
 
     def __init__(
         self,
@@ -35,19 +40,24 @@ class StochasticProcessSpec:
         self.states = tuple(str(s) for s in states)
         if len(set(self.states)) != len(self.states):
             raise ValidationError("duplicate state labels")
-        self.initial = np.asarray(initial, dtype=float)
+        self.initial = np.array(initial, dtype=float)
+        self.initial.setflags(write=False)
         if self.initial.shape != (len(self.states),):
             raise ValidationError("initial distribution has wrong length")
         if np.any(self.initial < 0.0) or abs(self.initial.sum() - 1.0) > ROW_SUM_TOL:
             raise ValidationError("initial distribution is not a probability vector")
-        self.kernels = tuple(np.asarray(k, dtype=float) for k in kernels)
+        self.kernels = tuple(np.array(k, dtype=float) for k in kernels)
         n = len(self.states)
         for t, kernel in enumerate(self.kernels):
+            kernel.setflags(write=False)
             if kernel.shape != (n, n):
                 raise ValidationError(f"kernel {t} is not {n}x{n}")
             if np.any(kernel < 0.0) or np.any(np.abs(kernel.sum(axis=1) - 1.0) > ROW_SUM_TOL):
                 raise ValidationError(f"kernel {t} is not row-stochastic")
         self._index = {s: i for i, s in enumerate(self.states)}
+        self._masks: dict = {}  # frozenset region -> boolean mask
+        # (t, ((time, region), ...) up to t) -> masked distribution at t
+        self._prefixes: dict = {}
 
     @property
     def n_steps(self) -> int:
@@ -58,12 +68,19 @@ class StochasticProcessSpec:
         return range(self.n_steps + 1)
 
     def region_mask(self, region: Iterable[str]) -> np.ndarray:
+        """Read-only boolean mask of the states in ``region``."""
+        region = frozenset(region)
+        mask = self._masks.get(region)
+        if mask is not None:
+            return mask
         mask = np.zeros(len(self.states), dtype=bool)
         for label in region:
             try:
                 mask[self._index[label]] = True
             except KeyError:
                 raise SchemaError(f"unknown state label {label!r}") from None
+        mask.setflags(write=False)
+        self._masks[region] = mask
         return mask
 
     def marginal(self, time: int) -> np.ndarray:
@@ -76,22 +93,41 @@ class StochasticProcessSpec:
 
 
 def cylinder_measure(spec: StochasticProcessSpec, ssets: Sequence[SSet]) -> float:
-    """Exact measure of the intersection of s-sets by masked propagation."""
-    by_time: dict[int, np.ndarray] = {}
+    """Exact measure of the intersection of s-sets by masked propagation.
+
+    The distribution is masked at each constrained time and then propagated
+    one kernel step. Every prefix (the distribution at time t given the
+    constraints up to t) is cached on ``spec``, so s-sets sharing earlier
+    constraints propagate them once.
+    """
+    by_time: dict[int, frozenset] = {}
     for sset in ssets:
         if not 0 <= sset.time <= spec.n_steps:
             raise TimeRangeError(f"time index {sset.time} outside 0..{spec.n_steps}")
-        mask = spec.region_mask(sset.region)
-        by_time[sset.time] = by_time.get(sset.time, np.ones_like(mask)) & mask
+        spec.region_mask(sset.region)  # validates the labels
+        prev = by_time.get(sset.time)
+        by_time[sset.time] = sset.region if prev is None else prev & sset.region
     if not by_time:
         return 1.0
-    last = max(by_time)
-    dist = spec.initial.copy()
-    for t in range(last + 1):
-        if t in by_time:
-            dist = dist * by_time[t]
-        if t < last:
-            dist = dist @ spec.kernels[t]
+    constraints = tuple(sorted(by_time.items()))
+    last = constraints[-1][0]
+    dist = spec._prefixes.get((last, constraints))
+    if dist is None:
+        dist = spec.initial
+        done = 0  # constraints applied so far
+        for t in range(last + 1):
+            masked = constraints[done][0] == t
+            done += masked
+            key = (t, constraints[:done])
+            hit = spec._prefixes.get(key)
+            if hit is None:
+                if t > 0:
+                    dist = dist @ spec.kernels[t - 1]
+                if masked:
+                    dist = dist * spec.region_mask(constraints[done - 1][1])
+                spec._prefixes[key] = dist
+            else:
+                dist = hit
     return float(dist.sum())
 
 
@@ -132,10 +168,10 @@ def matched_markov_chain(structure: QuantumStructure) -> StochasticProcessSpec:
     """
     labels = structure.labels
     n = len(labels)
-    occs = [
-        np.array([core.occupations(structure, t)[lab] for lab in labels])
-        for t in structure.times
-    ]
+    occs = []
+    for t in structure.times:
+        occ = core.occupations(structure, t)
+        occs.append(np.array([occ[lab] for lab in labels]))
     kernels = []
     for t in range(structure.n_steps):
         kernel = np.empty((n, n))
@@ -146,8 +182,8 @@ def matched_markov_chain(structure: QuantumStructure) -> StochasticProcessSpec:
             if mass < 1e-14:
                 kernel[i] = occs[t + 1]
                 continue
-            moved = core._apply_step(structure.schedule[t], branch)
-            weights = np.abs(moved) ** 2
+            moved = core.evolve(structure, core.ProjectedVector(branch, t), t + 1)
+            weights = np.abs(moved.amplitudes) ** 2
             kernel[i] = [
                 np.sum(weights[structure.cells[lab]]) / mass for lab in labels
             ]
@@ -246,16 +282,18 @@ def correspondence_audit(
     mu_additive = True
     max_defect = 0.0
     witness = None
-    for (qt1, ct1), (qt2, ct2) in itertools.combinations(sorted(pairing.items()), 2):
+    # One forward sweep per (t1, label) gives every later chained mass.
+    paired = sorted(pairing.items())
+    chained = {
+        (qt1, lab): core.chain_cell_masses(q, SSet(qt1, {lab}))
+        for qt1, _ in paired[:-1]
+        for lab in q.labels
+    }
+    for (qt1, ct1), (qt2, ct2) in itertools.combinations(paired, 2):
         for label2 in q.labels:
             s2q, s2c = SSet(qt2, {label2}), SSet(ct2, {label2})
-            chained_sum = sum(
-                core.chain_project(q, [SSet(qt1, {lab}), s2q]).norm_sq
-                for lab in q.labels
-            )
-            total = core.heisenberg_project(
-                q, s2q, core.ProjectedVector(q.psi0, 0)
-            ).norm_sq
+            chained_sum = sum(chained[qt1, lab][qt2][label2] for lab in q.labels)
+            total = core.project_initial(q, s2q).norm_sq
             defect = abs(total - chained_sum)
             if defect > max_defect:
                 max_defect = defect

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import core
-from .core import ProjectedVector, QuantumStructure, SSet
+from .core import QuantumStructure, SSet
 from .errors import ValidationError
 
 DEFAULT_THRESHOLD = 0.08
@@ -48,9 +48,11 @@ class TypicalityReport:
         return self.verdict is Verdict.DEGENERATE
 
     def to_dict(self) -> dict:
+        """JSON form; a non-finite measure (degenerate pair, or an empty
+        projection under ``m_small``) becomes ``None``."""
         return {
-            "m_big": None if math.isnan(self.m_big) else self.m_big,
-            "m_small": None if math.isnan(self.m_small) else self.m_small,
+            "m_big": self.m_big if math.isfinite(self.m_big) else None,
+            "m_small": self.m_small if math.isfinite(self.m_small) else None,
             "norm1_sq": self.norm1_sq,
             "norm2_sq": self.norm2_sq,
             "threshold": self.threshold,
@@ -104,9 +106,8 @@ def mutual_typicality(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> TypicalityReport:
     """Quantum mutual typicality of two s-sets, verdict at ``threshold``."""
-    psi0 = ProjectedVector(structure.psi0, 0)
-    v1 = core.heisenberg_project(structure, s1, psi0)
-    v2 = core.heisenberg_project(structure, s2, psi0)
+    v1 = core.project_initial(structure, s1)
+    v2 = core.project_initial(structure, s2)
     diff = v1.amplitudes - v2.amplitudes
     diff_sq = float(np.vdot(diff, diff).real)
     return report_from_masses(diff_sq, v1.norm_sq, v2.norm_sq, threshold)

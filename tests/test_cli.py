@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -91,6 +92,20 @@ class TestScenarioFileRoundTrip:
         assert results["m_big"] == pytest.approx(0.0, abs=1e-12)
         assert results["verdict"] == "MutuallyTypical"
 
+    def test_empty_projection_emits_strict_json(self, capsys, exported):
+        # D2 carries no mass, so m_small = M / 0 is infinite: encoded as null.
+        code, out, err = run(
+            capsys,
+            "typicality",
+            "--scenario-file", exported,
+            "--s1", "2:D",
+            "--s2", "1:U",
+        )
+        assert code == 0, err
+        results = json.loads(out, parse_constant=pytest.fail)["results"]
+        assert results["m_small"] is None
+        assert results["m_big"] == pytest.approx(1.0, abs=1e-12)
+
     def test_typicality_csv(self, capsys, exported):
         code, out, _ = run(
             capsys,
@@ -149,6 +164,13 @@ class TestStatBound:
         assert rows[0]["mass"] == pytest.approx(5034 / 65536, abs=1e-12)
         assert rows[0]["holds"] is True
 
+    def test_large_n_does_not_overflow(self, capsys):
+        # N = 5000 once raised OverflowError in the float multinomial.
+        rows = run_json(capsys, "stat-bound", "--N", "5000", "--eps", "0.01")["results"]
+        exact = sum(math.comb(5000, k) for k in range(5001) if 2 * (k / 5000 - 0.5) ** 2 >= 0.01)
+        assert rows[0]["mass"] == pytest.approx(exact / 2**5000, rel=1e-9, abs=1e-10)
+        assert rows[0]["holds"] is True
+
     def test_csv_form(self, capsys):
         code, out, _ = run(capsys, "stat-bound", "--format", "csv")
         assert code == 0
@@ -194,6 +216,18 @@ class TestExitCodes:
         )
         assert code == 2
         assert "s-set" in err
+
+    def test_nan_psi0_is_parse_error(self, capsys, exported, tmp_path):
+        data = json.loads(open(exported).read())
+        data["psi0"][0] = [float("nan"), 0.0]
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(data))  # Python's json reads and writes NaN
+        code, out, err = run(
+            capsys, "typicality", "--scenario-file", str(bad), "--s1", "1:U", "--s2", "3:D"
+        )
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
 
     def test_bad_threshold(self, capsys):
         code, _, _ = run(capsys, "scenario", "unruh", "--threshold", "2.0")

@@ -166,6 +166,18 @@ class TestConstructionValidation:
         with pytest.raises(ValidationError):
             QuantumStructure(2, [1.0, 0.0], [bad], {"U": [0], "D": [1]})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, value):
+        # A NaN norm once passed the |norm - 1| > tol test.
+        with pytest.raises(ValidationError, match="non-finite"):
+            QuantumStructure(2, [value, 0.0], [SPLITTER], {"U": [0], "D": [1]})
+        bad = SPLITTER.copy()
+        bad[0, 1] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            QuantumStructure(2, [1.0, 0.0], [bad], {"U": [0], "D": [1]})
+        with pytest.raises(ValidationError, match="non-finite"):
+            FactorUnitary(bad, index=0, num_factors=1)
+
     def test_cells_must_partition(self):
         with pytest.raises(ValidationError):
             QuantumStructure(2, [1.0, 0.0], [SPLITTER], {"U": [0]})

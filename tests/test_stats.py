@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,38 @@ def brute_force_mass(spec):
                 weight *= spec.probs[s]
             mass += weight
     return mass
+
+
+def multinomial(counts):
+    out = math.factorial(sum(counts))
+    for k in counts:
+        out //= math.factorial(k)
+    return out
+
+
+def exact_integer_mass(spec):
+    """Multinomial coefficients times the probabilities as exact binary
+    fractions, summed as one integer over a common power-of-two denominator.
+
+    Counts are deemed atypical by the same float deviation test as the
+    package, so only the weights and their sum differ between the two.
+    """
+    probs = [Fraction(p) for p in spec.probs]
+    denom = max(p.denominator for p in probs)  # floats are dyadic
+    scaled = [int(p * denom) for p in probs]
+    total = 0
+    for counts in itertools.product(range(spec.N + 1), repeat=spec.n - 1):
+        last = spec.N - sum(counts)
+        if last < 0:
+            continue
+        counts = counts + (last,)
+        if sum((k / spec.N - p) ** 2 for k, p in zip(counts, spec.probs)) < spec.epsilon:
+            continue
+        weight = multinomial(counts)
+        for k, a in zip(counts, scaled):
+            weight *= a**k
+        total += weight
+    return float(Fraction(total, denom**spec.N))
 
 
 class TestSpecValidation:
@@ -90,6 +123,22 @@ class TestComplementMass:
             assert typical_set_complement_mass(spec) == pytest.approx(
                 brute_force_mass(spec), abs=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "probs, big_n, eps",
+        [
+            ((0.4, 0.6), 300, 0.02),
+            ((0.375, 0.625), 1500, 0.02),
+            ((0.2, 0.3, 0.5), 60, 0.03),
+            ((0.0, 0.3, 0.7), 40, 0.05),
+            ((1.0, 0.0), 25, 0.1),
+        ],
+    )
+    def test_log_space_sum_matches_exact_integers(self, probs, big_n, eps):
+        spec = ExperimentSpec(len(probs), probs, big_n, eps)
+        assert typical_set_complement_mass(spec) == pytest.approx(
+            exact_integer_mass(spec), rel=1e-9, abs=1e-12
+        )
 
     def test_frozen_point_value(self):
         spec = ExperimentSpec(2, (0.5, 0.5), 16, 0.125)
