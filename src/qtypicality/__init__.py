@@ -43,7 +43,6 @@ from .stats import (
     born_frequency_report,
     build_measurement_chain,
     deviation,
-    frequency,
     typical_region,
     typical_set_bound,
     typical_set_complement_mass,

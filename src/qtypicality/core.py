@@ -30,17 +30,19 @@ NORM_TOL = 1e-12
 class FactorUnitary:
     """A unitary acting on one tensor factor of a ``base**num_factors`` space.
 
-    Stores only the small ``base x base`` factor matrix; application reshapes
-    the state vector instead of materializing the full Kronecker product, so
-    it stays cheap at dimensions where a dense matrix would not fit.
+    Every schedule step is one: a dense ``d x d`` step is the single factor
+    of a one-factor space. Only the ``base x base`` matrix is stored; with
+    more factors, application reshapes the state vector instead of
+    materializing the full Kronecker product, so it stays cheap at
+    dimensions where a dense matrix would not fit.
     """
 
     def __init__(self, matrix: np.ndarray, index: int, num_factors: int):
         matrix = _frozen(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValidationError("factor matrix must be square")
+            raise ValidationError("step matrix must be square")
         if not np.all(np.isfinite(matrix)):
-            raise ValidationError("factor matrix has non-finite entries")
+            raise ValidationError("step matrix has non-finite entries")
         if not 0 <= index < num_factors:
             raise ValidationError(f"factor index {index} out of range")
         self.matrix = matrix
@@ -53,7 +55,12 @@ class FactorUnitary:
         return self.base ** self.num_factors
 
     def apply(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        m = self.matrix.conj().T if adjoint else self.matrix
+        m = self.matrix
+        if self.num_factors == 1:
+            # (v* U)* equals U^dagger v without materializing the adjoint.
+            return (vec.conj() @ m).conj() if adjoint else m @ vec
+        if adjoint:
+            m = m.conj().T
         t = vec.reshape((self.base,) * self.num_factors)
         t = np.moveaxis(np.tensordot(m, t, axes=(1, self.index)), 0, self.index)
         return np.ascontiguousarray(t).reshape(-1)
@@ -70,23 +77,36 @@ def _frozen(arr) -> np.ndarray:
     return out
 
 
-def _step_dim(step) -> int:
-    if isinstance(step, np.ndarray):
-        return step.shape[0]
-    return step.dim
-
-
-def _step_defect(step) -> float:
-    if isinstance(step, np.ndarray):
-        return float(np.abs(step.conj().T @ step - np.eye(step.shape[0])).max())
-    return step.unitarity_defect()
-
-
-def _apply_step(step, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    if isinstance(step, np.ndarray):
-        # (v* U)* equals U^dagger v without materializing the adjoint.
-        return (vec.conj() @ step).conj() if adjoint else step @ vec
+def _apply_step(step: FactorUnitary, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
     return step.apply(vec, adjoint=adjoint)
+
+
+def _is_index(i) -> bool:
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+
+
+def _cell_table(cells: Mapping[str, Iterable[int]], dim: int) -> dict:
+    """Sorted, read-only index arrays per label, checked in one pass to
+    partition ``range(dim)``. An error names the offending cell."""
+    members = {str(label): list(idx) for label, idx in cells.items()}
+    labels = list(members)
+    sizes = [len(idx) for idx in members.values()]
+    owner = np.repeat(np.arange(len(labels)), sizes)
+    flat = [i for idx in members.values() for i in idx]
+    bad = next((k for k, i in enumerate(flat) if not (_is_index(i) and 0 <= i < dim)), None)
+    if bad is not None:
+        kind = "an out-of-range" if _is_index(flat[bad]) else "a non-integer"
+        raise ValidationError(f"cell {labels[owner[bad]]!r} has {kind} index {flat[bad]!r}")
+    flat = np.array(flat, dtype=np.intp)
+    flat = flat[np.lexsort((flat, owner))]  # sorts each cell, keeps cells in place
+    counts = np.bincount(flat, minlength=dim)
+    if counts.max() > 1:
+        again = np.flatnonzero(flat == np.argmax(counts))[1]
+        raise ValidationError(f"cell {labels[owner[again]]!r} claims index {flat[again]} twice")
+    if counts.min() == 0:
+        raise ValidationError(f"cells do not cover basis index {np.argmin(counts)}")
+    flat.setflags(write=False)
+    return dict(zip(labels, np.split(flat, np.cumsum(sizes)[:-1])))
 
 
 @dataclass(frozen=True)
@@ -133,36 +153,16 @@ class QuantumStructure:
             raise ValidationError("psi0 is not unit norm")
 
         self.schedule = tuple(
-            s if isinstance(s, FactorUnitary) else _frozen(s) for s in schedule
+            s if isinstance(s, FactorUnitary) else FactorUnitary(s, 0, 1) for s in schedule
         )
         for k, step in enumerate(self.schedule):
-            if _step_dim(step) != self.dim:
+            if step.dim != self.dim:
                 raise ValidationError(f"schedule step {k} has wrong dimension")
-            if isinstance(step, np.ndarray) and not np.all(np.isfinite(step)):
-                raise ValidationError(f"schedule step {k} has non-finite entries")
-            if _step_defect(step) > UNITARITY_TOL:
+            if step.unitarity_defect() > UNITARITY_TOL:
                 raise ValidationError(f"schedule step {k} is not unitary")
 
-        self.cells = {
-            str(label): np.asarray(sorted(idx), dtype=np.intp)
-            for label, idx in cells.items()
-        }
-        cell_id = np.full(self.dim, -1, dtype=np.intp)
+        self.cells = _cell_table(cells, self.dim)
         self._labels = tuple(self.cells)
-        self._label_to_id = {}
-        for cid, (label, idx) in enumerate(self.cells.items()):
-            if idx.size and (idx.min() < 0 or idx.max() >= self.dim):
-                raise ValidationError(f"cell {label!r} has out-of-range indices")
-            if np.any(cell_id[idx] != -1):
-                raise ValidationError(f"cell {label!r} overlaps another cell")
-            cell_id[idx] = cid
-            self._label_to_id[label] = cid
-        if np.any(cell_id == -1):
-            raise ValidationError("cells do not cover the basis index set")
-        for idx in self.cells.values():
-            idx.setflags(write=False)
-        cell_id.setflags(write=False)
-        self._cell_id = cell_id
 
         self._trajectory = {0: self.psi0}  # requested time -> Psi(t)
         self._masks: dict = {}  # frozenset region -> boolean mask
@@ -196,16 +196,12 @@ class QuantumStructure:
         mask = self._masks.get(region)
         if mask is not None:
             return mask
-        ids = []
-        for label in region:
-            try:
-                ids.append(self._label_to_id[label])
-            except KeyError:
-                raise SchemaError(f"unknown cell label {label!r}") from None
-        if len(ids) == len(self._labels):
-            mask = np.ones(self.dim, dtype=bool)
-        else:
-            mask = np.isin(self._cell_id, np.asarray(ids, dtype=np.intp))
+        unknown = region.difference(self.cells)
+        if unknown:
+            raise SchemaError(f"unknown cell label {next(iter(unknown))!r}")
+        mask = np.zeros(self.dim, dtype=bool)
+        if region:
+            mask[np.concatenate([self.cells[label] for label in region])] = True
         mask.setflags(write=False)
         self._masks[region] = mask
         return mask
@@ -213,7 +209,7 @@ class QuantumStructure:
     def check_sset(self, sset: SSet) -> SSet:
         self.check_time(sset.time)
         for label in sset.region:
-            if label not in self._label_to_id:
+            if label not in self.cells:
                 raise SchemaError(f"unknown cell label {label!r}")
         return sset
 
@@ -352,7 +348,7 @@ def occupations(structure: QuantumStructure, time: int) -> dict:
 
 def _complex_in(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
-    if arr.shape[-1] != 2:
+    if arr.ndim == 0 or arr.shape[-1] != 2:
         raise SchemaError("complex entries must be [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
@@ -366,9 +362,12 @@ def structure_from_dict(data: Mapping) -> QuantumStructure:
         dim = int(data["dim"])
         psi0 = _complex_in(data["psi0"])
         schedule = [_complex_in(m) for m in data["schedule"]]
-        cells = {str(k): [int(i) for i in v] for k, v in data["cells"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+        cells = {str(k): list(v) for k, v in data["cells"].items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed scenario: {exc}") from exc
+    for label, idx in cells.items():
+        if not all(map(_is_index, idx)):
+            raise SchemaError(f"cell {label!r} has a non-integer index")
     for k, m in enumerate(schedule):
         if m.shape != (dim, dim):
             raise SchemaError(f"schedule matrix {k} is not {dim}x{dim}")
@@ -376,15 +375,12 @@ def structure_from_dict(data: Mapping) -> QuantumStructure:
 
 
 def structure_to_dict(structure: QuantumStructure) -> dict:
-    schedule = []
-    for step in structure.schedule:
-        if isinstance(step, FactorUnitary):
-            raise SchemaError("factored steps cannot be serialized as dense matrices")
-        schedule.append(_complex_out(step))
+    if any(step.num_factors != 1 for step in structure.schedule):
+        raise SchemaError("factored steps cannot be serialized as dense matrices")
     return {
         "dim": structure.dim,
         "psi0": _complex_out(structure.psi0),
-        "schedule": schedule,
+        "schedule": [_complex_out(step.matrix) for step in structure.schedule],
         "cells": {label: idx.tolist() for label, idx in structure.cells.items()},
     }
 

@@ -10,6 +10,8 @@ measure. Both are exact and must agree.
 """
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,24 +53,23 @@ class ExperimentSpec:
         object.__setattr__(self, "epsilon", float(epsilon))
 
 
-def frequency(s: int, sequence: Sequence[int]) -> float:
-    """Relative frequency of outcome ``s`` in an outcome sequence."""
-    if len(sequence) == 0:
-        raise ValidationError("empty outcome sequence")
-    return sum(1 for x in sequence if x == s) / len(sequence)
-
-
 def deviation(sequence: Sequence[int], probs: Sequence[float]) -> float:
     """Quadratic distance of the empirical frequencies from ``probs``."""
     if len(sequence) == 0:
         raise ValidationError("empty outcome sequence")
     if any(not 0 <= x < len(probs) for x in sequence):
         raise ValidationError("outcome out of range for the probability vector")
-    return sum((frequency(s, sequence) - p) ** 2 for s, p in enumerate(probs))
+    counts = collections.Counter(sequence)
+    return _count_deviation([counts[s] for s in range(len(probs))], len(sequence), probs)
 
 
 def _count_deviation(counts: Sequence[int], N: int, probs: Sequence[float]) -> float:
     return sum((k / N - p) ** 2 for k, p in zip(counts, probs))
+
+
+def _atypical_counts(counts: Sequence[int], spec: ExperimentSpec) -> bool:
+    """Whether sequences with these outcome counts reach the deviation cutoff."""
+    return _count_deviation(counts, spec.N, spec.probs) >= spec.epsilon
 
 
 def _compositions(total: int, parts: int):
@@ -101,7 +102,7 @@ def typical_set_complement_mass(spec: ExperimentSpec) -> float:
     log_p = [math.log(p) if p > 0.0 else None for p in spec.probs]
     mass = 0.0
     for counts in _compositions(spec.N, spec.n):
-        if _count_deviation(counts, spec.N, spec.probs) < spec.epsilon:
+        if not _atypical_counts(counts, spec):
             continue
         log_weight = log_fact[spec.N]
         for k, lp in zip(counts, log_p):
@@ -123,35 +124,38 @@ def typical_set_bound(spec: ExperimentSpec) -> float:
     return 1.0 / (spec.epsilon * spec.N)
 
 
-def sequence_label(sequence: Sequence[int]) -> str:
-    return ",".join(str(s) for s in sequence)
+def _sequences(spec: ExperimentSpec):
+    """The label and outcome counts of every length-N sequence, in basis order.
 
-
-def _check_enumerable(spec: ExperimentSpec) -> None:
+    Labels are comma-separated outcome digits, most significant first. The
+    enumeration guard is checked at once; the sequences are made lazily.
+    """
     if spec.n ** spec.N > ENUMERATION_LIMIT:
         raise ResourceLimitError(
             f"{spec.n}**{spec.N} sequences exceed the enumeration limit"
         )
+    digits = [str(s) for s in range(spec.n)]
+    return (
+        (",".join(seq), tuple(map(seq.count, digits)))
+        for seq in itertools.product(digits, repeat=spec.N)
+    )
+
+
+def _region(spec: ExperimentSpec, atypical: bool) -> frozenset:
+    is_atypical = functools.cache(lambda counts: _atypical_counts(counts, spec))
+    return frozenset(
+        label for label, counts in _sequences(spec) if is_atypical(counts) == atypical
+    )
 
 
 def atypical_region(spec: ExperimentSpec) -> frozenset:
     """Cell labels of the sequences at or beyond the deviation cutoff."""
-    _check_enumerable(spec)
-    return frozenset(
-        sequence_label(seq)
-        for seq in itertools.product(range(spec.n), repeat=spec.N)
-        if deviation(seq, spec.probs) >= spec.epsilon
-    )
+    return _region(spec, atypical=True)
 
 
 def typical_region(spec: ExperimentSpec) -> frozenset:
     """Cell labels of the sequences strictly inside the deviation cutoff."""
-    _check_enumerable(spec)
-    return frozenset(
-        sequence_label(seq)
-        for seq in itertools.product(range(spec.n), repeat=spec.N)
-        if deviation(seq, spec.probs) < spec.epsilon
-    )
+    return _region(spec, atypical=False)
 
 
 def _splitting_unitary(probs: Sequence[float]) -> np.ndarray:
@@ -177,17 +181,12 @@ def build_measurement_chain(spec: ExperimentSpec) -> QuantumStructure:
     comma-separated outcome digits, and the occupation of a sequence cell
     at the final time is the product of its outcome probabilities.
     """
-    dim = spec.n ** spec.N
-    if dim > ENUMERATION_LIMIT:
-        raise ResourceLimitError(f"dimension {dim} exceeds {ENUMERATION_LIMIT}")
+    cells = {label: [idx] for idx, (label, _) in enumerate(_sequences(spec))}
     split = _splitting_unitary(spec.probs)
     schedule = [
         FactorUnitary(split, index=i, num_factors=spec.N) for i in range(spec.N)
     ]
-    cells = {
-        sequence_label(seq): [idx]
-        for idx, seq in enumerate(itertools.product(range(spec.n), repeat=spec.N))
-    }
+    dim = spec.n ** spec.N
     psi0 = np.zeros(dim, dtype=complex)
     psi0[0] = 1.0
     return QuantumStructure(dim, psi0, schedule, cells)

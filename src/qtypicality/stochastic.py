@@ -332,7 +332,9 @@ def process_from_dict(data: Mapping) -> StochasticProcessSpec:
             initial=data["initial"],
             kernels=data["kernels"],
         )
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: ragged arrays
         raise SchemaError(f"malformed stochastic section: {exc}") from exc
 
 

@@ -65,6 +65,8 @@ def gaussian_packet(
     wave factor. The packet must be resolvable (sigma >= 4 dx) and sit at
     least 6 sigma away from the periodic seam.
     """
+    if n_points < 1:
+        raise ValidationError(f"n_points {n_points} must be at least 1")
     dx = length / n_points
     if width_sigma < 4.0 * dx:
         raise ValidationError(f"sigma {width_sigma} below resolution limit {4 * dx}")

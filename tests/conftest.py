@@ -18,8 +18,8 @@ SPLITTER = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) * INV_SQRT2
 
 def dense_step(step, dim):
     """Materialize a schedule step as a dense matrix."""
-    if isinstance(step, np.ndarray):
-        return step
+    if step.num_factors == 1:
+        return step.matrix
     return np.column_stack(
         [step.apply(np.eye(dim, dtype=complex)[:, j]) for j in range(dim)]
     )

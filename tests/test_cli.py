@@ -229,6 +229,36 @@ class TestExitCodes:
         assert out == ""
         assert "non-finite" in err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "psi0", 5),
+            (None, "cells", [[0], [1]]),
+            ("cells", "D", [1.7]),
+            ("cells", "D", [1.0]),
+            ("cells", "D", [True]),
+            ("stochastic", "kernels", [[[1.0, 0.0], [0.0]]] * 3),
+            ("stochastic", "initial", [[1.0], 0.0]),
+        ],
+    )
+    def test_malformed_scenario_is_parse_error(
+        self, capsys, exported, tmp_path, section, key, value
+    ):
+        data = json.loads(open(exported).read())
+        (data if section is None else data[section])[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "audit", "--scenario-file", str(bad))
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_wavepacket_without_points_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "wavepacket", "--n-points", "0")
+        assert code == 2
+        assert out == ""
+        assert "n_points" in err
+
     def test_bad_threshold(self, capsys):
         code, _, _ = run(capsys, "scenario", "unruh", "--threshold", "2.0")
         assert code == 2

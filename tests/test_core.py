@@ -184,6 +184,52 @@ class TestConstructionValidation:
         with pytest.raises(ValidationError):
             QuantumStructure(2, [1.0, 0.0], [SPLITTER], {"U": [0, 1], "D": [1]})
 
+    def test_non_square_dense_step_rejected(self):
+        with pytest.raises(ValidationError, match="square"):
+            QuantumStructure(2, [1.0, 0.0], [np.ones((2, 3))], {"U": [0], "D": [1]})
+
+    def test_dense_steps_are_one_factor_steps(self, rng):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m, _ = np.linalg.qr(m)
+        structure = QuantumStructure(4, [1.0, 0, 0, 0], [m], {"a": [0, 1], "b": [2, 3]})
+        (step,) = structure.schedule
+        assert isinstance(step, FactorUnitary)
+        assert (step.num_factors, step.dim) == (1, 4)
+        np.testing.assert_array_equal(step.matrix, m)
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        np.testing.assert_array_equal(step.apply(v), m @ v)
+        np.testing.assert_array_equal(step.apply(v, adjoint=True), (v.conj() @ m).conj())
+
+    def test_cell_errors_name_the_cell(self):
+        def build(cells):
+            QuantumStructure(3, [1.0, 0.0, 0.0], [np.eye(3)], cells)
+
+        with pytest.raises(ValidationError, match="'D'.*out-of-range index 3"):
+            build({"U": [0, 1], "D": [2, 3]})
+        with pytest.raises(ValidationError, match="'D'.*out-of-range index -1"):
+            build({"U": [0, 1, 2], "D": [-1]})
+        with pytest.raises(ValidationError, match="'M' claims index 1 twice"):
+            build({"U": [0, 1], "M": [2, 1], "D": [1]})
+        with pytest.raises(ValidationError, match="'U' claims index 0 twice"):
+            build({"U": [0, 0, 1], "D": [2]})
+        with pytest.raises(ValidationError, match="cover basis index 1"):
+            build({"U": [0], "D": [2]})
+
+    @pytest.mark.parametrize("index", [1.7, 1.0, True, np.float64(1.0), "1"])
+    def test_non_integer_cell_index_rejected(self, index):
+        with pytest.raises(ValidationError, match="'D' has a non-integer index"):
+            QuantumStructure(2, [1.0, 0.0], [SPLITTER], {"U": [0], "D": [index]})
+
+    def test_integer_like_cell_indices_accepted(self):
+        structure = QuantumStructure(
+            3, [1.0, 0.0, 0.0], [np.eye(3)],
+            {"U": np.array([2, 0]), "E": [], "D": (np.int32(1),)},
+        )
+        assert structure.labels == ("U", "E", "D")
+        assert structure.cells["U"].tolist() == [0, 2]
+        assert structure.cells["E"].size == 0
+        assert occupations(structure, 0) == {"U": 1.0, "E": 0.0, "D": 0.0}
+
     def test_factor_unitary_matches_dense(self, rng):
         small = np.array([[0.6, 0.8], [0.8, -0.6]], dtype=complex)
         step = FactorUnitary(small, index=1, num_factors=3)
@@ -201,8 +247,22 @@ class TestScenarioJSON:
         again = structure_from_dict(data)
         np.testing.assert_allclose(again.psi0, unruh.psi0)
         for a, b in zip(again.schedule, unruh.schedule):
-            np.testing.assert_allclose(a, b)
+            np.testing.assert_allclose(a.matrix, b.matrix)
         assert set(again.labels) == set(unruh.labels)
+
+    @pytest.mark.parametrize("index", [1.7, 1.0, True, "1"])
+    def test_non_integer_cell_index_is_schema_error(self, unruh, index):
+        data = structure_to_dict(unruh)
+        data["cells"]["D"] = [index]
+        with pytest.raises(SchemaError, match="'D' has a non-integer index"):
+            structure_from_dict(data)
+
+    @pytest.mark.parametrize("psi0", [5, [], [5], [[1.0, 0.0, 0.0]]])
+    def test_malformed_psi0_is_schema_error(self, unruh, psi0):
+        data = structure_to_dict(unruh)
+        data["psi0"] = psi0
+        with pytest.raises(SchemaError):
+            structure_from_dict(data)
 
     def test_validates_against_published_schema(self, unruh, repo_root):
         jsonschema = pytest.importorskip("jsonschema")

@@ -371,7 +371,7 @@ class TestFrozenInputs:
         psi0[0] = 0.0  # the caller's arrays are not the structure's
         step[0, 0] = 0.0
         np.testing.assert_array_equal(project_initial(q, SSet(1, {"a"})).amplitudes, before)
-        for arr in (q.psi0, q.schedule[0], q.cells["a"], q.region_mask({"a"}),
+        for arr in (q.psi0, q.schedule[0].matrix, q.cells["a"], q.region_mask({"a"}),
                     state_at(q, 1).amplitudes, project_initial(q, SSet(1, {"a"})).amplitudes):
             with pytest.raises(ValueError):
                 arr[0] = 0

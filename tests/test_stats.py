@@ -15,7 +15,6 @@ from qtypicality import (
     build_measurement_chain,
     deviation,
     exclusion_measure,
-    frequency,
     occupations,
     typical_region,
     typical_set_bound,
@@ -33,6 +32,15 @@ def brute_force_mass(spec):
                 weight *= spec.probs[s]
             mass += weight
     return mass
+
+
+def region_oracle(spec):
+    """Typical and atypical labels, classified one sequence at a time."""
+    typical, atypical = set(), set()
+    for seq in itertools.product(range(spec.n), repeat=spec.N):
+        dev = sum((seq.count(s) / spec.N - p) ** 2 for s, p in enumerate(spec.probs))
+        (atypical if dev >= spec.epsilon else typical).add(",".join(map(str, seq)))
+    return frozenset(typical), frozenset(atypical)
 
 
 def multinomial(counts):
@@ -84,19 +92,7 @@ class TestSpecValidation:
 
 
 class TestFrequencyAndDeviation:
-    def test_constant_sequence(self):
-        assert frequency(1, [1, 1, 1, 1]) == 1.0
-
-    def test_balanced_sequence(self):
-        assert frequency(0, [0, 1, 0, 1]) == 0.5
-
-    def test_frequencies_partition(self):
-        seq = [0, 2, 1, 2, 2, 0]
-        assert sum(frequency(s, seq) for s in range(3)) == pytest.approx(1.0)
-
     def test_empty_sequence_rejected(self):
-        with pytest.raises(ValidationError):
-            frequency(0, [])
         with pytest.raises(ValidationError):
             deviation([], (0.5, 0.5))
 
@@ -198,6 +194,26 @@ class TestMeasurementChain:
         spec = ExperimentSpec(2, (0.3, 0.7), 6, 0.1)
         assert len(typical_region(spec)) + len(atypical_region(spec)) == 2**6
         assert not (typical_region(spec) & atypical_region(spec))
+        # One count vector sits exactly on the cutoff: (3, 1) deviates by
+        # 0.0625 + 0.0625 = 0.125 and so is atypical.
+        on_cutoff = ExperimentSpec(2, (0.5, 0.5), 4, 0.125)
+        assert "0,0,0,1" in atypical_region(on_cutoff)
+        assert "0,0,1,1" in typical_region(on_cutoff)
+        specs = [
+            spec,
+            on_cutoff,
+            ExperimentSpec(2, (0.36, 0.64), 7, 0.05),
+            ExperimentSpec(3, (0.2, 0.3, 0.5), 4, 0.08),
+            ExperimentSpec(3, (0.0, 0.5, 0.5), 3, 0.2),
+            ExperimentSpec(1, (1.0,), 3, 0.1),
+            ExperimentSpec(2, (0.5, 0.5), 1, 0.1),
+            ExperimentSpec(2, (0.5, 0.5), 5, 3.0),
+        ]
+        for spec in specs:
+            typical, atypical = region_oracle(spec)
+            assert typical_region(spec) == typical
+            assert atypical_region(spec) == atypical
+            assert len(typical) + len(atypical) == spec.n**spec.N
 
     def test_single_outcome_trivial(self):
         spec = ExperimentSpec(1, (1.0,), 5, 0.5)

@@ -44,6 +44,11 @@ class TestGaussianPacket:
         with pytest.raises(ValidationError):
             gaussian_packet(0.0, 0.05, 0.0, n_points=256, length=200.0)
 
+    @pytest.mark.parametrize("n_points", [0, -4])
+    def test_no_grid_points_rejected(self, n_points):
+        with pytest.raises(ValidationError, match="n_points"):
+            gaussian_packet(0.0, 1.0, 0.0, n_points=n_points)
+
     def test_too_close_to_boundary_rejected(self):
         with pytest.raises(ValidationError):
             gaussian_packet(center=98.0, width_sigma=1.0, momentum=0.0)
