@@ -72,11 +72,12 @@ def _config_from_args(args, **extra) -> RunConfig:
     )
 
 
-def _emit(config: RunConfig, results, csv_text: str | None = None) -> None:
+def _emit(config: RunConfig, results, to_csv=None) -> None:
+    """Write the JSON report, or the text ``to_csv()`` returns under ``--format csv``."""
     if config.output_format == "csv":
-        if csv_text is None:
+        if to_csv is None:
             raise ValidationError(f"{config.command} has no CSV form")
-        text = csv_text
+        text = to_csv()
     else:
         text = json.dumps(
             {"version": __version__, "config": config.to_dict(), "results": results},
@@ -166,7 +167,7 @@ def _cmd_scenario(args) -> int:
             results["click_occupation_t2"] = typicality.exclusion_measure(
                 st, SSet(2, {"U", "D"})
             )
-        _emit(config, results, csv_text=g.to_edge_csv())
+        _emit(config, results, to_csv=g.to_edge_csv)
     elif args.scenario == "fig1":
         st = scenarios.build_beamsplitter_fig1()
         config = _config_from_args(args, scenario="fig1")
@@ -203,7 +204,7 @@ def _cmd_typicality(args) -> int:
     config = _config_from_args(args, s1=args.s1, s2=args.s2)
     report = typicality.mutual_typicality(structure, s1, s2, args.threshold)
     header = ",".join(typicality.TypicalityReport.CSV_FIELDS)
-    _emit(config, report.to_dict(), csv_text=header + "\n" + report.csv_row() + "\n")
+    _emit(config, report.to_dict(), to_csv=lambda: header + "\n" + report.csv_row() + "\n")
     return 0
 
 
@@ -212,7 +213,7 @@ def _cmd_graph(args) -> int:
     schedule = graph.PartitionSchedule(parse_slice(s) for s in args.slice)
     config = _config_from_args(args, slices=list(args.slice))
     g = graph.build_graph(structure, schedule, args.epsilon_exclude, args.tau_link)
-    _emit(config, g.to_dict(), csv_text=g.to_edge_csv())
+    _emit(config, g.to_dict(), to_csv=g.to_edge_csv)
     return 0
 
 
@@ -270,7 +271,7 @@ def _cmd_stat_bound(args) -> int:
                 str(row["holds"]).lower(),
             ]
         )
-    _emit(config, rows, csv_text=buf.getvalue())
+    _emit(config, rows, to_csv=buf.getvalue)
     return 0
 
 
@@ -318,7 +319,7 @@ def _cmd_wavepacket(args) -> int:
             snap.writerow(["x", "density"])
             for x, d in zip(state.x, state.density()):
                 snap.writerow([repr(float(x)), repr(float(d))])
-    _emit(config, results, csv_text=buf.getvalue())
+    _emit(config, results, to_csv=buf.getvalue)
     return 0
 
 

@@ -359,12 +359,14 @@ def _complex_out(arr: np.ndarray):
 
 def structure_from_dict(data: Mapping) -> QuantumStructure:
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         psi0 = _complex_in(data["psi0"])
         schedule = [_complex_in(m) for m in data["schedule"]]
         cells = {str(k): list(v) for k, v in data["cells"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed scenario: {exc}") from exc
+    if not _is_index(dim):
+        raise SchemaError(f"dim {dim!r} is not an integer")
     for label, idx in cells.items():
         if not all(map(_is_index, idx)):
             raise SchemaError(f"cell {label!r} has a non-integer index")

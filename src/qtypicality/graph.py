@@ -85,6 +85,7 @@ class TrajectoryGraph:
         return tuple(self.nodes[i].name for i in path)
 
     def to_dict(self) -> dict:
+        names = [n.name for n in self.nodes]
         return {
             "nodes": [
                 {
@@ -99,7 +100,7 @@ class TrajectoryGraph:
                 {"a": a, "b": b, "m_big": m} for a, b, m in self.links
             ],
             "paths": [list(p) for p in self.paths],
-            "path_names": [list(self.node_names(p)) for p in self.paths],
+            "path_names": [[names[i] for i in p] for p in self.paths],
         }
 
     def to_edge_csv(self) -> str:
@@ -131,7 +132,14 @@ def build_graph(
     epsilon_exclude: float = DEFAULT_EPSILON_EXCLUDE,
     tau_link: float = DEFAULT_TAU_LINK,
 ) -> TrajectoryGraph:
-    """Build the exclusion/link graph and enumerate admissible paths."""
+    """Build the exclusion/link graph and enumerate admissible paths.
+
+    Paths are listed in ``itertools.product`` order over the non-excluded
+    nodes of each slice, but found by extending admissible prefixes one
+    slice at a time, so a prefix that breaks a forced link is dropped
+    before its extensions are formed. ``PATH_SPACE_LIMIT`` still bounds the
+    raw product of the region counts.
+    """
     schedule.validate(structure)
     for name, value in (("epsilon_exclude", epsilon_exclude), ("tau_link", tau_link)):
         if not 0.0 < value < 1.0:
@@ -180,11 +188,7 @@ def build_graph(
     candidates = [
         [i for i in slice_nodes if not nodes[i].excluded] for slice_nodes in slices
     ]
-    paths = []
-    for combo in itertools.product(*candidates):
-        visited = set(combo)
-        if all((a in visited) == (b in visited) for a, b, _ in links):
-            paths.append(tuple(combo))
+    paths = _admissible_paths(candidates, [(a, b) for a, b, _ in links])
 
     return TrajectoryGraph(
         nodes=tuple(nodes),
@@ -192,6 +196,30 @@ def build_graph(
         links=tuple(links),
         paths=tuple(paths),
     )
+
+
+def _admissible_paths(candidates: Sequence[Sequence[int]], links: Iterable[tuple]) -> list:
+    """Paths with one candidate node per slice that visit both ends of every
+    link or neither, in ``itertools.product(*candidates)`` order.
+
+    Each link ``(a, b)`` joins two candidates, ``a`` in an earlier slice
+    than ``b``. Prefixes grow one slice at a time; a link is checked when
+    the slice of ``b`` is added, and a prefix that breaks a link is never
+    extended.
+    """
+    slice_of = {node: k for k, nodes in enumerate(candidates) for node in nodes}
+    due: list = [[] for _ in candidates]  # per slice: (slice of a, a, b)
+    for a, b in links:
+        due[slice_of[b]].append((slice_of[a], a, b))
+    prefixes = [()]
+    for cands, checks in zip(candidates, due):
+        prefixes = [
+            prefix + (c,)
+            for prefix in prefixes
+            for c in cands
+            if all((prefix[k] == a) == (b == c) for k, a, b in checks)
+        ]
+    return prefixes
 
 
 def branch_following_check(

@@ -39,14 +39,16 @@ class ExperimentSpec:
         probs = tuple(float(p) for p in probs)
         if int(n) != len(probs):
             raise ValidationError(f"expected {n} probabilities, got {len(probs)}")
+        if not all(map(math.isfinite, probs)):
+            raise ValidationError("non-finite outcome probability")
         if any(p < 0.0 for p in probs):
             raise ValidationError("negative outcome probability")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ValidationError(f"probabilities sum to {sum(probs)}")
         if int(N) < 1:
             raise ValidationError("repetition count must be at least 1")
-        if float(epsilon) <= 0.0:
-            raise ValidationError("deviation cutoff must be positive")
+        if not math.isfinite(float(epsilon)) or float(epsilon) <= 0.0:
+            raise ValidationError("deviation cutoff must be positive and finite")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "N", int(N))

@@ -44,6 +44,8 @@ class StochasticProcessSpec:
         self.initial.setflags(write=False)
         if self.initial.shape != (len(self.states),):
             raise ValidationError("initial distribution has wrong length")
+        if not np.all(np.isfinite(self.initial)):
+            raise ValidationError("initial distribution has non-finite entries")
         if np.any(self.initial < 0.0) or abs(self.initial.sum() - 1.0) > ROW_SUM_TOL:
             raise ValidationError("initial distribution is not a probability vector")
         self.kernels = tuple(np.array(k, dtype=float) for k in kernels)
@@ -52,6 +54,8 @@ class StochasticProcessSpec:
             kernel.setflags(write=False)
             if kernel.shape != (n, n):
                 raise ValidationError(f"kernel {t} is not {n}x{n}")
+            if not np.all(np.isfinite(kernel)):
+                raise ValidationError(f"kernel {t} has non-finite entries")
             if np.any(kernel < 0.0) or np.any(np.abs(kernel.sum(axis=1) - 1.0) > ROW_SUM_TOL):
                 raise ValidationError(f"kernel {t} is not row-stochastic")
         self._index = {s: i for i, s in enumerate(self.states)}

@@ -1,11 +1,26 @@
+import csv
+import io
 import json
 import math
 
 import pytest
 
-from qtypicality.cli import main
+from qtypicality import PartitionSchedule, build_graph, build_unruh, load_scenario
+from qtypicality.cli import main, parse_slice
 
 SCHEMA_DIR = "schemas"
+
+# Edge list of the Unruh graph (Fig. 3) without the link measures, which are
+# round-off around zero.
+UNRUH_EDGE_ROWS = [
+    ["kind", "path_id", "time_a", "region_a", "time_b", "region_b"],
+    ["link", "", "1", "U", "3", "D"],
+    ["link", "", "1", "D", "3", "U"],
+    ["path", "0", "1", "U", "2", "U"],
+    ["path", "0", "2", "U", "3", "D"],
+    ["path", "1", "1", "D", "2", "U"],
+    ["path", "1", "2", "U", "3", "U"],
+]
 
 
 def run(capsys, *argv):
@@ -57,9 +72,21 @@ class TestScenarioCommand:
         assert results["additive"] is False
 
     def test_csv_output(self, capsys):
-        code, out, _ = run(capsys, "scenario", "unruh", "--format", "csv")
-        assert code == 0
-        assert out.splitlines()[0].startswith("kind,")
+        code, out, err = run(capsys, "scenario", "unruh", "--format", "csv")
+        assert code == 0, err
+        model = build_unruh()
+        g = build_graph(model.structure, model.partition_schedule())
+        assert out == g.to_edge_csv()
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [row[:6] for row in rows] == UNRUH_EDGE_ROWS
+        assert [float(row[6]) for row in rows[1:3]] == pytest.approx([0.0, 0.0], abs=1e-12)
+
+    @pytest.mark.parametrize("command", [("fig1",), ("nonadditivity",)])
+    def test_no_csv_form_is_parse_error(self, capsys, command):
+        code, out, err = run(capsys, "scenario", *command, "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert "has no CSV form" in err
 
     def test_determinism(self, capsys):
         first = run(capsys, "scenario", "unruh")[1]
@@ -133,6 +160,21 @@ class TestScenarioFileRoundTrip:
             ("U@1", "U@2", "D@3"),
             ("D@1", "U@2", "U@3"),
         }
+
+    def test_graph_csv_on_exported(self, capsys, exported):
+        slices = ["1:U|D", "2:U|D", "3:U|D"]
+        code, out, err = run(
+            capsys,
+            "graph",
+            "--scenario-file", exported,
+            *(arg for s in slices for arg in ("--slice", s)),
+            "--format", "csv",
+        )
+        assert code == 0, err
+        structure, _ = load_scenario(exported)
+        schedule = PartitionSchedule(parse_slice(s) for s in slices)
+        assert out == build_graph(structure, schedule).to_edge_csv()
+        assert [row[:6] for row in csv.reader(io.StringIO(out))] == UNRUH_EDGE_ROWS
 
     def test_audit_on_exported(self, capsys, exported):
         results = run_json(capsys, "audit", "--scenario-file", exported)["results"]
@@ -239,6 +281,7 @@ class TestExitCodes:
             ("cells", "D", [True]),
             ("stochastic", "kernels", [[[1.0, 0.0], [0.0]]] * 3),
             ("stochastic", "initial", [[1.0], 0.0]),
+            (None, "dim", 2.7),
         ],
     )
     def test_malformed_scenario_is_parse_error(
@@ -252,6 +295,25 @@ class TestExitCodes:
         assert code == 2, err
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_nan_kernel_is_named(self, capsys, exported, tmp_path):
+        data = json.loads(open(exported).read())
+        data["stochastic"]["kernels"][1][0][0] = float("nan")
+        bad = tmp_path / "nan_kernel.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "audit", "--scenario-file", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "kernel 1 has non-finite entries" in err
+
+    @pytest.mark.parametrize("argv", [["--p", "nan,nan"], ["--eps", "nan"]])
+    def test_nan_stat_bound_is_parse_error(self, capsys, argv):
+        code, out, err = run(
+            capsys, "stat-bound", "--n", "2", "--N", "10", "--eps", "0.1", *argv
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
 
     def test_wavepacket_without_points_is_parse_error(self, capsys):
         code, out, err = run(capsys, "wavepacket", "--n-points", "0")

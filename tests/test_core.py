@@ -257,6 +257,13 @@ class TestScenarioJSON:
         with pytest.raises(SchemaError, match="'D' has a non-integer index"):
             structure_from_dict(data)
 
+    @pytest.mark.parametrize("dim", [2.7, 2.0, True, "2"])  # the Unruh structure has dim 2
+    def test_non_integer_dim_is_schema_error(self, unruh, dim):
+        data = structure_to_dict(unruh)
+        data["dim"] = dim
+        with pytest.raises(SchemaError, match="dim"):
+            structure_from_dict(data)
+
     @pytest.mark.parametrize("psi0", [5, [], [5], [[1.0, 0.0, 0.0]]])
     def test_malformed_psi0_is_schema_error(self, unruh, psi0):
         data = structure_to_dict(unruh)

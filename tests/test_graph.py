@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtypicality import (
     ExperimentSpec,
@@ -11,6 +15,7 @@ from qtypicality import (
     build_measurement_chain,
     build_unruh,
 )
+from qtypicality.graph import _admissible_paths
 
 FIG3_PATHS = {("U@1", "U@2", "D@3"), ("D@1", "U@2", "U@3")}
 FIG5_PATHS = {
@@ -114,6 +119,75 @@ class TestBuildGraph:
         assert {"nodes", "links", "paths", "path_names"} <= set(data)
         csv_text = graph.to_edge_csv()
         assert csv_text.splitlines()[0].startswith("kind,")
+
+
+def product_oracle(candidates, links):
+    """Admissible paths by scanning the whole candidate product."""
+    return [
+        combo
+        for combo in itertools.product(*candidates)
+        if all((a in combo) == (b in combo) for a, b in links)
+    ]
+
+
+@st.composite
+def link_problems(draw):
+    """Candidates per slice (node indices with excluded ones left out, possibly
+    none) and forced links between candidates of different slices."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    excluded = draw(st.sets(st.integers(0, bounds[-1] - 1)))
+    candidates = [
+        [i for i in range(lo, hi) if i not in excluded]
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    pairs = [
+        (a, b)
+        for earlier, later in itertools.combinations(candidates, 2)
+        for a in earlier
+        for b in later
+    ]
+    links = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return candidates, links
+
+
+class TestAdmissiblePaths:
+    @settings(max_examples=300, deadline=None)
+    @given(link_problems())
+    @example(([[0, 1], [2, 3], [4, 5]], []))  # no links: the whole product
+    @example(([[0, 1], [2, 3]], [(0, 2), (1, 2)]))  # every path pruned
+    @example(([[0, 1], [], [4]], [(0, 4)]))  # a slice with no candidate
+    def test_prefix_extension_equals_product_scan(self, problem):
+        candidates, links = problem
+        assert _admissible_paths(candidates, links) == product_oracle(candidates, links)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        times=st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+        groups=st.lists(
+            st.lists(st.integers(0, 3), min_size=8, max_size=8), min_size=4, max_size=4
+        ),
+        epsilon_exclude=st.sampled_from([1e-9, 0.05, 0.2]),
+        tau_link=st.sampled_from([1e-6, 0.08, 0.5]),
+    )
+    def test_build_graph_equals_product_scan(self, times, groups, epsilon_exclude, tau_link):
+        # A branching measurement chain: nested regions give forced links and
+        # unrecorded outcomes carry no mass, so some nodes are excluded.
+        structure = build_measurement_chain(ExperimentSpec(2, (0.3, 0.7), 3, 0.1))
+        labels = structure.labels
+        schedule = PartitionSchedule(
+            (t, [
+                {lab for lab, g in zip(labels, grouping) if g == region}
+                for region in sorted(set(grouping))
+            ])
+            for t, grouping in zip(times, groups)
+        )
+        graph = build_graph(structure, schedule, epsilon_exclude, tau_link)
+        candidates = [
+            [i for i in nodes if not graph.nodes[i].excluded] for nodes in graph.slices
+        ]
+        links = [(a, b) for a, b, _ in graph.links]
+        assert list(graph.paths) == product_oracle(candidates, links)
 
 
 class TestBranchFollowing:

@@ -90,6 +90,20 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             ExperimentSpec(2, (0.5, 0.5), 4, 0.0)
 
+    @pytest.mark.parametrize(
+        "probs, eps",
+        [
+            ((math.nan, math.nan), 0.1),
+            ((math.nan, 1.0), 0.1),
+            ((math.inf, -math.inf), 0.1),
+            ((0.5, 0.5), math.nan),
+            ((0.5, 0.5), math.inf),
+        ],
+    )
+    def test_non_finite_probs_and_cutoff(self, probs, eps):
+        with pytest.raises(ValidationError, match="finite"):
+            ExperimentSpec(2, probs, 10, eps)
+
 
 class TestFrequencyAndDeviation:
     def test_empty_sequence_rejected(self):

@@ -55,6 +55,15 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             StochasticProcessSpec(["U", "D"], [0.5, 0.5], [np.eye(3)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries(self, bad):
+        with pytest.raises(ValidationError, match="initial distribution has non-finite"):
+            StochasticProcessSpec(["U", "D"], [bad, 0.0], [IDENTITY2])
+        kernel = np.array(IDENTITY2, dtype=float)
+        kernel[1, 0] = bad
+        with pytest.raises(ValidationError, match="kernel 1 has non-finite"):
+            StochasticProcessSpec(["U", "D"], [1.0, 0.0], [IDENTITY2, kernel])
+
     def test_marginal_time_range(self, identity_chain):
         with pytest.raises(TimeRangeError):
             identity_chain.marginal(3)
