@@ -11,85 +11,69 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
+import itertools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, core, graph, scenarios, stats, stochastic, typicality, wavepacket
 from .core import SSet
-from .errors import ResourceLimitError, SchemaError, ValidationError
+from .errors import ResourceLimitError, ValidationError
 
 EXIT_PARSE = 2
 EXIT_GUARD = 3
 EXIT_AUDIT = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    scenario_path: str | None
-    epsilon_exclude: float
-    tau_link: float
-    threshold: float
-    output_format: str
-    output_path: str | None
-    seed: int
-    extra: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "scenario_path": self.scenario_path,
-            "thresholds": {
-                "epsilon_exclude": self.epsilon_exclude,
-                "tau_link": self.tau_link,
-                "typicality": self.threshold,
-            },
-            "output": {"format": self.output_format, "path": self.output_path},
-            "seed": self.seed,
-            **self.extra,
-        }
+def _csv(rows) -> str:
+    """CSV text of ``rows``, the header being the first; lines end in CRLF."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
-def _config_from_args(args, **extra) -> RunConfig:
-    for name in ("epsilon_exclude", "tau_link", "threshold"):
-        value = getattr(args, name)
-        if not 0.0 < value < 1.0:
-            raise ValidationError(f"--{name.replace('_', '-')} must be in (0, 1)")
-    return RunConfig(
-        command=args.command,
-        scenario_path=getattr(args, "scenario_file", None),
-        epsilon_exclude=args.epsilon_exclude,
-        tau_link=args.tau_link,
-        threshold=args.threshold,
-        output_format=args.format,
-        output_path=args.output,
-        seed=args.seed,
-        extra=extra,
-    )
+def _json(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _emit(config: RunConfig, results, to_csv=None) -> None:
-    """Write the JSON report, or the text ``to_csv()`` returns under ``--format csv``."""
-    if config.output_format == "csv":
-        if to_csv is None:
-            raise ValidationError(f"{config.command} has no CSV form")
-        text = to_csv()
-    else:
-        text = json.dumps(
-            {"version": __version__, "config": config.to_dict(), "results": results},
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        ) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, results, rows=None, **extra) -> None:
+    """Write the JSON report, or ``rows`` under ``--format csv``.
+
+    The report's ``config`` block records the command, its scenario file,
+    the thresholds, the output settings, the seed and ``extra``. ``rows``
+    is iterated only for CSV, so commands may pass a generator.
+    """
+    if args.format == "csv":
+        if rows is None:
+            raise ValidationError(f"{args.command} has no CSV form")
+        text = _csv(rows)
+    else:
+        config = {
+            "command": args.command,
+            "scenario_path": getattr(args, "scenario_file", None),
+            "thresholds": {
+                "epsilon_exclude": args.epsilon_exclude,
+                "tau_link": args.tau_link,
+                "typicality": args.threshold,
+            },
+            "output": {"format": args.format, "path": args.output},
+            "seed": args.seed,
+            **extra,
+        }
+        text = _json({"version": __version__, "config": config, "results": results})
+    _write(args.output, text)
 
 
 def parse_sset(text: str) -> SSet:
@@ -124,9 +108,7 @@ def _export_scenario(structure, path: str) -> None:
     data["stochastic"] = stochastic.process_to_dict(
         stochastic.matched_markov_chain(structure)
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    _write(path, _json(data))
 
 
 def _cmd_scenario(args) -> int:
@@ -136,12 +118,6 @@ def _cmd_scenario(args) -> int:
         else:
             model = scenarios.build_unruh(with_detector_d2=args.detector_d2)
         st = model.structure
-        config = _config_from_args(
-            args,
-            scenario="unruh",
-            detector_d2=args.detector_d2,
-            obstacle=args.obstacle,
-        )
         if args.export:
             _export_scenario(st, args.export)
         g = graph.build_graph(
@@ -167,10 +143,16 @@ def _cmd_scenario(args) -> int:
             results["click_occupation_t2"] = typicality.exclusion_measure(
                 st, SSet(2, {"U", "D"})
             )
-        _emit(config, results, to_csv=g.to_edge_csv)
+        _emit(
+            args,
+            results,
+            g.edge_rows(),
+            scenario="unruh",
+            detector_d2=args.detector_d2,
+            obstacle=args.obstacle,
+        )
     elif args.scenario == "fig1":
         st = scenarios.build_beamsplitter_fig1()
-        config = _config_from_args(args, scenario="fig1")
         if args.export:
             _export_scenario(st, args.export)
         results = {
@@ -182,9 +164,8 @@ def _cmd_scenario(args) -> int:
             ).to_dict(),
             "pinhole_exclusion": typicality.exclusion_measure(st, SSet(1, {"A"})),
         }
-        _emit(config, results)
+        _emit(args, results, scenario="fig1")
     else:  # nonadditivity
-        config = _config_from_args(args, scenario="nonadditivity")
         witness = scenarios.nonadditivity_demo()
         results = {
             "combined": witness.combined,
@@ -194,26 +175,25 @@ def _cmd_scenario(args) -> int:
                 witness.combined - (witness.term_u1 + witness.term_d1)
             ) <= 1e-12,
         }
-        _emit(config, results)
+        _emit(args, results, scenario="nonadditivity")
     return 0
 
 
 def _cmd_typicality(args) -> int:
     structure, _ = core.load_scenario(args.scenario_file)
     s1, s2 = parse_sset(args.s1), parse_sset(args.s2)
-    config = _config_from_args(args, s1=args.s1, s2=args.s2)
     report = typicality.mutual_typicality(structure, s1, s2, args.threshold)
-    header = ",".join(typicality.TypicalityReport.CSV_FIELDS)
-    _emit(config, report.to_dict(), to_csv=lambda: header + "\n" + report.csv_row() + "\n")
+    header = [field.name for field in dataclasses.fields(report)]
+    rows = [header, dataclasses.astuple(report)]
+    _emit(args, report.to_dict(), rows, s1=args.s1, s2=args.s2)
     return 0
 
 
 def _cmd_graph(args) -> int:
     structure, _ = core.load_scenario(args.scenario_file)
     schedule = graph.PartitionSchedule(parse_slice(s) for s in args.slice)
-    config = _config_from_args(args, slices=list(args.slice))
     g = graph.build_graph(structure, schedule, args.epsilon_exclude, args.tau_link)
-    _emit(config, g.to_dict(), to_csv=g.to_edge_csv)
+    _emit(args, g.to_dict(), g.edge_rows(), slices=list(args.slice))
     return 0
 
 
@@ -231,15 +211,6 @@ def _stat_rows(args):
 
 
 def _cmd_stat_bound(args) -> int:
-    config = _config_from_args(
-        args,
-        n=args.n,
-        p=list(args.p),
-        N=args.N,
-        eps=args.eps,
-        sweep=args.sweep,
-        sweep_draws=args.sweep_draws,
-    )
     rows = []
     for spec in _stat_rows(args):
         mass = stats.typical_set_complement_mass(spec)
@@ -256,34 +227,29 @@ def _cmd_stat_bound(args) -> int:
             }
         )
     rows.sort(key=lambda r: (r["n"], r["N"], r["eps"], r["p"]))
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "N", "eps", "p", "mass", "bound", "holds"])
-    for row in rows:
-        writer.writerow(
-            [
-                row["n"],
-                row["N"],
-                repr(row["eps"]),
-                ";".join(repr(x) for x in row["p"]),
-                repr(row["mass"]),
-                repr(row["bound"]),
-                str(row["holds"]).lower(),
-            ]
-        )
-    _emit(config, rows, to_csv=buf.getvalue)
+    csv_rows = itertools.chain(
+        [["n", "N", "eps", "p", "mass", "bound", "holds"]],
+        (
+            [r["n"], r["N"], r["eps"], ";".join(map(repr, r["p"])), r["mass"],
+             r["bound"], str(r["holds"]).lower()]
+            for r in rows
+        ),
+    )
+    _emit(
+        args,
+        rows,
+        csv_rows,
+        n=args.n,
+        p=list(args.p),
+        N=args.N,
+        eps=args.eps,
+        sweep=args.sweep,
+        sweep_draws=args.sweep_draws,
+    )
     return 0
 
 
 def _cmd_wavepacket(args) -> int:
-    config = _config_from_args(
-        args,
-        separations=list(args.separations),
-        sigma=args.sigma,
-        momentum=args.momentum,
-        n_points=args.n_points,
-        grid_length=args.length,
-    )
     rows = wavepacket.separation_sweep(
         separations_sigma=args.separations,
         sigma=args.sigma,
@@ -291,12 +257,6 @@ def _cmd_wavepacket(args) -> int:
         n_points=args.n_points,
         length=args.length,
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["separation_sigma", "m_big"])
-    for s, m in rows:
-        writer.writerow([repr(s), repr(m)])
-    results = [{"separation_sigma": s, "m_big": m} for s, m in rows]
     if args.snapshot:
         state = wavepacket.superposition(
             wavepacket.gaussian_packet(
@@ -314,12 +274,18 @@ def _cmd_wavepacket(args) -> int:
                 args.length,
             ),
         )
-        with open(args.snapshot, "w", encoding="utf-8", newline="") as fh:
-            snap = csv.writer(fh)
-            snap.writerow(["x", "density"])
-            for x, d in zip(state.x, state.density()):
-                snap.writerow([repr(float(x)), repr(float(d))])
-    _emit(config, results, to_csv=buf.getvalue)
+        density = zip(state.x.tolist(), state.density().tolist())
+        _write(args.snapshot, _csv(itertools.chain([["x", "density"]], density)))
+    _emit(
+        args,
+        [{"separation_sigma": s, "m_big": m} for s, m in rows],
+        itertools.chain([["separation_sigma", "m_big"]], rows),
+        separations=list(args.separations),
+        sigma=args.sigma,
+        momentum=args.momentum,
+        n_points=args.n_points,
+        grid_length=args.length,
+    )
     return 0
 
 
@@ -329,9 +295,8 @@ def _cmd_audit(args) -> int:
         chain = stochastic.process_from_dict(raw["stochastic"])
     else:
         chain = stochastic.matched_markov_chain(structure)
-    config = _config_from_args(args)
     audit = stochastic.correspondence_audit(structure, chain)
-    _emit(config, audit.to_dict())
+    _emit(args, audit.to_dict())
     if not audit.passed:
         sys.stderr.write(
             "audit failed: " + json.dumps(audit.to_dict(), sort_keys=True) + "\n"
@@ -410,13 +375,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("epsilon_exclude", "tau_link", "threshold"):
+            if not 0.0 < getattr(args, name) < 1.0:
+                raise ValidationError(f"--{name.replace('_', '-')} must be in (0, 1)")
         return args.func(args)
     except json.JSONDecodeError as exc:
         sys.stderr.write(
             f"parse error: {exc.msg} at line {exc.lineno} column {exc.colno}\n"
         )
         return EXIT_PARSE
-    except (SchemaError, ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except ResourceLimitError as exc:

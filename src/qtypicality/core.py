@@ -208,9 +208,7 @@ class QuantumStructure:
 
     def check_sset(self, sset: SSet) -> SSet:
         self.check_time(sset.time)
-        for label in sset.region:
-            if label not in self.cells:
-                raise SchemaError(f"unknown cell label {label!r}")
+        self.region_mask(sset.region)  # rejects unknown labels
         return sset
 
 

@@ -9,8 +9,6 @@ respects every forced link in both directions.
 """
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -48,9 +46,8 @@ class PartitionSchedule:
             structure.check_time(t)
             seen: set = set()
             for region in regions:
+                structure.region_mask(region)  # rejects unknown labels
                 for label in region:
-                    if label not in structure.cells:
-                        raise ValidationError(f"unknown cell label {label!r}")
                     if label in seen:
                         raise ValidationError(
                             f"slice t={t}: label {label!r} appears in two regions"
@@ -103,27 +100,16 @@ class TrajectoryGraph:
             "path_names": [[names[i] for i in p] for p in self.paths],
         }
 
-    def to_edge_csv(self) -> str:
-        """Plot-ready edge list: forced links plus consecutive path edges."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["kind", "path_id", "time_a", "region_a", "time_b", "region_b", "value"]
-        )
+    def edge_rows(self):
+        """Plot-ready edge list, header first: forced links, then the
+        consecutive edges of each path."""
+        yield ("kind", "path_id", "time_a", "region_a", "time_b", "region_b", "value")
+        ends = [(n.time, "+".join(sorted(n.region))) for n in self.nodes]
         for a, b, m in self.links:
-            na, nb = self.nodes[a], self.nodes[b]
-            writer.writerow(
-                ["link", "", na.time, "+".join(sorted(na.region)),
-                 nb.time, "+".join(sorted(nb.region)), repr(m)]
-            )
+            yield ("link", "", *ends[a], *ends[b], m)
         for pid, path in enumerate(self.paths):
             for a, b in zip(path, path[1:]):
-                na, nb = self.nodes[a], self.nodes[b]
-                writer.writerow(
-                    ["path", pid, na.time, "+".join(sorted(na.region)),
-                     nb.time, "+".join(sorted(nb.region)), ""]
-                )
-        return buf.getvalue()
+                yield ("path", pid, *ends[a], *ends[b], "")
 
 
 def build_graph(

@@ -7,8 +7,6 @@ variant is reported alongside it but never drives a verdict.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -41,8 +39,6 @@ class TypicalityReport:
     threshold: float
     verdict: Verdict
 
-    CSV_FIELDS = ("m_big", "m_small", "norm1_sq", "norm2_sq", "threshold", "verdict")
-
     @property
     def degenerate(self) -> bool:
         return self.verdict is Verdict.DEGENERATE
@@ -58,21 +54,6 @@ class TypicalityReport:
             "threshold": self.threshold,
             "verdict": self.verdict.value,
         }
-
-    def csv_row(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="")
-        writer.writerow(
-            [
-                repr(self.m_big),
-                repr(self.m_small),
-                repr(self.norm1_sq),
-                repr(self.norm2_sq),
-                repr(self.threshold),
-                self.verdict.value,
-            ]
-        )
-        return buf.getvalue()
 
 
 def _check_threshold(threshold: float) -> float:

@@ -67,6 +67,12 @@ def gaussian_packet(
     """
     if n_points < 1:
         raise ValidationError(f"n_points {n_points} must be at least 1")
+    for name, value in (("sigma", width_sigma), ("length", length)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValidationError(f"{name} {value} must be finite and positive")
+    for name, value in (("center", center), ("momentum", momentum)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} {value} must be finite")
     dx = length / n_points
     if width_sigma < 4.0 * dx:
         raise ValidationError(f"sigma {width_sigma} below resolution limit {4 * dx}")
@@ -192,9 +198,13 @@ def separation_sweep(
     two supports is computed on the full two-packet state. Returns
     (separation, m_big) rows.
     """
+    if momentum == 0.0:
+        raise ValidationError("momentum must be nonzero: packets must separate")
     rows = []
     dt = sigma / momentum  # each packet drifts by one sigma
     for s in separations_sigma:
+        if not math.isfinite(s):
+            raise ValidationError(f"separation {s} must be finite")
         half = 0.5 * s * sigma
         left = gaussian_packet(-half, sigma, -momentum, n_points, length)
         right = gaussian_packet(half, sigma, momentum, n_points, length)

@@ -23,6 +23,41 @@ UNRUH_EDGE_ROWS = [
 ]
 
 
+EDGE_HEADER = "kind,path_id,time_a,region_a,time_b,region_b,value"
+UNRUH_SLICES = ("--slice", "1:U|D", "--slice", "2:U|D", "--slice", "3:U|D")
+
+# Every command with a CSV form and its pinned header; SCENARIO stands for
+# an exported Unruh scenario file.
+CSV_FORMS = [
+    (("scenario", "unruh"), EDGE_HEADER),
+    (
+        ("typicality", "--scenario-file", "SCENARIO", "--s1", "1:U", "--s2", "3:D"),
+        "m_big,m_small,norm1_sq,norm2_sq,threshold,verdict",
+    ),
+    (("graph", "--scenario-file", "SCENARIO", *UNRUH_SLICES), EDGE_HEADER),
+    (("stat-bound", "--N", "10"), "n,N,eps,p,mass,bound,holds"),
+    (("wavepacket", "--separations", "4,8"), "separation_sigma,m_big"),
+]
+CSV_IDS = [argv[0] for argv, _ in CSV_FORMS]
+
+
+def fill(argv, **paths):
+    """``argv`` with each placeholder word replaced by its path."""
+    return [str(paths.get(arg, arg)) for arg in argv]
+
+
+def assert_crlf_csv(text, header):
+    lines = text.split("\r\n")
+    assert lines[0] == header
+    assert len(lines) > 2 and lines[-1] == ""
+    assert not any("\r" in line or "\n" in line for line in lines)
+
+
+def edge_rows_as_text(graph):
+    """The graph's edge rows as ``csv.reader`` returns them."""
+    return [[str(field) for field in row] for row in graph.edge_rows()]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -76,14 +111,19 @@ class TestScenarioCommand:
         assert code == 0, err
         model = build_unruh()
         g = build_graph(model.structure, model.partition_schedule())
-        assert out == g.to_edge_csv()
         rows = list(csv.reader(io.StringIO(out)))
+        assert rows == edge_rows_as_text(g)
         assert [row[:6] for row in rows] == UNRUH_EDGE_ROWS
         assert [float(row[6]) for row in rows[1:3]] == pytest.approx([0.0, 0.0], abs=1e-12)
 
-    @pytest.mark.parametrize("command", [("fig1",), ("nonadditivity",)])
-    def test_no_csv_form_is_parse_error(self, capsys, command):
-        code, out, err = run(capsys, "scenario", *command, "--format", "csv")
+    @pytest.mark.parametrize(
+        "command",
+        [("scenario", "fig1"), ("scenario", "nonadditivity"), ("audit", "--scenario-file")],
+    )
+    def test_no_csv_form_is_parse_error(self, capsys, exported, command):
+        if command[0] == "audit":
+            command += (exported,)
+        code, out, err = run(capsys, *command, "--format", "csv")
         assert code == 2
         assert out == ""
         assert "has no CSV form" in err
@@ -173,8 +213,9 @@ class TestScenarioFileRoundTrip:
         assert code == 0, err
         structure, _ = load_scenario(exported)
         schedule = PartitionSchedule(parse_slice(s) for s in slices)
-        assert out == build_graph(structure, schedule).to_edge_csv()
-        assert [row[:6] for row in csv.reader(io.StringIO(out))] == UNRUH_EDGE_ROWS
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows == edge_rows_as_text(build_graph(structure, schedule))
+        assert [row[:6] for row in rows] == UNRUH_EDGE_ROWS
 
     def test_audit_on_exported(self, capsys, exported):
         results = run_json(capsys, "audit", "--scenario-file", exported)["results"]
@@ -234,6 +275,35 @@ class TestWavepacket:
         )
         assert code == 0
         assert snap.read_text().splitlines()[0] == "x,density"
+
+
+class TestCsvContract:
+    @pytest.mark.parametrize("argv, header", CSV_FORMS, ids=CSV_IDS)
+    def test_header_and_crlf(self, capsys, exported, argv, header):
+        code, out, err = run(capsys, *fill(argv, SCENARIO=exported), "--format", "csv")
+        assert code == 0, err
+        assert_crlf_csv(out, header)
+
+    def test_snapshot_header_and_crlf(self, capsys, tmp_path):
+        snap = tmp_path / "density.csv"
+        code, _, err = run(
+            capsys, "wavepacket", "--separations", "4", "--snapshot", str(snap)
+        )
+        assert code == 0, err
+        assert_crlf_csv(snap.read_bytes().decode("utf-8"), "x,density")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [argv for argv, _ in CSV_FORMS], ids=CSV_IDS)
+    def test_output_file_matches_stdout(self, capsys, exported, tmp_path, argv, fmt):
+        argv = fill(argv, SCENARIO=exported) + ["--format", fmt]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 0, err
+        out_path = tmp_path / "report.out"
+        code, out, err = run(capsys, *argv, "--output", str(out_path))
+        assert code == 0 and out == "", err
+        if fmt == "json":  # the report records where it was written
+            stdout = stdout.replace('"path": null', f'"path": {json.dumps(str(out_path))}', 1)
+        assert out_path.read_bytes() == stdout.encode("utf-8")
 
 
 class TestExitCodes:
@@ -314,6 +384,49 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stat-bound", "--output", "DIR"),
+            ("scenario", "unruh", "--export", "DIR"),
+            ("wavepacket", "--separations", "4", "--snapshot", "DIR"),
+            ("typicality", "--scenario-file", "DIR", "--s1", "1:U", "--s2", "3:D"),
+            ("audit", "--scenario-file", "UTF16"),
+        ],
+    )
+    def test_unusable_file_is_parse_error(self, capsys, tmp_path, argv):
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes("\ufeff{}".encode("utf-16-le"))  # starts 0xff 0xfe
+        code, out, err = run(capsys, *fill(argv, DIR=tmp_path, UTF16=utf16))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("--sigma", "nan"), "sigma"),
+            (("--momentum", "nan"), "momentum"),
+            (("--momentum", "inf"), "momentum"),
+            (("--momentum", "0"), "momentum"),
+            (("--separations", "4,nan"), "separation"),
+            (("--length", "nan"), "length"),
+        ],
+    )
+    def test_bad_wavepacket_argument_is_parse_error(self, capsys, argv, name):
+        code, out, err = run(capsys, "wavepacket", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and name in err
+
+    def test_unknown_slice_label_is_named(self, capsys, exported):
+        code, out, err = run(
+            capsys, "graph", "--scenario-file", exported, "--slice", "1:X|U|D"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown cell label 'X'\n"
 
     def test_wavepacket_without_points_is_parse_error(self, capsys):
         code, out, err = run(capsys, "wavepacket", "--n-points", "0")

@@ -8,6 +8,7 @@ from qtypicality import (
     ExperimentSpec,
     PartitionSchedule,
     ResourceLimitError,
+    SchemaError,
     SSet,
     ValidationError,
     branch_following_check,
@@ -105,6 +106,11 @@ class TestBuildGraph:
                 model.structure, PartitionSchedule([(1, ({"U", "D"}, {"D"}))])
             )
 
+    def test_unknown_label_is_schema_error(self):
+        model = build_unruh()
+        with pytest.raises(SchemaError, match="unknown cell label 'X'"):
+            build_graph(model.structure, PartitionSchedule([(1, ({"X"}, {"U"}, {"D"}))]))
+
     def test_path_space_guard_in_graph(self):
         spec = ExperimentSpec(2, (0.5, 0.5), 10, 0.1)
         structure = build_measurement_chain(spec)
@@ -117,8 +123,9 @@ class TestBuildGraph:
         graph = unruh_graph()
         data = graph.to_dict()
         assert {"nodes", "links", "paths", "path_names"} <= set(data)
-        csv_text = graph.to_edge_csv()
-        assert csv_text.splitlines()[0].startswith("kind,")
+        rows = list(graph.edge_rows())
+        assert rows[0][0] == "kind"
+        assert {len(row) for row in rows} == {7}
 
 
 def product_oracle(candidates, links):

@@ -49,6 +49,25 @@ class TestGaussianPacket:
         with pytest.raises(ValidationError, match="n_points"):
             gaussian_packet(0.0, 1.0, 0.0, n_points=n_points)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"width_sigma": math.nan},
+            {"width_sigma": math.inf},
+            {"length": math.nan},
+            {"length": math.inf},
+            {"length": -200.0},
+            {"center": math.nan},
+            {"momentum": math.nan},
+            {"momentum": -math.inf},
+        ],
+    )
+    def test_non_finite_or_non_positive_rejected(self, bad):
+        kwargs = {"center": 0.0, "width_sigma": 1.0, "momentum": 2.0, **bad}
+        name = next(iter(bad)).replace("width_", "")
+        with pytest.raises(ValidationError, match=f"^{name} "):
+            gaussian_packet(**kwargs)
+
     def test_too_close_to_boundary_rejected(self):
         with pytest.raises(ValidationError):
             gaussian_packet(center=98.0, width_sigma=1.0, momentum=0.0)
@@ -169,3 +188,12 @@ class TestSeparationSweep:
     def test_custom_separations(self):
         rows = separation_sweep(separations_sigma=(12.0,))
         assert rows[0][1] < 1e-4
+
+    def test_zero_momentum_rejected(self):
+        with pytest.raises(ValidationError, match="momentum"):
+            separation_sweep(momentum=0.0)
+
+    @pytest.mark.parametrize("separation", [math.nan, math.inf])
+    def test_non_finite_separation_rejected(self, separation):
+        with pytest.raises(ValidationError, match="separation"):
+            separation_sweep(separations_sigma=(4.0, separation))
