@@ -111,7 +111,24 @@ def _export_scenario(structure, path: str) -> None:
     _write(path, _json(data))
 
 
+# Options of ``scenario`` that each built-in experiment would ignore; the
+# obstacle variants of the interferometer have no in-arm detector.
+_UNUSED_SCENARIO_OPTIONS = {
+    "unruh": (),
+    "unruh with --obstacle": ("detector_d2",),
+    "fig1": ("detector_d2", "obstacle"),
+    "nonadditivity": ("detector_d2", "obstacle", "export"),
+}
+
+
 def _cmd_scenario(args) -> int:
+    variant = args.scenario
+    if variant == "unruh" and args.obstacle:
+        variant = "unruh with --obstacle"
+    for name in _UNUSED_SCENARIO_OPTIONS[variant]:
+        if getattr(args, name):
+            option = "--" + name.replace("_", "-")
+            raise ValidationError(f"{option} does not apply to scenario {variant}")
     if args.scenario == "unruh":
         if args.obstacle:
             model = scenarios.obstacle_variant(args.obstacle)
@@ -211,6 +228,8 @@ def _stat_rows(args):
 
 
 def _cmd_stat_bound(args) -> int:
+    if args.sweep_draws < 1:
+        raise ValidationError("--sweep-draws must be at least 1")
     rows = []
     for spec in _stat_rows(args):
         mass = stats.typical_set_complement_mass(spec)

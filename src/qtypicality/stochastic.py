@@ -26,8 +26,7 @@ NONADDITIVITY_WITNESS = 0.1
 class StochasticProcessSpec:
     """States, initial distribution, and one row-stochastic kernel per step.
 
-    The arrays are read-only after validation. Region masks and the masked,
-    propagated prefix distributions of ``cylinder_measure`` are cached per
+    The arrays are read-only after validation. Region masks are cached per
     process, filled lazily and dropped with it.
     """
 
@@ -60,8 +59,6 @@ class StochasticProcessSpec:
                 raise ValidationError(f"kernel {t} is not row-stochastic")
         self._index = {s: i for i, s in enumerate(self.states)}
         self._masks: dict = {}  # frozenset region -> boolean mask
-        # (t, ((time, region), ...) up to t) -> masked distribution at t
-        self._prefixes: dict = {}
 
     @property
     def n_steps(self) -> int:
@@ -99,48 +96,34 @@ class StochasticProcessSpec:
 def cylinder_measure(spec: StochasticProcessSpec, ssets: Sequence[SSet]) -> float:
     """Exact measure of the intersection of s-sets by masked propagation.
 
-    The distribution is masked at each constrained time and then propagated
-    one kernel step. Every prefix (the distribution at time t given the
-    constraints up to t) is cached on ``spec``, so s-sets sharing earlier
-    constraints propagate them once.
+    The distribution is masked at each constrained time (s-sets at one time
+    intersect) and then propagated one kernel step.
     """
-    by_time: dict[int, frozenset] = {}
+    by_time: dict[int, np.ndarray] = {}
     for sset in ssets:
         if not 0 <= sset.time <= spec.n_steps:
             raise TimeRangeError(f"time index {sset.time} outside 0..{spec.n_steps}")
-        spec.region_mask(sset.region)  # validates the labels
-        prev = by_time.get(sset.time)
-        by_time[sset.time] = sset.region if prev is None else prev & sset.region
+        mask = spec.region_mask(sset.region)
+        by_time[sset.time] = mask & by_time.get(sset.time, mask)
     if not by_time:
         return 1.0
-    constraints = tuple(sorted(by_time.items()))
-    last = constraints[-1][0]
-    dist = spec._prefixes.get((last, constraints))
-    if dist is None:
-        dist = spec.initial
-        done = 0  # constraints applied so far
-        for t in range(last + 1):
-            masked = constraints[done][0] == t
-            done += masked
-            key = (t, constraints[:done])
-            hit = spec._prefixes.get(key)
-            if hit is None:
-                if t > 0:
-                    dist = dist @ spec.kernels[t - 1]
-                if masked:
-                    dist = dist * spec.region_mask(constraints[done - 1][1])
-                spec._prefixes[key] = dist
-            else:
-                dist = hit
+    last = max(by_time)
+    dist = spec.initial
+    for t in range(last + 1):
+        if t in by_time:
+            dist = dist * by_time[t]
+        if t < last:
+            dist = dist @ spec.kernels[t]
     return float(dist.sum())
 
 
 def mu_sset(spec: StochasticProcessSpec, sset: SSet) -> float:
+    """Measure mu(S) of one s-set: the mass of its region at its time."""
     return cylinder_measure(spec, [sset])
 
 
 def mu_symmetric_difference(spec: StochasticProcessSpec, s1: SSet, s2: SSet) -> float:
-    """mu(S1 and not S2) + mu(not S1 and S2)."""
+    """Measure of the symmetric difference: mu(S1 and not S2) + mu(not S1 and S2)."""
     all_states = frozenset(spec.states)
     c1 = SSet(s1.time, all_states - s1.region)
     c2 = SSet(s2.time, all_states - s2.region)
@@ -153,7 +136,8 @@ def mu_typicality(
     s2: SSet,
     threshold: float = REGIME_THRESHOLD,
 ) -> typicality.TypicalityReport:
-    """Probabilistic mutual typicality report for a pair of s-sets."""
+    """Probabilistic mutual typicality report for a pair of s-sets, judged by
+    ``typicality.mutual_typicality_measure_mu`` as the audit judges the twin."""
     return typicality.mutual_typicality_measure_mu(
         mu_sset(spec, s1),
         mu_sset(spec, s2),
@@ -251,13 +235,27 @@ def correspondence_audit(
             raise ValidationError("step counts differ and no pairing was given")
         pairing = {t: t for t in q.times}
 
+    # The twin's values come from one forward sweep per s-set, bit for bit equal
+    # to cylinder_measure's: the same products in the same order; 0/1 masks compose.
+    sweeps: dict = {}  # twin s-set -> its masked distribution at each later time
+
+    def mu(a: SSet, b: SSet) -> float:
+        """mu(a and b), swept from the earlier s-set; c3 checks every twin time."""
+        if b.time < a.time:
+            a, b = b, a
+        if a not in sweeps:
+            sweeps[a] = [c.marginal(a.time) * c.region_mask(a.region)]
+            for kernel in c.kernels[a.time:]:
+                sweeps[a].append(sweeps[a][-1] @ kernel)
+        return float((sweeps[a][b.time - a.time] * c.region_mask(b.region)).sum())
+
     # (c3): occupations against single-time marginals.
     c3_max = 0.0
     for qt, ct in pairing.items():
         occ = core.occupations(q, qt)
         for label in q.labels:
-            mu = mu_sset(c, SSet(ct, {label}))
-            c3_max = max(c3_max, abs(occ[label] - mu))
+            s = SSet(ct, {label})
+            c3_max = max(c3_max, abs(occ[label] - mu(s, s)))
     c3_pass = c3_max <= marginal_tol
 
     # (c5)/(c6): verdict agreement inside the typicality regime, over all
@@ -273,7 +271,12 @@ def correspondence_audit(
     agreements = 0
     for (qa, ca), (qb, cb) in itertools.combinations(ssets, 2):
         rep_q = typicality.mutual_typicality(q, qa, qb, threshold=REGIME_THRESHOLD)
-        rep_mu = mu_typicality(c, ca, cb, threshold=REGIME_THRESHOLD)
+        rep_mu = typicality.mutual_typicality_measure_mu(
+            mu(ca, ca),
+            mu(cb, cb),
+            mu(ca, SSet(cb.time, full - cb.region)) + mu(SSet(ca.time, full - ca.region), cb),
+            threshold=REGIME_THRESHOLD,
+        )
         if rep_q.degenerate or rep_mu.degenerate:
             continue
         if rep_q.m_big <= REGIME_THRESHOLD and rep_mu.m_big <= REGIME_THRESHOLD:
@@ -309,10 +312,8 @@ def correspondence_audit(
                         "quantum_total": total,
                         "quantum_termwise_sum": chained_sum,
                     }
-            mu_sum = sum(
-                cylinder_measure(c, [SSet(ct1, {lab}), s2c]) for lab in q.labels
-            )
-            if abs(mu_sset(c, s2c) - mu_sum) > 1e-12:
+            mu_sum = sum(mu(SSet(ct1, {lab}), s2c) for lab in q.labels)
+            if abs(mu(s2c, s2c) - mu_sum) > 1e-12:
                 mu_additive = False
     return CorrespondenceAudit(
         c3_max_error=c3_max,

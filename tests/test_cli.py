@@ -385,6 +385,32 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "finite" in err
 
+    @pytest.mark.parametrize("draws", ["0", "-1"])
+    def test_sweep_without_draws_is_parse_error(self, capsys, draws):
+        code, out, err = run(capsys, "stat-bound", "--sweep", "--sweep-draws", draws)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--sweep-draws" in err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("unruh", "--obstacle", "U1", "--detector-d2"), "--detector-d2"),
+            (("nonadditivity", "--export", "FILE"), "--export"),
+            (("fig1", "--detector-d2"), "--detector-d2"),
+            (("fig1", "--obstacle", "D1"), "--obstacle"),
+            (("nonadditivity", "--detector-d2"), "--detector-d2"),
+            (("nonadditivity", "--obstacle", "U1"), "--obstacle"),
+        ],
+    )
+    def test_unused_scenario_option_is_parse_error(self, capsys, tmp_path, argv, option):
+        export = tmp_path / "export.json"
+        code, out, err = run(capsys, "scenario", *fill(argv, FILE=export))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and option in err
+        assert not export.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,11 +1,11 @@
 """The per-structure projection engine against dense oracles.
 
 Structures cache their trajectory, region masks and Heisenberg-projected
-initial vectors, and Markov processes cache their masked prefix
-distributions. Every value read through those caches is compared here with
+initial vectors. Every value read through those caches is compared here with
 an explicit product of dense ``U(t)`` matrices and diagonal projectors
-(``conftest``), and every cached value that the package documents as bit
-for bit equal to the uncached path is compared exactly.
+(``conftest``), and every cached or swept value that the package documents
+as bit for bit equal to the direct path is compared exactly: the audit's
+forward sweeps of the Markov twin against ``cylinder_measure``.
 """
 import itertools
 import sys
@@ -13,8 +13,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtypicality import (
+    CorrespondenceAudit,
     PartitionSchedule,
     QuantumStructure,
     SSet,
@@ -27,10 +30,13 @@ from qtypicality import (
     heisenberg_project,
     matched_markov_chain,
     mutual_typicality,
+    mutual_typicality_measure_mu,
     occupations,
     state_at,
 )
+from qtypicality import stochastic
 from qtypicality.core import ProjectedVector, chain_cell_masses, project_initial
+from qtypicality.errors import TimeRangeError
 from qtypicality.stochastic import NONADDITIVITY_WITNESS, REGIME_THRESHOLD
 
 from conftest import (
@@ -111,7 +117,8 @@ def dense_cylinder(spec, constraints):
 
 
 def uncached_cylinder(spec, ssets):
-    """The masked propagation without a prefix cache: same steps, same order."""
+    """Masked propagation with masks built from the labels: the steps that
+    ``cylinder_measure`` documents, in the same order."""
     by_time = {}
     for sset in ssets:
         mask = np.array([state in sset.region for state in spec.states])
@@ -270,7 +277,7 @@ class TestCachedEqualsUncached:
             one_shot = evolve(q, ProjectedVector(q.psi0, 0), t)
             np.testing.assert_array_equal(state_at(q, t).amplitudes, one_shot.amplitudes)
 
-    def test_cylinder_prefix_cache_is_exact(self):
+    def test_cylinder_measure_is_exact(self):
         rng = np.random.default_rng(11)
         states = ["a", "b", "c"]
         kernels = [rng.dirichlet(np.ones(3), size=3) for _ in range(4)]
@@ -287,6 +294,155 @@ class TestCachedEqualsUncached:
             assert value == pytest.approx(
                 dense_cylinder(warm, [(s.time, s.region) for s in family]), abs=1e-15
             )
+
+
+def reference_audit(q, c, pairing=None):
+    """The audit with every twin value read through ``cylinder_measure``.
+
+    The formulas are those the audit used before its forward sweeps: one
+    cylinder per single-set measure, two per symmetric difference, one per
+    additivity term.
+    """
+    if pairing is None:
+        pairing = {t: t for t in q.times}
+    c3_max = 0.0
+    for qt, ct in pairing.items():
+        occ = occupations(q, qt)
+        for label in q.labels:
+            mu = cylinder_measure(c, [SSet(ct, {label})])
+            c3_max = max(c3_max, abs(occ[label] - mu))
+
+    full = frozenset(q.labels)
+    regions = [frozenset({label}) for label in q.labels] + [full]
+    ssets = [(SSet(qt, r), SSet(ct, r)) for qt, ct in sorted(pairing.items()) for r in regions]
+    in_regime = agreements = 0
+    for (qa, ca), (qb, cb) in itertools.combinations(ssets, 2):
+        rep_q = mutual_typicality(q, qa, qb, threshold=REGIME_THRESHOLD)
+        xor = cylinder_measure(c, [ca, SSet(cb.time, full - cb.region)]) + cylinder_measure(
+            c, [SSet(ca.time, full - ca.region), cb]
+        )
+        rep_mu = mutual_typicality_measure_mu(
+            cylinder_measure(c, [ca]), cylinder_measure(c, [cb]), xor, REGIME_THRESHOLD
+        )
+        if rep_q.degenerate or rep_mu.degenerate:
+            continue
+        if rep_q.m_big <= REGIME_THRESHOLD and rep_mu.m_big <= REGIME_THRESHOLD:
+            in_regime += 1
+            agreements += rep_q.verdict is rep_mu.verdict
+
+    mu_additive, max_defect, witness = True, 0.0, None
+    paired = sorted(pairing.items())
+    for (qt1, ct1), (qt2, ct2) in itertools.combinations(paired, 2):
+        for label2 in q.labels:
+            chained_sum = sum(
+                chain_cell_masses(q, SSet(qt1, {lab}))[qt2][label2] for lab in q.labels
+            )
+            total = project_initial(q, SSet(qt2, {label2})).norm_sq
+            defect = abs(total - chained_sum)
+            if defect > max_defect:
+                max_defect = defect
+                if defect > NONADDITIVITY_WITNESS:
+                    witness = {
+                        "t1": qt1,
+                        "t2": qt2,
+                        "region2": [label2],
+                        "quantum_total": total,
+                        "quantum_termwise_sum": chained_sum,
+                    }
+            s2c = SSet(ct2, {label2})
+            mu_sum = sum(cylinder_measure(c, [SSet(ct1, {lab}), s2c]) for lab in q.labels)
+            if abs(cylinder_measure(c, [s2c]) - mu_sum) > 1e-12:
+                mu_additive = False
+    return CorrespondenceAudit(
+        c3_max, c3_max <= stochastic.MARGINAL_TOL, in_regime, agreements,
+        in_regime == agreements, mu_additive, max_defect, witness,
+    )
+
+
+def outcome(audit, q, c, pairing):
+    """The audit's report, or the type and text of the error it raises."""
+    try:
+        return audit(q, c, pairing).to_dict()
+    except Exception as exc:  # compared as data below
+        return type(exc).__name__, str(exc)
+
+
+def random_chain(rng, labels, n_steps):
+    """A Markov chain on ``labels`` in shuffled order, with zero entries and
+    absorbing states."""
+    states = list(rng.permutation(labels))
+    n = len(states)
+
+    def row():
+        p = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
+        if rng.random() < 0.2 or not p.any():
+            p = np.eye(n)[rng.integers(n)]  # all mass on one state
+        return p / p.sum()
+
+    return StochasticProcessSpec(states, row(), [[row() for _ in range(n)] for _ in range(n_steps)])
+
+
+@st.composite
+def audit_problems(draw):
+    """A small Haar structure, a twin on its labels and a pairing of times."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_cells = draw(st.integers(2, 4))
+    q_steps, c_steps = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rng = np.random.default_rng(seed)
+    dim = n_cells * draw(st.integers(1, 2))
+    q = QuantumStructure(
+        dim, random_state(rng, dim), [random_unitary(rng, dim) for _ in range(q_steps)],
+        equal_cells(dim, n_cells),
+    )
+    c = random_chain(rng, list(q.labels), c_steps)
+    kind = draw(st.sampled_from(["identity", "permuted", "repeated"]))
+    q_times = draw(st.lists(st.sampled_from(list(q.times)), unique=True, min_size=1))
+    if kind == "identity":
+        pairing = {t: t for t in range(min(q_steps, c_steps) + 1)}
+    elif kind == "permuted":
+        c_times = draw(st.permutations(list(c.times)))
+        pairing = dict(zip(q_times, c_times))
+    else:
+        pairing = {t: draw(st.sampled_from(list(c.times))) for t in q_times}
+    return q, c, pairing
+
+
+class TestAuditSweeps:
+    @settings(max_examples=60, deadline=None)
+    @given(audit_problems())
+    def test_sweeps_equal_cylinder_measure_exactly(self, problem):
+        q, c, pairing = problem
+        assert outcome(correspondence_audit, q, c, pairing) == outcome(
+            reference_audit, q, c, pairing
+        )
+
+    @pytest.mark.parametrize(
+        "pairing",
+        [None, {0: 0, 1: 2, 2: 1, 3: 3, 4: 4}, {1: 1.0}, {0: 4, 1: 4, 2: 0}, {4: 0, 0: 4}],
+        ids=["identity", "non-monotone", "float-time", "repeated", "reversed"],
+    )
+    def test_pairings_equal_cylinder_measure_exactly(self, pairing):
+        q = haar_structure(1, 8)
+        c = matched_markov_chain(q)
+        assert correspondence_audit(q, c, pairing).to_dict() == reference_audit(
+            q, c, pairing
+        ).to_dict()
+
+    @pytest.mark.parametrize("twin_time", [5, -1])
+    def test_twin_time_out_of_range(self, twin_time):
+        q = haar_structure(1, 8)
+        with pytest.raises(TimeRangeError, match=f"time index {twin_time} outside 0..4"):
+            correspondence_audit(q, matched_markov_chain(q), {0: 0, 1: twin_time})
+
+    def test_audit_calls_no_cylinder_measure(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the audit reads the twin from its sweeps")
+
+        for name in ("cylinder_measure", "mu_sset", "mu_symmetric_difference", "mu_typicality"):
+            monkeypatch.setattr(stochastic, name, forbidden)
+        q = near_classical_structure(3, 16)
+        audit = correspondence_audit(q, matched_markov_chain(q))
+        assert audit.passed and audit.c5_pairs_in_regime > 0
 
 
 class TestCacheIsolation:
@@ -320,7 +476,7 @@ class TestCacheIsolation:
             expected = dense_cylinder(spec, [(0, {"x"}), (2, {"y"})])
             assert cylinder_measure(spec, family) == pytest.approx(expected, abs=1e-15)
         assert cylinder_measure(a, family) != cylinder_measure(b, family)
-        assert a._prefixes is not b._prefixes
+        assert a._masks is not b._masks
 
 
     def test_threads_filling_one_structure_agree(self):
