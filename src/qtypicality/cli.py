@@ -254,17 +254,9 @@ def _cmd_stat_bound(args) -> int:
             for r in rows
         ),
     )
-    _emit(
-        args,
-        rows,
-        csv_rows,
-        n=args.n,
-        p=list(args.p),
-        N=args.N,
-        eps=args.eps,
-        sweep=args.sweep,
-        sweep_draws=args.sweep_draws,
-    )
+    # A sweep draws its own specs, so the single-run options would be noise.
+    single = {} if args.sweep else {"n": args.n, "p": list(args.p), "N": args.N, "eps": args.eps}
+    _emit(args, rows, csv_rows, **single, sweep=args.sweep, sweep_draws=args.sweep_draws)
     return 0
 
 

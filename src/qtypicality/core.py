@@ -15,6 +15,7 @@ values and a structure stays safe to share between threads.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -43,6 +44,8 @@ class FactorUnitary:
             raise ValidationError("step matrix must be square")
         if not np.all(np.isfinite(matrix)):
             raise ValidationError("step matrix has non-finite entries")
+        index = _as_int(index, "factor index")
+        num_factors = _as_int(num_factors, "factor count")
         if not 0 <= index < num_factors:
             raise ValidationError(f"factor index {index} out of range")
         self.matrix = matrix
@@ -85,6 +88,18 @@ def _is_index(i) -> bool:
     return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int. Integral floats such as 1.0 pass; a bool, a
+    non-integral, NaN or infinite float, or a non-number raises."""
+    if type(value) is int:  # the common case, kept cheap for per-step time checks
+        return value
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        return int(value)
+    if not _is_index(value):
+        raise ValidationError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 def _cell_table(cells: Mapping[str, Iterable[int]], dim: int) -> dict:
     """Sorted, read-only index arrays per label, checked in one pass to
     partition ``range(dim)``. An error names the offending cell."""
@@ -93,12 +108,18 @@ def _cell_table(cells: Mapping[str, Iterable[int]], dim: int) -> dict:
     sizes = [len(idx) for idx in members.values()]
     owner = np.repeat(np.arange(len(labels)), sizes)
     flat = [i for idx in members.values() for i in idx]
-    bad = next((k for k, i in enumerate(flat) if not (_is_index(i) and 0 <= i < dim)), None)
-    if bad is not None:
+    # isinstance depends on the type alone, so one index of each type decides;
+    # the check comes first because np.array([1, True]) is a valid int array.
+    try:
+        valid = all(map(_is_index, dict(zip(map(type, flat), flat)).values()))
+        indices = np.array(flat, dtype=np.intp) if valid else None
+    except OverflowError:
+        indices = None
+    if indices is None or (indices.size and not 0 <= indices.min() <= indices.max() < dim):
+        bad = next(k for k, i in enumerate(flat) if not (_is_index(i) and 0 <= i < dim))
         kind = "an out-of-range" if _is_index(flat[bad]) else "a non-integer"
         raise ValidationError(f"cell {labels[owner[bad]]!r} has {kind} index {flat[bad]!r}")
-    flat = np.array(flat, dtype=np.intp)
-    flat = flat[np.lexsort((flat, owner))]  # sorts each cell, keeps cells in place
+    flat = indices[np.lexsort((indices, owner))]  # sorts each cell, keeps cells in place
     counts = np.bincount(flat, minlength=dim)
     if counts.max() > 1:
         again = np.flatnonzero(flat == np.argmax(counts))[1]
@@ -106,7 +127,8 @@ def _cell_table(cells: Mapping[str, Iterable[int]], dim: int) -> dict:
     if counts.min() == 0:
         raise ValidationError(f"cells do not cover basis index {np.argmin(counts)}")
     flat.setflags(write=False)
-    return dict(zip(labels, np.split(flat, np.cumsum(sizes)[:-1])))
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    return {label: flat[lo:hi] for label, lo, hi in zip(labels, bounds, bounds[1:])}
 
 
 @dataclass(frozen=True)
@@ -117,7 +139,7 @@ class SSet:
     region: frozenset
 
     def __init__(self, time: int, region: Iterable[str]):
-        object.__setattr__(self, "time", int(time))
+        object.__setattr__(self, "time", _as_int(time, "time index"))
         object.__setattr__(self, "region", frozenset(region))
 
 
@@ -143,7 +165,7 @@ class QuantumStructure:
         schedule: Sequence,
         cells: Mapping[str, Iterable[int]],
     ):
-        self.dim = int(dim)
+        self.dim = _as_int(dim, "dimension")
         self.psi0 = _frozen(psi0).reshape(-1)
         if self.psi0.shape[0] != self.dim:
             raise ValidationError("psi0 length does not match dim")
@@ -179,7 +201,7 @@ class QuantumStructure:
         return range(self.n_steps + 1)
 
     def check_time(self, t: int) -> int:
-        t = int(t)
+        t = _as_int(t, "time index")
         if not 0 <= t <= self.n_steps:
             raise TimeRangeError(f"time index {t} outside 0..{self.n_steps}")
         return t

@@ -31,7 +31,7 @@ class PartitionSchedule:
 
     def __init__(self, slices: Iterable):
         normalized = tuple(
-            (int(t), tuple(frozenset(region) for region in regions))
+            (core._as_int(t, "time index"), tuple(frozenset(region) for region in regions))
             for t, regions in slices
         )
         object.__setattr__(self, "slices", normalized)

@@ -11,7 +11,6 @@ measure. Both are exact and must agree.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,11 +18,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FactorUnitary, QuantumStructure
+from .core import FactorUnitary, QuantumStructure, _as_int
 from .errors import ResourceLimitError, ValidationError
 
 ENUMERATION_LIMIT = 2**20
 COMPOSITION_LIMIT = 2 * 10**6
+# Count vectors are classified and weighed in blocks of at most this many
+# entries (rows times outcomes), which bounds the tail sum's working memory.
+_BLOCK_ENTRIES = 2**14
+# math.exp is exactly 0.0 below this, and adding 0.0 leaves a sum unchanged.
+_EXP_UNDERFLOW = -746.0
 
 
 @dataclass(frozen=True)
@@ -36,8 +40,10 @@ class ExperimentSpec:
     epsilon: float
 
     def __init__(self, n: int, probs: Sequence[float], N: int, epsilon: float):
+        n = _as_int(n, "outcome count")
+        N = _as_int(N, "repetition count")
         probs = tuple(float(p) for p in probs)
-        if int(n) != len(probs):
+        if n != len(probs):
             raise ValidationError(f"expected {n} probabilities, got {len(probs)}")
         if not all(map(math.isfinite, probs)):
             raise ValidationError("non-finite outcome probability")
@@ -45,13 +51,13 @@ class ExperimentSpec:
             raise ValidationError("negative outcome probability")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ValidationError(f"probabilities sum to {sum(probs)}")
-        if int(N) < 1:
+        if N < 1:
             raise ValidationError("repetition count must be at least 1")
         if not math.isfinite(float(epsilon)) or float(epsilon) <= 0.0:
             raise ValidationError("deviation cutoff must be positive and finite")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "N", int(N))
+        object.__setattr__(self, "N", N)
         object.__setattr__(self, "epsilon", float(epsilon))
 
 
@@ -59,6 +65,7 @@ def deviation(sequence: Sequence[int], probs: Sequence[float]) -> float:
     """Quadratic distance of the empirical frequencies from ``probs``."""
     if len(sequence) == 0:
         raise ValidationError("empty outcome sequence")
+    sequence = [_as_int(x, "outcome") for x in sequence]
     if any(not 0 <= x < len(probs) for x in sequence):
         raise ValidationError("outcome out of range for the probability vector")
     counts = collections.Counter(sequence)
@@ -66,22 +73,69 @@ def deviation(sequence: Sequence[int], probs: Sequence[float]) -> float:
 
 
 def _count_deviation(counts: Sequence[int], N: int, probs: Sequence[float]) -> float:
-    return sum((k / N - p) ** 2 for k, p in zip(counts, probs))
+    # One int array per outcome in place of each count classifies many count
+    # vectors at once by the very same float operations. Hence the explicit
+    # left-to-right sum (the built-in sum compensates from Python 3.12 on)
+    # and e * e (libm pow(e, 2), behind Python's e ** 2, is not always e * e).
+    d = 0.0
+    for k, p in zip(counts, probs):
+        e = k / N - p
+        d = d + e * e
+    return d
 
 
 def _atypical_counts(counts: Sequence[int], spec: ExperimentSpec) -> bool:
-    """Whether sequences with these outcome counts reach the deviation cutoff."""
+    """Whether sequences with these outcome counts reach the deviation cutoff
+    (a bool array, given one int array of counts per outcome)."""
     return _count_deviation(counts, spec.N, spec.probs) >= spec.epsilon
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of length ``parts`` summing to ``total``."""
-    if parts == 1:
-        yield (total,)
+def _complete(rows: np.ndarray, rest: np.ndarray, parts: int) -> np.ndarray:
+    """Each partial count vector in ``rows`` completed, in lexicographic
+    order, by every ``parts``-part composition of its ``rest``."""
+    for _ in range(parts - 1):
+        branches = rest + 1
+        head = np.arange(branches.sum()) - np.repeat(np.cumsum(branches) - branches, branches)
+        rows = np.column_stack([np.repeat(rows, branches, axis=0), head])
+        rest = np.repeat(rest, branches) - head
+    return np.column_stack([rows, rest])
+
+
+def _composition_blocks(total: int, parts: int, prefix: tuple = ()):
+    """Int arrays of the count vectors ``prefix + c``, for every composition
+    ``c`` of ``total`` into ``parts`` nonnegative parts, in lexicographic
+    order, in blocks of at most ``_BLOCK_ENTRIES`` entries (one row at least).
+
+    A subtree that fits is one block. Otherwise the next part is fixed:
+    runs of consecutive values whose subtrees fit together share a block,
+    and a value whose subtree alone is too big is split the same way.
+    """
+    max_rows = max(1, _BLOCK_ENTRIES // (len(prefix) + parts))
+
+    def rows_from(head: int) -> int:
+        """Count vectors whose next part is at least ``head``."""
+        return math.comb(total - head + parts - 1, parts - 1)
+
+    if rows_from(0) <= max_rows:
+        yield _complete(np.array([prefix], dtype=np.int64), np.array([total]), parts)
         return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    head = 0
+    while head <= total:
+        if rows_from(head) - rows_from(head + 1) > max_rows:
+            yield from _composition_blocks(total - head, parts - 1, prefix + (head,))
+            head += 1
+            continue
+        last, top = head, total  # the run ends at the largest value that fits
+        while last < top:
+            mid = (last + top + 1) // 2
+            if rows_from(head) - rows_from(mid + 1) <= max_rows:
+                last = mid
+            else:
+                top = mid - 1
+        heads = np.arange(head, last + 1)
+        fixed = np.broadcast_to(np.array(prefix, dtype=np.int64), (heads.size, len(prefix)))
+        yield _complete(np.column_stack([fixed, heads]), total - heads, parts - 1)
+        head = last + 1
 
 
 def typical_set_complement_mass(spec: ExperimentSpec) -> float:
@@ -91,7 +145,15 @@ def typical_set_complement_mass(spec: ExperimentSpec) -> float:
     depends only on counts). Each group's weight, the multinomial
     coefficient times the product of p_s**k_s, is formed in log space with
     ``math.lgamma``, so large N neither overflows nor underflows to a wrong
-    sum; a count k_s > 0 of an outcome with p_s = 0 gives weight zero. The
+    sum; a count k_s > 0 of an outcome with p_s = 0 gives weight zero.
+
+    The count vectors run in lexicographic order, in blocks of bounded
+    size. The log-weight of each is ``lgamma(N+1)`` plus, outcome by
+    outcome in order, ``k_s*log(p_s) - lgamma(k_s+1)``; the mass is
+    ``mass += math.exp(w)`` over the atypical vectors in that order, one
+    float at a time (the built-in ``sum`` compensates from Python 3.12 on,
+    and ``np.exp`` is not always correctly rounded). The result is thus the
+    same float as the plain loop over count vectors, on any platform. The
     mass is checked against the Markov-style bound
     sum_s p_s(1-p_s)/(eps*N) before return.
     """
@@ -100,21 +162,20 @@ def typical_set_complement_mass(spec: ExperimentSpec) -> float:
         raise ResourceLimitError(
             f"{n_compositions} count vectors exceed the aggregation limit"
         )
-    log_fact = [math.lgamma(k + 1) for k in range(spec.N + 1)]
+    log_fact = np.fromiter(map(math.lgamma, range(1, spec.N + 2)), float, spec.N + 1)
     log_p = [math.log(p) if p > 0.0 else None for p in spec.probs]
     mass = 0.0
-    for counts in _compositions(spec.N, spec.n):
-        if not _atypical_counts(counts, spec):
-            continue
-        log_weight = log_fact[spec.N]
-        for k, lp in zip(counts, log_p):
-            if k == 0:
-                continue
+    for counts in _composition_blocks(spec.N, spec.n):
+        log_weight = np.full(counts.shape[0], log_fact[spec.N])
+        for k, lp in zip(counts.T, log_p):
             if lp is None:
-                break
-            log_weight += k * lp - log_fact[k]
-        else:
-            mass += math.exp(log_weight)
+                log_weight[k > 0] = -math.inf
+            else:
+                # k = 0 adds -0.0 or +0.0, which leaves the sum unchanged.
+                log_weight = log_weight + (k * lp - log_fact[k])
+        keep = _atypical_counts(counts.T, spec) & (log_weight > _EXP_UNDERFLOW)
+        for w in log_weight[keep].tolist():
+            mass += math.exp(w)
     markov = sum(p * (1.0 - p) for p in spec.probs) / (spec.epsilon * spec.N)
     if not mass <= markov + 1e-12:
         raise ArithmeticError(f"tail mass {mass} exceeds Markov bound {markov}")
@@ -126,28 +187,58 @@ def typical_set_bound(spec: ExperimentSpec) -> float:
     return 1.0 / (spec.epsilon * spec.N)
 
 
-def _sequences(spec: ExperimentSpec):
-    """The label and outcome counts of every length-N sequence, in basis order.
+def _label_parts(spec: ExperimentSpec) -> tuple:
+    """Labels of the leading and of the trailing outcome digits of an index.
 
-    Labels are comma-separated outcome digits, most significant first. The
-    enumeration guard is checked at once; the sequences are made lazily.
+    The label of basis index ``i`` is ``heads[i // len(tails)] +
+    tails[i % len(tails)]``: comma-separated outcome digits, most
+    significant first. The enumeration guard is checked here.
     """
     if spec.n ** spec.N > ENUMERATION_LIMIT:
         raise ResourceLimitError(
             f"{spec.n}**{spec.N} sequences exceed the enumeration limit"
         )
     digits = [str(s) for s in range(spec.n)]
-    return (
-        (",".join(seq), tuple(map(seq.count, digits)))
-        for seq in itertools.product(digits, repeat=spec.N)
-    )
+    low = spec.N // 2
+    heads = [",".join(seq) for seq in itertools.product(digits, repeat=spec.N - low)]
+    tails = [",".join(seq) for seq in itertools.product(digits, repeat=low)]
+    if low:
+        heads = [head + "," for head in heads]
+    return heads, tails
+
+
+def _labels(spec: ExperimentSpec):
+    """The label of every basis index, in index order, made lazily."""
+    heads, tails = _label_parts(spec)
+    return (head + tail for head in heads for tail in tails)
 
 
 def _region(spec: ExperimentSpec, atypical: bool) -> frozenset:
-    is_atypical = functools.cache(lambda counts: _atypical_counts(counts, spec))
-    return frozenset(
-        label for label, counts in _sequences(spec) if is_atypical(counts) == atypical
+    heads, tails = _label_parts(spec)
+    # Each index's count vector as one integer, base N + 1 (counts <= N):
+    # appending outcome s to a sequence adds (N + 1)**s.
+    base = spec.N + 1
+    fits = base**spec.n <= np.iinfo(np.int64).max
+    place = np.array([base**s for s in range(spec.n)], dtype=np.int64 if fits else object)
+    keys = np.zeros(1, dtype=place.dtype)
+    for _ in range(spec.N):
+        keys = np.add.outer(keys, place).reshape(-1)
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    flags = np.array(
+        [_atypical_counts(_base_digits(key, base, spec.n), spec) for key in distinct.tolist()]
     )
+    kept = np.flatnonzero(flags[inverse] == atypical)
+    high, low = np.divmod(kept, len(tails))
+    return frozenset(heads[h] + tails[t] for h, t in zip(high.tolist(), low.tolist()))
+
+
+def _base_digits(key: int, base: int, length: int) -> list:
+    """The ``length`` least significant base-``base`` digits of ``key``."""
+    digits = []
+    for _ in range(length):
+        key, digit = divmod(key, base)
+        digits.append(digit)
+    return digits
 
 
 def atypical_region(spec: ExperimentSpec) -> frozenset:
@@ -183,7 +274,7 @@ def build_measurement_chain(spec: ExperimentSpec) -> QuantumStructure:
     comma-separated outcome digits, and the occupation of a sequence cell
     at the final time is the product of its outcome probabilities.
     """
-    cells = {label: [idx] for idx, (label, _) in enumerate(_sequences(spec))}
+    cells = {label: [idx] for idx, label in enumerate(_labels(spec))}
     split = _splitting_unitary(spec.probs)
     schedule = [
         FactorUnitary(split, index=i, num_factors=spec.N) for i in range(spec.N)

@@ -261,6 +261,17 @@ class TestStatBound:
         assert lines[0] == "n,N,eps,p,mass,bound,holds"
         assert lines[1].endswith("true")
 
+    def test_config_records_the_spec_only_without_sweep(self, capsys):
+        spec_keys = {"n", "p", "N", "eps"}
+        sweep = run_json(capsys, "stat-bound", "--sweep", "--sweep-draws", "1", "--N", "9")
+        assert not spec_keys & set(sweep["config"])
+        assert sweep["config"]["sweep"] is True and sweep["config"]["sweep_draws"] == 1
+        single = run_json(capsys, "stat-bound", "--N", "9")["config"]
+        assert {key: single[key] for key in spec_keys} == {
+            "n": 2, "p": [0.5, 0.5], "N": 9, "eps": 0.125
+        }
+        assert single["sweep"] is False
+
 
 class TestWavepacket:
     def test_sweep_json(self, capsys):

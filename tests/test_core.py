@@ -63,6 +63,22 @@ class TestEvolve:
             evolve(unruh, ProjectedVector(unruh.psi0, -1), 0)
 
 
+class TestIntegralTimes:
+    @pytest.mark.parametrize("time", [1.5, -0.5, math.nan, math.inf, True, np.bool_(False)])
+    def test_non_integral_time_rejected(self, unruh, time):
+        # 1.5 was once truncated to time 1.
+        with pytest.raises(ValidationError, match="time index .* is not an integer"):
+            SSet(time, {"U"})
+        with pytest.raises(ValidationError, match="time index .* is not an integer"):
+            unruh.check_time(time)
+
+    @pytest.mark.parametrize("time", [2, 2.0, np.int64(2), np.float64(2.0)])
+    def test_integral_time_accepted(self, unruh, time):
+        assert type(SSet(time, {"U"}).time) is int
+        assert SSet(time, {"U"}) == SSet(2, {"U"})
+        assert unruh.check_time(time) == 2
+
+
 class TestHeisenbergProject:
     def test_full_region_is_identity(self, unruh):
         out = heisenberg_project(unruh, SSet(2, {"U", "D"}), psi0_vec(unruh))
@@ -219,6 +235,34 @@ class TestConstructionValidation:
     def test_non_integer_cell_index_rejected(self, index):
         with pytest.raises(ValidationError, match="'D' has a non-integer index"):
             QuantumStructure(2, [1.0, 0.0], [SPLITTER], {"U": [0], "D": [index]})
+
+    @pytest.mark.parametrize(
+        "index, kind",
+        [
+            (True, "a non-integer"),
+            (np.bool_(True), "a non-integer"),
+            (2.0, "a non-integer"),
+            (2**70, "an out-of-range"),
+            (-(2**70), "an out-of-range"),
+            (np.uint64(2**64 - 1), "an out-of-range"),
+        ],
+    )
+    def test_bad_index_among_good_ones_is_named(self, index, kind):
+        # np.array([2, True]) is a valid int array, so types are checked first.
+        with pytest.raises(ValidationError, match=f"cell 'D' has {kind} index"):
+            QuantumStructure(3, [1.0, 0.0, 0.0], [np.eye(3)], {"U": [0, 1], "D": [2, index]})
+
+    @pytest.mark.parametrize("index, num_factors", [(0.5, 2), (0, 2.5), (True, 2), (0, math.inf)])
+    def test_non_integral_factor_rejected(self, index, num_factors):
+        # index 0.5 once built a step that failed on first use with a TypeError.
+        with pytest.raises(ValidationError, match="factor .* is not an integer"):
+            FactorUnitary(np.eye(2), index=index, num_factors=num_factors)
+
+    @pytest.mark.parametrize("dim", [2.7, True, math.nan])
+    def test_non_integral_dimension_rejected(self, dim):
+        # 2.7 once built a two-dimensional structure.
+        with pytest.raises(ValidationError, match="dimension .* is not an integer"):
+            QuantumStructure(dim, [1.0, 0.0], [SPLITTER], {"U": [0], "D": [1]})
 
     def test_integer_like_cell_indices_accepted(self):
         structure = QuantumStructure(

@@ -36,7 +36,7 @@ from qtypicality import (
 )
 from qtypicality import stochastic
 from qtypicality.core import ProjectedVector, chain_cell_masses, project_initial
-from qtypicality.errors import TimeRangeError
+from qtypicality.errors import TimeRangeError, ValidationError
 from qtypicality.stochastic import NONADDITIVITY_WITNESS, REGIME_THRESHOLD
 
 from conftest import (
@@ -433,6 +433,17 @@ class TestAuditSweeps:
         q = haar_structure(1, 8)
         with pytest.raises(TimeRangeError, match=f"time index {twin_time} outside 0..4"):
             correspondence_audit(q, matched_markov_chain(q), {0: 0, 1: twin_time})
+
+    @pytest.mark.parametrize(
+        "pairing",
+        [{0: 0, 1: 1.5}, {0: 0, 1.5: 1}, {0: 0, 1: float("nan")}, {0: 0, 1: True}],
+        ids=["twin-time", "quantum-time", "nan", "bool"],
+    )
+    def test_non_integral_pairing_rejected(self, pairing):
+        # 1.5 once audited twin time 1 without a word.
+        q = haar_structure(1, 8)
+        with pytest.raises(ValidationError, match="time index .* is not an integer"):
+            correspondence_audit(q, matched_markov_chain(q), pairing)
 
     def test_audit_calls_no_cylinder_measure(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -62,6 +62,11 @@ class TestBuildGraph:
         ]
         assert cross == []
 
+    @pytest.mark.parametrize("time", [1.5, float("nan"), True])
+    def test_non_integral_slice_time_rejected(self, time):
+        with pytest.raises(ValidationError, match="time index .* is not an integer"):
+            PartitionSchedule([(time, ({"U", "D"},))])
+
     def test_single_slice_whole_space(self):
         model = build_unruh()
         schedule = PartitionSchedule([(1, ({"U", "D"},))])

@@ -1,10 +1,14 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qtypicality import stats
 from qtypicality import (
     ExperimentSpec,
     ResourceLimitError,
@@ -41,6 +45,81 @@ def region_oracle(spec):
         dev = sum((seq.count(s) / spec.N - p) ** 2 for s, p in enumerate(spec.probs))
         (atypical if dev >= spec.epsilon else typical).add(",".join(map(str, seq)))
     return frozenset(typical), frozenset(atypical)
+
+
+def lex_compositions(total, parts):
+    """Count vectors of ``parts`` entries summing to ``total``, in
+    lexicographic order, enumerated by itertools."""
+    return [
+        head + (total - sum(head),)
+        for head in itertools.product(range(total + 1), repeat=parts - 1)
+        if sum(head) <= total
+    ]
+
+
+def recursive_compositions(total, parts):
+    """The same count vectors, one tuple at a time, as the loop visits them."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in recursive_compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def loop_mass(spec):
+    """The tail sum as one Python loop over the count vectors, in
+    lexicographic order, adding one exp at a time; the vectorised sum must
+    give the same float."""
+    log_fact = [math.lgamma(k + 1) for k in range(spec.N + 1)]
+    log_p = [math.log(p) if p > 0.0 else None for p in spec.probs]
+    mass = 0.0
+    for counts in recursive_compositions(spec.N, spec.n):
+        if not stats._atypical_counts(counts, spec):
+            continue
+        log_weight = log_fact[spec.N]
+        for k, lp in zip(counts, log_p):
+            if k == 0:
+                continue
+            if lp is None:
+                break
+            log_weight += k * lp - log_fact[k]
+        else:
+            mass += math.exp(log_weight)
+    return mass
+
+
+def chain_label_oracle(spec):
+    """Each basis index's label, decoded digit by digit."""
+    labels = []
+    for index in range(spec.n**spec.N):
+        digits = []
+        for _ in range(spec.N):
+            index, digit = divmod(index, spec.n)
+            digits.append(str(digit))
+        labels.append(",".join(reversed(digits)))
+    return labels
+
+
+@st.composite
+def tail_specs(draw):
+    """Specs with zero probabilities and cutoffs on, or one ulp from, the
+    deviation of some count vector."""
+    n = draw(st.integers(1, 4))
+    big_n = draw(st.integers(1, (60, 60, 60, 40)[n - 1]))
+    weights = draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=n, max_size=n)
+        .filter(lambda w: sum(w) > 0.0)
+    )
+    probs = tuple(w / sum(weights) for w in weights)
+    counts = draw(st.sampled_from(list(recursive_compositions(big_n, n))))
+    dev = stats._count_deviation(counts, big_n, probs)
+    eps = draw(
+        st.sampled_from([dev, math.nextafter(dev, math.inf), math.nextafter(dev, 0.0)])
+        if dev > 0.0
+        else st.floats(1e-3, 2.0)
+    )
+    return ExperimentSpec(n, probs, big_n, eps)
 
 
 def multinomial(counts):
@@ -84,6 +163,28 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             ExperimentSpec(2, (1.2, -0.2), 4, 0.1)
 
+    @pytest.mark.parametrize(
+        "n, probs, big_n",
+        [
+            (2.9, (0.4, 0.6), 12),
+            (2, (0.4, 0.6), 12.7),
+            (True, (1.0,), 12),
+            (2, (0.4, 0.6), True),
+            (2, (0.4, 0.6), math.nan),
+            (2, (0.4, 0.6), math.inf),
+            (math.nan, (0.4, 0.6), 12),
+        ],
+    )
+    def test_non_integral_sizes_rejected(self, n, probs, big_n):
+        # (2.9, ..., 12.7) once became n=2, N=12 without a word.
+        with pytest.raises(ValidationError, match="is not an integer"):
+            ExperimentSpec(n, probs, big_n, 0.05)
+
+    def test_integral_float_sizes_accepted(self):
+        spec = ExperimentSpec(2.0, (0.4, 0.6), np.float64(12.0), 0.05)
+        assert (spec.n, spec.N) == (2, 12)
+        assert type(spec.n) is int and type(spec.N) is int
+
     def test_bad_repetitions_and_cutoff(self):
         with pytest.raises(ValidationError):
             ExperimentSpec(2, (0.5, 0.5), 0, 0.1)
@@ -122,6 +223,15 @@ class TestFrequencyAndDeviation:
     def test_outcome_out_of_range(self):
         with pytest.raises(ValidationError):
             deviation([0, 2], (0.5, 0.5))
+
+    @pytest.mark.parametrize("outcome", [0.5, True, math.nan])
+    def test_non_integral_outcome_rejected(self, outcome):
+        # 0.5 was once dropped from the counts: [0.5, 1] deviated by 0.25.
+        with pytest.raises(ValidationError, match="outcome .* is not an integer"):
+            deviation([outcome, 1], (0.5, 0.5))
+
+    def test_integral_float_outcome_counts(self):
+        assert deviation([1.0, 0], (0.5, 0.5)) == deviation([1, 0], (0.5, 0.5)) == 0.0
 
 
 class TestComplementMass:
@@ -175,10 +285,72 @@ class TestComplementMass:
             masses.append(mass)
         assert all(a >= b for a, b in zip(masses, masses[1:]))
 
+    @settings(max_examples=150, deadline=None)
+    @given(tail_specs())
+    def test_equals_the_loop_bit_for_bit(self, spec):
+        assert typical_set_complement_mass(spec) == loop_mass(spec)
+
+    @pytest.mark.parametrize(
+        "probs, big_n, eps",
+        [
+            ((0.4, 0.6), 2000, 0.02),
+            ((0.2, 0.3, 0.5), 150, 0.03),
+            ((0.0, 0.3, 0.7), 40, 0.05),
+            ((0.1, 0.2, 0.3, 0.4), 30, 0.02),
+            ((0.1, 0.1, 0.1, 0.2, 0.2, 0.3), 12, 0.05),
+            ((1.0,), 7, 0.1),
+        ],
+    )
+    def test_equals_the_loop_on_fixed_specs(self, probs, big_n, eps):
+        # On the second to fifth, math.fsum of the same terms differs from the
+        # loop's sum in the last digits, so a compensated sum fails here.
+        spec = ExperimentSpec(len(probs), probs, big_n, eps)
+        assert typical_set_complement_mass(spec) == loop_mass(spec)
+
+    def test_skipped_terms_add_exactly_zero(self):
+        assert math.exp(stats._EXP_UNDERFLOW) == 0.0
+
+    def test_memory_is_bounded_by_the_blocks(self):
+        # 501,501 count vectors, only the far corners atypical.
+        spec = ExperimentSpec(3, (0.2, 0.3, 0.5), 1000, 0.5)
+        tracemalloc.start()
+        try:
+            typical_set_complement_mass(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_resource_guard(self):
         spec = ExperimentSpec(64, (1 / 64,) * 64, 64, 0.1)
         with pytest.raises(ResourceLimitError):
             typical_set_complement_mass(spec)
+
+
+class TestCompositionBlocks:
+    @pytest.mark.parametrize(
+        "total, parts, entries",
+        [
+            (800, 3, None),  # the module's block size: several blocks
+            (60, 4, None),
+            (9, 4, 12),  # three rows a block: subtrees split twice over
+            (7, 3, 3),  # one row a block
+            (12, 2, 10),
+            (5, 1, 1),
+            (0, 3, 1),
+        ],
+    )
+    def test_blocks_are_the_lexicographic_compositions(self, monkeypatch, total, parts, entries):
+        if entries is not None:
+            monkeypatch.setattr(stats, "_BLOCK_ENTRIES", entries)
+        blocks = list(stats._composition_blocks(total, parts))
+        max_rows = max(1, stats._BLOCK_ENTRIES // parts)
+        assert all(b.dtype == np.int64 and b.shape[1] == parts for b in blocks)
+        assert all(0 < b.shape[0] <= max_rows for b in blocks)
+        rows = [tuple(row) for b in blocks for row in b.tolist()]
+        assert rows == lex_compositions(total, parts)
+        if entries is None and total == 800:
+            assert len(blocks) > 1
 
 
 class TestMeasurementChain:
@@ -228,6 +400,46 @@ class TestMeasurementChain:
             assert typical_region(spec) == typical
             assert atypical_region(spec) == atypical
             assert len(typical) + len(atypical) == spec.n**spec.N
+
+    @pytest.mark.parametrize(
+        "probs, big_n, eps",
+        [
+            ((0.2, 0.3, 0.5), 7, 0.05),
+            ((0.2, 0.3, 0.5), 6, 0.02),
+            ((0.0, 0.25, 0.75), 6, 0.1),
+            ((0.2, 0.3, 0.5), 5, 0.6),
+            ((1 / 12,) * 12, 2, 0.5),  # two-character outcome digits
+            ((1 / 40,) * 40, 2, 0.5),  # count keys beyond 64-bit integers
+        ],
+    )
+    def test_regions_match_the_sequence_oracle(self, probs, big_n, eps):
+        spec = ExperimentSpec(len(probs), probs, big_n, eps)
+        typical, atypical = region_oracle(spec)
+        assert typical_region(spec) == typical
+        assert atypical_region(spec) == atypical
+
+    def test_region_cutoff_is_the_deviation_of_its_sequences(self):
+        for seq in [(0, 0, 1, 2, 2, 2), (1, 1, 1, 1, 0, 2), (2, 0, 1, 0, 1, 2)]:
+            probs = (0.1, 0.3, 0.6)
+            dev = deviation(seq, probs)
+            label = ",".join(map(str, seq))
+            assert label in atypical_region(ExperimentSpec(3, probs, 6, dev))
+            assert label in typical_region(ExperimentSpec(3, probs, 6, math.nextafter(dev, 1.0)))
+
+    @pytest.mark.parametrize(
+        "probs, big_n",
+        [((1.0,), 4), ((0.5, 0.5), 1), ((0.4, 0.6), 7), ((0.2, 0.3, 0.5), 4),
+         ((0.1, 0.2, 0.3, 0.4), 3), ((1 / 12,) * 12, 2)],
+    )
+    def test_chain_cells_match_the_label_oracle(self, probs, big_n):
+        spec = ExperimentSpec(len(probs), probs, big_n, 0.1)
+        structure = build_measurement_chain(spec)
+        labels = chain_label_oracle(spec)
+        assert structure.labels == tuple(labels)
+        assert {label: idx.tolist() for label, idx in structure.cells.items()} == {
+            label: [index] for index, label in enumerate(labels)
+        }
+        assert all(not idx.flags.writeable for idx in structure.cells.values())
 
     def test_single_outcome_trivial(self):
         spec = ExperimentSpec(1, (1.0,), 5, 0.5)
