@@ -84,9 +84,14 @@ class StochasticProcessSpec:
         self._masks[region] = mask
         return mask
 
+    def check_time(self, t: int) -> int:
+        t = core._as_int(t, "time index")
+        if not 0 <= t <= self.n_steps:
+            raise TimeRangeError(f"time index {t} outside 0..{self.n_steps}")
+        return t
+
     def marginal(self, time: int) -> np.ndarray:
-        if not 0 <= time <= self.n_steps:
-            raise TimeRangeError(f"time index {time} outside 0..{self.n_steps}")
+        time = self.check_time(time)
         dist = self.initial.copy()
         for t in range(time):
             dist = dist @ self.kernels[t]
@@ -101,8 +106,7 @@ def cylinder_measure(spec: StochasticProcessSpec, ssets: Sequence[SSet]) -> floa
     """
     by_time: dict[int, np.ndarray] = {}
     for sset in ssets:
-        if not 0 <= sset.time <= spec.n_steps:
-            raise TimeRangeError(f"time index {sset.time} outside 0..{spec.n_steps}")
+        spec.check_time(sset.time)
         mask = spec.region_mask(sset.region)
         by_time[sset.time] = mask & by_time.get(sset.time, mask)
     if not by_time:
@@ -183,7 +187,12 @@ def matched_markov_chain(structure: QuantumStructure) -> StochasticProcessSpec:
 
 @dataclass(frozen=True)
 class CorrespondenceAudit:
-    """Witness values for the single-time, regime, and additivity checks."""
+    """Witness values for the single-time, regime, and additivity checks.
+
+    c5 compares verdicts only inside the regime, where both are
+    ``MutuallyTypical`` by definition, so ``c5_agreements`` equals
+    ``c5_pairs_in_regime`` and ``c5_pass`` holds for every input.
+    """
 
     c3_max_error: float
     c3_pass: bool
@@ -219,7 +228,6 @@ def correspondence_audit(
     q: QuantumStructure,
     c: StochasticProcessSpec,
     pairing: Mapping[int, int] | None = None,
-    marginal_tol: float = MARGINAL_TOL,
 ) -> CorrespondenceAudit:
     """Compare a structure with its stochastic twin.
 
@@ -227,6 +235,12 @@ def correspondence_audit(
     where both measures sit inside the typicality regime, additivity of the
     cylinder measure, and searches for a chained-norm nonadditivity witness
     on the quantum side. A marginal mismatch is reported, not raised.
+
+    Every twin value is a sum of entries of a two-time joint law
+    ``P(X_s = i, X_t = j)``, built once per ordered pair of paired twin times
+    with the cells in the structure's label order: ``diag(marginal(s))``
+    stepped through the kernels from ``s`` to ``t``, and its transpose for
+    ``s > t``. Region masses are sums of those tables over 0/1 region rows.
     """
     if set(q.labels) != set(c.states):
         raise ValidationError("structure and chain use different cell labels")
@@ -234,73 +248,63 @@ def correspondence_audit(
         if q.n_steps != c.n_steps:
             raise ValidationError("step counts differ and no pairing was given")
         pairing = {t: t for t in q.times}
+    pairing = {q.check_time(qt): c.check_time(ct) for qt, ct in pairing.items()}
 
-    # The twin's values come from one forward sweep per s-set, bit for bit equal
-    # to cylinder_measure's: the same products in the same order; 0/1 masks compose.
-    sweeps: dict = {}  # twin s-set -> its masked distribution at each later time
-
-    def mu(a: SSet, b: SSet) -> float:
-        """mu(a and b), swept from the earlier s-set; c3 checks every twin time."""
-        if b.time < a.time:
-            a, b = b, a
-        if a not in sweeps:
-            sweeps[a] = [c.marginal(a.time) * c.region_mask(a.region)]
-            for kernel in c.kernels[a.time:]:
-                sweeps[a].append(sweeps[a][-1] @ kernel)
-        return float((sweeps[a][b.time - a.time] * c.region_mask(b.region)).sum())
+    twin_times = sorted(set(pairing.values()))
+    order = [c.states.index(label) for label in q.labels]
+    joint = {}  # (s, t) -> P(X_s = i, X_t = j)
+    for s in twin_times:
+        laws = itertools.accumulate(
+            c.kernels[s:twin_times[-1]], np.matmul, initial=np.diag(c.marginal(s))
+        )
+        for t, law in enumerate(laws, start=s):
+            if t in twin_times:
+                joint[s, t] = law[np.ix_(order, order)]
+                joint[t, s] = joint[s, t].T
 
     # (c3): occupations against single-time marginals.
     c3_max = 0.0
     for qt, ct in pairing.items():
         occ = core.occupations(q, qt)
-        for label in q.labels:
-            s = SSet(ct, {label})
-            c3_max = max(c3_max, abs(occ[label] - mu(s, s)))
-    c3_pass = c3_max <= marginal_tol
+        for label, mass in zip(q.labels, np.diag(joint[ct, ct]).tolist()):
+            c3_max = max(c3_max, abs(occ[label] - mass))
 
     # (c5)/(c6): verdict agreement inside the typicality regime, over all
     # singleton and full regions at the paired times.
-    full = frozenset(q.labels)
-    regions = [frozenset({label}) for label in q.labels] + [full]
-    ssets = [
-        (SSet(qt, r), SSet(ct, r))
-        for qt, ct in sorted(pairing.items())
-        for r in regions
-    ]
-    in_regime = 0
-    agreements = 0
-    for (qa, ca), (qb, cb) in itertools.combinations(ssets, 2):
+    regions = [frozenset({label}) for label in q.labels] + [frozenset(q.labels)]
+    rows = np.vstack([np.eye(len(q.labels)), np.ones(len(q.labels))])  # one per region
+    inside = {t: (rows @ joint[t, t] @ rows.T).tolist() for t in twin_times}
+    across = {st: (rows @ law @ (1.0 - rows).T).tolist() for st, law in joint.items()}
+    paired = sorted(pairing.items())
+    ssets = [(SSet(qt, r), ct, k) for qt, ct in paired for k, r in enumerate(regions)]
+    in_regime = agreements = 0
+    for (qa, s, a), (qb, t, b) in itertools.combinations(ssets, 2):
         rep_q = typicality.mutual_typicality(q, qa, qb, threshold=REGIME_THRESHOLD)
         rep_mu = typicality.mutual_typicality_measure_mu(
-            mu(ca, ca),
-            mu(cb, cb),
-            mu(ca, SSet(cb.time, full - cb.region)) + mu(SSet(ca.time, full - ca.region), cb),
+            inside[s][a][a], inside[t][b][b], across[s, t][a][b] + across[t, s][b][a],
             threshold=REGIME_THRESHOLD,
         )
         if rep_q.degenerate or rep_mu.degenerate:
             continue
         if rep_q.m_big <= REGIME_THRESHOLD and rep_mu.m_big <= REGIME_THRESHOLD:
             in_regime += 1
-            if rep_q.verdict is rep_mu.verdict:
-                agreements += 1
-    c5_pass = in_regime == agreements
+            agreements += rep_q.verdict is rep_mu.verdict
 
     # (c7): additivity of mu, nonadditivity witness for the chained norm.
-    mu_additive = True
-    max_defect = 0.0
-    witness = None
+    mu_additive, max_defect, witness = True, 0.0, None
     # One forward sweep per (t1, label) gives every later chained mass.
-    paired = sorted(pairing.items())
     chained = {
         (qt1, lab): core.chain_cell_masses(q, SSet(qt1, {lab}))
         for qt1, _ in paired[:-1]
         for lab in q.labels
     }
     for (qt1, ct1), (qt2, ct2) in itertools.combinations(paired, 2):
+        # Summing P(X_t1 = i, X_t2 = j) over i gives back P(X_t2 = j).
+        if np.any(np.abs(joint[ct1, ct2].sum(axis=0) - np.diag(joint[ct2, ct2])) > 1e-12):
+            mu_additive = False
         for label2 in q.labels:
-            s2q, s2c = SSet(qt2, {label2}), SSet(ct2, {label2})
             chained_sum = sum(chained[qt1, lab][qt2][label2] for lab in q.labels)
-            total = core.project_initial(q, s2q).norm_sq
+            total = core.project_initial(q, SSet(qt2, {label2})).norm_sq
             defect = abs(total - chained_sum)
             if defect > max_defect:
                 max_defect = defect
@@ -312,15 +316,12 @@ def correspondence_audit(
                         "quantum_total": total,
                         "quantum_termwise_sum": chained_sum,
                     }
-            mu_sum = sum(mu(SSet(ct1, {lab}), s2c) for lab in q.labels)
-            if abs(mu(s2c, s2c) - mu_sum) > 1e-12:
-                mu_additive = False
     return CorrespondenceAudit(
         c3_max_error=c3_max,
-        c3_pass=c3_pass,
+        c3_pass=c3_max <= MARGINAL_TOL,
         c5_pairs_in_regime=in_regime,
         c5_agreements=agreements,
-        c5_pass=c5_pass,
+        c5_pass=in_regime == agreements,
         c7_mu_additive=mu_additive,
         c7_max_defect=max_defect,
         c7_witness=witness,

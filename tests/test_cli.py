@@ -483,6 +483,19 @@ class TestExitCodes:
         assert code == 3
         assert "guard" in err
 
+    def test_audit_rejects_accumulated_row_sum_slack(self, capsys, exported, tmp_path):
+        # Rows pass the twin's 1e-12 check; the mass after a step does not.
+        data = json.loads(open(exported).read())
+        slack = 0.5 + 0.9e-12
+        data["stochastic"]["initial"] = [slack, 0.5]
+        data["stochastic"]["kernels"] = [[[slack, 0.5], [0.5, slack]]] * 3
+        bad = tmp_path / "slack.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "audit", "--scenario-file", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "mu2=1.0000000000018 outside [0, 1]" in err
+
     def test_failing_audit(self, capsys, exported, tmp_path):
         data = json.loads(open(exported).read())
         # corrupt the stochastic twin so the marginals no longer match

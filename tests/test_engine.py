@@ -4,8 +4,9 @@ Structures cache their trajectory, region masks and Heisenberg-projected
 initial vectors. Every value read through those caches is compared here with
 an explicit product of dense ``U(t)`` matrices and diagonal projectors
 (``conftest``), and every cached or swept value that the package documents
-as bit for bit equal to the direct path is compared exactly: the audit's
-forward sweeps of the Markov twin against ``cylinder_measure``.
+as bit for bit equal to the direct path is compared exactly. The audit,
+which reads the Markov twin from two-time joint laws, must give exactly the
+report of a reference audit that reads it through ``cylinder_measure``.
 """
 import itertools
 import sys
@@ -23,6 +24,7 @@ from qtypicality import (
     SSet,
     StochasticProcessSpec,
     build_graph,
+    build_unruh,
     chain_project,
     correspondence_audit,
     cylinder_measure,
@@ -408,6 +410,8 @@ def audit_problems(draw):
 
 
 class TestAuditSweeps:
+    """The audit's twin values, read from its joint laws, against ``reference_audit``."""
+
     @settings(max_examples=60, deadline=None)
     @given(audit_problems())
     def test_sweeps_equal_cylinder_measure_exactly(self, problem):
@@ -445,9 +449,17 @@ class TestAuditSweeps:
         with pytest.raises(ValidationError, match="time index .* is not an integer"):
             correspondence_audit(q, matched_markov_chain(q), pairing)
 
+    def test_accumulated_row_sum_slack_rejected(self):
+        # Each row is within the twin's 1e-12 row-sum check, but the full-region
+        # mass after one step is 1 + 1.8e-12, past the measures' 1e-12 check.
+        slack = 0.5 + 0.9e-12
+        c = StochasticProcessSpec(["U", "D"], [slack, 0.5], [[[slack, 0.5], [0.5, slack]]] * 3)
+        with pytest.raises(ValidationError, match=r"mu2=1\.0000000000018 outside \[0, 1\]"):
+            correspondence_audit(build_unruh().structure, c)
+
     def test_audit_calls_no_cylinder_measure(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("the audit reads the twin from its sweeps")
+            raise AssertionError("the audit reads the twin from its joint laws")
 
         for name in ("cylinder_measure", "mu_sset", "mu_symmetric_difference", "mu_typicality"):
             monkeypatch.setattr(stochastic, name, forbidden)

@@ -68,6 +68,25 @@ class TestSpecValidation:
         with pytest.raises(TimeRangeError):
             identity_chain.marginal(3)
 
+    @pytest.mark.parametrize("time", [1.5, -0.5, math.nan, math.inf, True, np.bool_(False)])
+    def test_non_integral_time_rejected(self, identity_chain, time):
+        # 1.5 once raised a raw TypeError from range(), and True read time 1.
+        with pytest.raises(ValidationError, match="time index .* is not an integer"):
+            identity_chain.check_time(time)
+        with pytest.raises(ValidationError, match="time index .* is not an integer"):
+            identity_chain.marginal(time)
+
+    @pytest.mark.parametrize("time", [2, 2.0, np.int64(2), np.float64(2.0)])
+    def test_integral_time_accepted(self, mixing_chain, time):
+        assert mixing_chain.check_time(time) == 2
+        assert type(mixing_chain.check_time(time)) is int
+        np.testing.assert_array_equal(mixing_chain.marginal(time), [0.5, 0.5])
+
+    @pytest.mark.parametrize("time", [3, -1])
+    def test_check_time_range(self, identity_chain, time):
+        with pytest.raises(TimeRangeError, match=f"time index {time} outside 0..2"):
+            identity_chain.check_time(time)
+
 
 class TestCylinderMeasure:
     def test_empty_family_is_one(self, identity_chain):
