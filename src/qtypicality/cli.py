@@ -1,8 +1,8 @@
 """Command-line surface producing reproducible JSON/CSV reports.
 
-Every JSON report embeds the resolved configuration, tool version, and the
-thresholds in effect, so a report is a complete record of its own run.
-Identical configuration and seed give byte-identical output.
+Every JSON report embeds the tool version and its command's resolved
+options; a command takes only the thresholds and seed it reads (any other
+exits 2). Identical configuration gives byte-identical output.
 
 Exit codes: 0 success, 2 parse/configuration error, 3 computational guard
 violation, 4 audit assertion failure.
@@ -26,6 +26,10 @@ from .errors import ResourceLimitError, ValidationError
 EXIT_PARSE = 2
 EXIT_GUARD = 3
 EXIT_AUDIT = 4
+
+# Key under a report's ``config.thresholds`` of each threshold option.
+_THRESHOLD_KEYS = {"epsilon_exclude": "epsilon_exclude", "tau_link": "tau_link",
+                   "threshold": "typicality"}
 
 
 def _csv(rows) -> str:
@@ -51,27 +55,24 @@ def _write(path: str | None, text: str) -> None:
 def _emit(args, results, rows=None, **extra) -> None:
     """Write the JSON report, or ``rows`` under ``--format csv``.
 
-    The report's ``config`` block records the command, its scenario file,
-    the thresholds, the output settings, the seed and ``extra``. ``rows``
-    is iterated only for CSV, so commands may pass a generator.
+    The report's ``config`` block records the command, the output settings,
+    the thresholds the command takes, if any, and ``extra``. ``rows`` is
+    iterated only for CSV, so commands may pass a generator.
     """
     if args.format == "csv":
         if rows is None:
             raise ValidationError(f"{args.command} has no CSV form")
         text = _csv(rows)
     else:
+        taken = vars(args)
         config = {
             "command": args.command,
-            "scenario_path": getattr(args, "scenario_file", None),
-            "thresholds": {
-                "epsilon_exclude": args.epsilon_exclude,
-                "tau_link": args.tau_link,
-                "typicality": args.threshold,
-            },
             "output": {"format": args.format, "path": args.output},
-            "seed": args.seed,
             **extra,
         }
+        thresholds = {key: taken[name] for name, key in _THRESHOLD_KEYS.items() if name in taken}
+        if thresholds:
+            config["thresholds"] = thresholds
         text = _json({"version": __version__, "config": config, "results": results})
     _write(args.output, text)
 
@@ -202,7 +203,7 @@ def _cmd_typicality(args) -> int:
     report = typicality.mutual_typicality(structure, s1, s2, args.threshold)
     header = [field.name for field in dataclasses.fields(report)]
     rows = [header, dataclasses.astuple(report)]
-    _emit(args, report.to_dict(), rows, s1=args.s1, s2=args.s2)
+    _emit(args, report.to_dict(), rows, scenario_path=args.scenario_file, s1=args.s1, s2=args.s2)
     return 0
 
 
@@ -210,7 +211,8 @@ def _cmd_graph(args) -> int:
     structure, _ = core.load_scenario(args.scenario_file)
     schedule = graph.PartitionSchedule(parse_slice(s) for s in args.slice)
     g = graph.build_graph(structure, schedule, args.epsilon_exclude, args.tau_link)
-    _emit(args, g.to_dict(), g.edge_rows(), slices=list(args.slice))
+    _emit(args, g.to_dict(), g.edge_rows(), scenario_path=args.scenario_file,
+          slices=list(args.slice))
     return 0
 
 
@@ -256,7 +258,8 @@ def _cmd_stat_bound(args) -> int:
     )
     # A sweep draws its own specs, so the single-run options would be noise.
     single = {} if args.sweep else {"n": args.n, "p": list(args.p), "N": args.N, "eps": args.eps}
-    _emit(args, rows, csv_rows, **single, sweep=args.sweep, sweep_draws=args.sweep_draws)
+    _emit(args, rows, csv_rows, **single, seed=args.seed, sweep=args.sweep,
+          sweep_draws=args.sweep_draws)
     return 0
 
 
@@ -307,7 +310,7 @@ def _cmd_audit(args) -> int:
     else:
         chain = stochastic.matched_markov_chain(structure)
     audit = stochastic.correspondence_audit(structure, chain)
-    _emit(args, audit.to_dict())
+    _emit(args, audit.to_dict(), scenario_path=args.scenario_file)
     if not audit.passed:
         sys.stderr.write(
             "audit failed: " + json.dumps(audit.to_dict(), sort_keys=True) + "\n"
@@ -322,46 +325,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Typicality analysis of finite-dimensional quantum processes.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--epsilon-exclude", type=float, default=0.01)
-    common.add_argument("--tau-link", type=float, default=0.08)
-    common.add_argument("--threshold", type=float, default=0.08)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--output", default=None, help="write report here instead of stdout")
-    common.add_argument("--seed", type=int, default=0)
-
+    thresholds = {"--epsilon-exclude": 0.01, "--tau-link": 0.08, "--threshold": 0.08}
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_scn = sub.add_parser("scenario", parents=[common], help="built-in experiments")
+    def command(name, func, help, *reads):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--output", default=None, help="write report here instead of stdout")
+        for option in reads:
+            p.add_argument(option, type=float, default=thresholds[option])
+        p.set_defaults(func=func)
+        return p
+
+    p_scn = command("scenario", _cmd_scenario, "built-in experiments",
+                    "--epsilon-exclude", "--tau-link", "--threshold")
     p_scn.add_argument("scenario", choices=("unruh", "fig1", "nonadditivity"))
     p_scn.add_argument("--detector-d2", action="store_true")
     p_scn.add_argument("--obstacle", choices=("U1", "D1"), default=None)
     p_scn.add_argument("--export", default=None, help="also write the scenario JSON here")
-    p_scn.set_defaults(func=_cmd_scenario)
 
-    p_typ = sub.add_parser("typicality", parents=[common], help="pairwise measure")
+    p_typ = command("typicality", _cmd_typicality, "pairwise measure", "--threshold")
     p_typ.add_argument("--scenario-file", required=True)
     p_typ.add_argument("--s1", required=True, help="TIME:LABEL[,LABEL...]")
     p_typ.add_argument("--s2", required=True)
-    p_typ.set_defaults(func=_cmd_typicality)
 
-    p_gra = sub.add_parser("graph", parents=[common], help="trajectory graph")
+    p_gra = command("graph", _cmd_graph, "trajectory graph", "--epsilon-exclude", "--tau-link")
     p_gra.add_argument("--scenario-file", required=True)
     p_gra.add_argument(
         "--slice", action="append", required=True, help="TIME:REGION|REGION..."
     )
-    p_gra.set_defaults(func=_cmd_graph)
 
-    p_sta = sub.add_parser("stat-bound", parents=[common], help="typical-set tail bound")
+    p_sta = command("stat-bound", _cmd_stat_bound, "typical-set tail bound")
+    p_sta.add_argument("--seed", type=int, default=0)
     p_sta.add_argument("--n", type=int, default=2)
     p_sta.add_argument("--p", type=lambda s: [float(x) for x in s.split(",")], default=[0.5, 0.5])
     p_sta.add_argument("--N", type=int, default=16)
     p_sta.add_argument("--eps", type=float, default=0.125)
     p_sta.add_argument("--sweep", action="store_true")
     p_sta.add_argument("--sweep-draws", type=int, default=20)
-    p_sta.set_defaults(func=_cmd_stat_bound)
 
-    p_wav = sub.add_parser("wavepacket", parents=[common], help="grid-packet sweep")
+    p_wav = command("wavepacket", _cmd_wavepacket, "grid-packet sweep")
     p_wav.add_argument(
         "--separations",
         type=lambda s: [float(x) for x in s.split(",")],
@@ -373,11 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_wav.add_argument("--n-points", type=int, default=4096)
     p_wav.add_argument("--length", type=float, default=200.0)
     p_wav.add_argument("--snapshot", default=None, help="write |psi(x)|^2 CSV here")
-    p_wav.set_defaults(func=_cmd_wavepacket)
 
-    p_aud = sub.add_parser("audit", parents=[common], help="correspondence audit")
+    p_aud = command("audit", _cmd_audit, "correspondence audit")
     p_aud.add_argument("--scenario-file", required=True)
-    p_aud.set_defaults(func=_cmd_audit)
 
     return parser
 
@@ -386,8 +387,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for name in ("epsilon_exclude", "tau_link", "threshold"):
-            if not 0.0 < getattr(args, name) < 1.0:
+        for name in _THRESHOLD_KEYS:
+            if name in vars(args) and not 0.0 < getattr(args, name) < 1.0:
                 raise ValidationError(f"--{name.replace('_', '-')} must be in (0, 1)")
         return args.func(args)
     except json.JSONDecodeError as exc:

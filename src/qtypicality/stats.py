@@ -55,6 +55,10 @@ class ExperimentSpec:
             raise ValidationError("repetition count must be at least 1")
         if not math.isfinite(float(epsilon)) or float(epsilon) <= 0.0:
             raise ValidationError("deviation cutoff must be positive and finite")
+        # From N = 2**53 on, eps * N > 2**-1021 for every positive float eps, so
+        # the bound is finite; such an N need not even convert to a float.
+        if N < 2**53 and not math.isfinite(1.0 / (float(epsilon) * N)):
+            raise ValidationError(f"deviation cutoff {epsilon} makes the bound 1/(eps*N) infinite")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "N", N)

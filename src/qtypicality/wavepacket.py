@@ -97,7 +97,10 @@ def superposition(a: GridState, b: GridState) -> GridState:
 def free_evolve(state: GridState, dt: float) -> GridState:
     """Exact free-particle evolution by ``dt`` (negative dt runs backward)."""
     k = 2.0 * math.pi * np.fft.fftfreq(state.n_points, d=state.dx)
-    phase = np.exp(-0.5j * k**2 * dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.exp(-0.5j * k**2 * dt)
+    if not np.isfinite(phase).all():  # k**2 * dt overflowed, or dt is not finite
+        raise ValidationError(f"evolution phase for dt {dt} is not finite")
     amp = np.fft.ifft(np.fft.fft(state.amplitudes) * phase)
     seam = np.r_[0:SEAM_POINTS, state.n_points - SEAM_POINTS : state.n_points]
     seam_mass = float(np.sum(np.abs(amp[seam]) ** 2) * state.dx)

@@ -40,6 +40,59 @@ CSV_FORMS = [
 ]
 CSV_IDS = [argv[0] for argv, _ in CSV_FORMS]
 
+# One JSON request per command, with the keys of its report's config and of
+# config.thresholds; a command records only the options it takes.
+OUTPUT_KEYS = {"command", "output"}
+REPORT_CONFIGS = [
+    (
+        ("scenario", "unruh"),
+        OUTPUT_KEYS | {"thresholds", "scenario", "detector_d2", "obstacle"},
+        {"epsilon_exclude", "tau_link", "typicality"},
+    ),
+    (
+        ("scenario", "fig1"),
+        OUTPUT_KEYS | {"thresholds", "scenario"},
+        {"epsilon_exclude", "tau_link", "typicality"},
+    ),
+    (
+        ("typicality", "--scenario-file", "SCENARIO", "--s1", "1:U", "--s2", "3:D"),
+        OUTPUT_KEYS | {"thresholds", "scenario_path", "s1", "s2"},
+        {"typicality"},
+    ),
+    (
+        ("graph", "--scenario-file", "SCENARIO", *UNRUH_SLICES),
+        OUTPUT_KEYS | {"thresholds", "scenario_path", "slices"},
+        {"epsilon_exclude", "tau_link"},
+    ),
+    (
+        ("stat-bound", "--N", "10"),
+        OUTPUT_KEYS | {"seed", "n", "p", "N", "eps", "sweep", "sweep_draws"},
+        set(),
+    ),
+    (
+        ("wavepacket", "--separations", "4,8"),
+        OUTPUT_KEYS | {"separations", "sigma", "momentum", "n_points", "grid_length"},
+        set(),
+    ),
+    (("audit", "--scenario-file", "SCENARIO"), OUTPUT_KEYS | {"scenario_path"}, set()),
+]
+REPORT_IDS = ["-".join(argv[:2]) if argv[0] == "scenario" else argv[0]
+              for argv, _, _ in REPORT_CONFIGS]
+
+# The shared options each command does not read, and so does not take.
+ALL_SHARED = ("--epsilon-exclude", "--tau-link", "--threshold", "--seed")
+UNTAKEN = {
+    ("scenario", "unruh"): ("--seed",),
+    ("typicality", "--scenario-file", "s.json", "--s1", "1:U", "--s2", "3:D"): (
+        "--epsilon-exclude", "--tau-link", "--seed"
+    ),
+    ("graph", "--scenario-file", "s.json", "--slice", "1:U|D"): ("--threshold", "--seed"),
+    ("stat-bound",): ("--epsilon-exclude", "--tau-link", "--threshold"),
+    ("wavepacket",): ALL_SHARED,
+    ("audit", "--scenario-file", "s.json"): ALL_SHARED,
+}
+UNTAKEN_OPTIONS = [(argv, option) for argv, options in UNTAKEN.items() for option in options]
+
 
 def fill(argv, **paths):
     """``argv`` with each placeholder word replaced by its path."""
@@ -133,11 +186,32 @@ class TestScenarioCommand:
         second = run(capsys, "scenario", "unruh")[1]
         assert first == second
 
-    def test_report_matches_schema(self, capsys, repo_root):
+    @pytest.mark.parametrize("argv", [argv for argv, _, _ in REPORT_CONFIGS], ids=REPORT_IDS)
+    def test_report_matches_schema(self, capsys, repo_root, exported, argv):
         jsonschema = pytest.importorskip("jsonschema")
-        payload = run_json(capsys, "scenario", "unruh")
+        payload = run_json(capsys, *fill(argv, SCENARIO=exported))
         schema = json.loads((repo_root / SCHEMA_DIR / "report.schema.json").read_text())
         jsonschema.validate(payload, schema)
+
+
+class TestSharedOptions:
+    @pytest.mark.parametrize("argv, keys, threshold_keys", REPORT_CONFIGS, ids=REPORT_IDS)
+    def test_config_records_only_what_the_command_takes(
+        self, capsys, exported, argv, keys, threshold_keys
+    ):
+        config = run_json(capsys, *fill(argv, SCENARIO=exported))["config"]
+        assert set(config) == keys
+        assert set(config.get("thresholds", ())) == threshold_keys
+
+    @pytest.mark.parametrize(
+        "argv, option", UNTAKEN_OPTIONS, ids=[f"{a[0]}{o}" for a, o in UNTAKEN_OPTIONS]
+    )
+    def test_untaken_option_is_parse_error(self, capsys, argv, option):
+        value = "7" if option == "--seed" else "0.5"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestScenarioFileRoundTrip:
@@ -396,6 +470,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "finite" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("big_n, eps", [("1", "1e-320"), ("4", "1e-309")])
+    def test_infinite_stat_bound_is_parse_error(self, capsys, big_n, eps, fmt):
+        code, out, err = run(capsys, "stat-bound", "--N", big_n, "--eps", eps, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "1/(eps*N)" in err
+
     @pytest.mark.parametrize("draws", ["0", "-1"])
     def test_sweep_without_draws_is_parse_error(self, capsys, draws):
         code, out, err = run(capsys, "stat-bound", "--sweep", "--sweep-draws", draws)
@@ -449,6 +531,9 @@ class TestExitCodes:
             (("--momentum", "0"), "momentum"),
             (("--separations", "4,nan"), "separation"),
             (("--length", "nan"), "length"),
+            # dt = sigma/momentum: 0.5*k**2*dt overflows, or dt itself does.
+            (("--separations", "4", "--momentum", "1e-305"), "phase"),
+            (("--separations", "4", "--momentum", "1e-320"), "phase"),
         ],
     )
     def test_bad_wavepacket_argument_is_parse_error(self, capsys, argv, name):

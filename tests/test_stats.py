@@ -38,11 +38,24 @@ def brute_force_mass(spec):
     return mass
 
 
+def documented_deviation(counts, N, probs):
+    """The deviation by the package's documented arithmetic: e = k/N - p,
+    added as e * e from left to right. ``e ** 2`` is not always ``e * e``,
+    and the built-in ``sum`` compensates from Python 3.12 on, so either can
+    put a count vector on the other side of a cutoff that equals a deviation."""
+    dev = 0.0
+    for k, p in zip(counts, probs):
+        e = k / N - p
+        dev = dev + e * e
+    return dev
+
+
 def region_oracle(spec):
     """Typical and atypical labels, classified one sequence at a time."""
     typical, atypical = set(), set()
     for seq in itertools.product(range(spec.n), repeat=spec.N):
-        dev = sum((seq.count(s) / spec.N - p) ** 2 for s, p in enumerate(spec.probs))
+        counts = [seq.count(s) for s in range(spec.n)]
+        dev = documented_deviation(counts, spec.N, spec.probs)
         (atypical if dev >= spec.epsilon else typical).add(",".join(map(str, seq)))
     return frozenset(typical), frozenset(atypical)
 
@@ -145,7 +158,7 @@ def exact_integer_mass(spec):
         if last < 0:
             continue
         counts = counts + (last,)
-        if sum((k / spec.N - p) ** 2 for k, p in zip(counts, spec.probs)) < spec.epsilon:
+        if documented_deviation(counts, spec.N, spec.probs) < spec.epsilon:
             continue
         weight = multinomial(counts)
         for k, a in zip(counts, scaled):
@@ -204,6 +217,17 @@ class TestSpecValidation:
     def test_non_finite_probs_and_cutoff(self, probs, eps):
         with pytest.raises(ValidationError, match="finite"):
             ExperimentSpec(2, probs, 10, eps)
+
+    @pytest.mark.parametrize(
+        "big_n, eps, finite",
+        [(1, 1e-320, False), (4, 1e-309, False), (1000, 1e-307, True), (2**53, 5e-324, True)],
+    )
+    def test_cutoff_must_keep_the_bound_finite(self, big_n, eps, finite):
+        if finite:
+            assert math.isfinite(typical_set_bound(ExperimentSpec(1, (1.0,), big_n, eps)))
+        else:
+            with pytest.raises(ValidationError, match=r"1/\(eps\*N\)"):
+                ExperimentSpec(1, (1.0,), big_n, eps)
 
 
 class TestFrequencyAndDeviation:

@@ -115,6 +115,11 @@ class TestFreeEvolution:
     def test_boundary_flag_clear_in_interior(self, packet):
         assert not free_evolve(packet, 1.0).boundary_flag
 
+    @pytest.mark.parametrize("dt", [1e305, math.inf, math.nan])
+    def test_non_finite_phase_rejected(self, packet, dt):
+        with pytest.raises(ValidationError, match="evolution phase"):
+            free_evolve(packet, dt)
+
 
 class TestSupport:
     def test_contains_bulk_of_mass(self, packet):
