@@ -325,7 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Typicality analysis of finite-dimensional quantum processes.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    thresholds = {"--epsilon-exclude": 0.01, "--tau-link": 0.08, "--threshold": 0.08}
+    thresholds = {
+        "--epsilon-exclude": graph.DEFAULT_EPSILON_EXCLUDE,
+        "--tau-link": graph.DEFAULT_TAU_LINK,
+        "--threshold": typicality.DEFAULT_THRESHOLD,
+    }
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help, *reads):

@@ -20,7 +20,7 @@ from .errors import ResourceLimitError, ValidationError
 OCCUPATION_SUM_TOL = 1e-10
 PATH_SPACE_LIMIT = 10**6
 DEFAULT_EPSILON_EXCLUDE = 0.01
-DEFAULT_TAU_LINK = 0.08
+DEFAULT_TAU_LINK = typicality.DEFAULT_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def build_graph(
                     SSet(nodes[b].time, nodes[b].region),
                     threshold=tau_link,
                 )
-                if not report.degenerate and report.m_big <= tau_link:
+                if report.verdict is typicality.Verdict.MUTUALLY_TYPICAL:
                     links.append((a, b, report.m_big))
 
     candidates = [
@@ -227,7 +227,7 @@ def branch_following_check(
     for i, j in itertools.combinations(range(len(branch_regions)), 2):
         s_i, s_j = branch_regions[i], branch_regions[j]
         report = typicality.mutual_typicality(structure, s_i, s_j, threshold=tau)
-        if not report.degenerate and report.m_big <= tau:
+        if report.verdict is typicality.Verdict.MUTUALLY_TYPICAL:
             continue
         later = core.project_initial(structure, s_j)
         chained = core.chain_project(structure, [s_i, s_j], at_time=0)

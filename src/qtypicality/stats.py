@@ -77,10 +77,11 @@ def deviation(sequence: Sequence[int], probs: Sequence[float]) -> float:
 
 
 def _count_deviation(counts: Sequence[int], N: int, probs: Sequence[float]) -> float:
-    # One int array per outcome in place of each count classifies many count
-    # vectors at once by the very same float operations. Hence the explicit
-    # left-to-right sum (the built-in sum compensates from Python 3.12 on)
-    # and e * e (libm pow(e, 2), behind Python's e ** 2, is not always e * e).
+    # Given one int array per outcome in place of each count, this does per
+    # entry exactly the float operations of the scalar form (one correctly
+    # rounded k / N, then -, *, +), so both forms classify alike. Hence the
+    # explicit left-to-right sum (the built-in sum compensates from Python
+    # 3.12 on) and e * e (libm pow(e, 2), behind e ** 2, is not always e * e).
     d = 0.0
     for k, p in zip(counts, probs):
         e = k / N - p
@@ -162,10 +163,10 @@ def typical_set_complement_mass(spec: ExperimentSpec) -> float:
     sum_s p_s(1-p_s)/(eps*N) before return.
     """
     n_compositions = math.comb(spec.N + spec.n - 1, spec.n - 1)
-    if n_compositions > COMPOSITION_LIMIT and spec.n ** spec.N > ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"{n_compositions} count vectors exceed the aggregation limit"
-        )
+    if n_compositions > COMPOSITION_LIMIT:
+        raise ResourceLimitError(f"{n_compositions} count vectors exceed the aggregation limit")
+    if spec.N + 1 > COMPOSITION_LIMIT:  # only n = 1 has fewer count vectors
+        raise ResourceLimitError(f"an lgamma table of {spec.N + 1} entries exceeds the limit")
     log_fact = np.fromiter(map(math.lgamma, range(1, spec.N + 2)), float, spec.N + 1)
     log_p = [math.log(p) if p > 0.0 else None for p in spec.probs]
     mass = 0.0
@@ -191,6 +192,16 @@ def typical_set_bound(spec: ExperimentSpec) -> float:
     return 1.0 / (spec.epsilon * spec.N)
 
 
+def _sequence_count(spec: ExperimentSpec) -> int:
+    """The number ``n**N`` of outcome sequences, within the enumeration
+    limit. For n > 1, ``n**N >= 2**N`` passes the limit from N = its bit
+    length on, so no huge power is formed."""
+    too_long = spec.n > 1 and spec.N >= ENUMERATION_LIMIT.bit_length()
+    if too_long or spec.n ** spec.N > ENUMERATION_LIMIT:
+        raise ResourceLimitError(f"{spec.n}**{spec.N} sequences exceed the enumeration limit")
+    return spec.n ** spec.N
+
+
 def _label_parts(spec: ExperimentSpec) -> tuple:
     """Labels of the leading and of the trailing outcome digits of an index.
 
@@ -198,10 +209,7 @@ def _label_parts(spec: ExperimentSpec) -> tuple:
     tails[i % len(tails)]``: comma-separated outcome digits, most
     significant first. The enumeration guard is checked here.
     """
-    if spec.n ** spec.N > ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"{spec.n}**{spec.N} sequences exceed the enumeration limit"
-        )
+    _sequence_count(spec)
     digits = [str(s) for s in range(spec.n)]
     low = spec.N // 2
     heads = [",".join(seq) for seq in itertools.product(digits, repeat=spec.N - low)]
@@ -217,32 +225,22 @@ def _labels(spec: ExperimentSpec):
     return (head + tail for head in heads for tail in tails)
 
 
+def _outcome_counts(spec: ExperimentSpec, s: int) -> np.ndarray:
+    """How often outcome ``s`` occurs in each sequence, in basis-index order
+    (each repetition appends the least significant digit)."""
+    counts, indicator = np.zeros(1, dtype=np.int64), np.arange(spec.n) == s
+    for _ in range(spec.N):
+        counts = np.add.outer(counts, indicator).reshape(-1)
+    return counts
+
+
 def _region(spec: ExperimentSpec, atypical: bool) -> frozenset:
     heads, tails = _label_parts(spec)
-    # Each index's count vector as one integer, base N + 1 (counts <= N):
-    # appending outcome s to a sequence adds (N + 1)**s.
-    base = spec.N + 1
-    fits = base**spec.n <= np.iinfo(np.int64).max
-    place = np.array([base**s for s in range(spec.n)], dtype=np.int64 if fits else object)
-    keys = np.zeros(1, dtype=place.dtype)
-    for _ in range(spec.N):
-        keys = np.add.outer(keys, place).reshape(-1)
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    flags = np.array(
-        [_atypical_counts(_base_digits(key, base, spec.n), spec) for key in distinct.tolist()]
-    )
-    kept = np.flatnonzero(flags[inverse] == atypical)
+    # Count arrays are made one outcome at a time, as the sum reads them.
+    flags = _atypical_counts((_outcome_counts(spec, s) for s in range(spec.n)), spec)
+    kept = np.flatnonzero(flags == atypical)
     high, low = np.divmod(kept, len(tails))
     return frozenset(heads[h] + tails[t] for h, t in zip(high.tolist(), low.tolist()))
-
-
-def _base_digits(key: int, base: int, length: int) -> list:
-    """The ``length`` least significant base-``base`` digits of ``key``."""
-    digits = []
-    for _ in range(length):
-        key, digit = divmod(key, base)
-        digits.append(digit)
-    return digits
 
 
 def atypical_region(spec: ExperimentSpec) -> frozenset:
@@ -283,7 +281,7 @@ def build_measurement_chain(spec: ExperimentSpec) -> QuantumStructure:
     schedule = [
         FactorUnitary(split, index=i, num_factors=spec.N) for i in range(spec.N)
     ]
-    dim = spec.n ** spec.N
+    dim = _sequence_count(spec)
     psi0 = np.zeros(dim, dtype=complex)
     psi0[0] = 1.0
     return QuantumStructure(dim, psi0, schedule, cells)

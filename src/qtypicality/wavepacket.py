@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .typicality import TypicalityReport, report_from_masses
+from .typicality import DEFAULT_THRESHOLD, TypicalityReport, report_from_masses
 
 SUPPORT_MASS_CUTOFF = 1e-6
 SEAM_POINTS = 3
@@ -167,7 +167,7 @@ def support_condition_check(
     region1: tuple,
     state_t2: GridState,
     region2: tuple,
-    threshold: float = 0.08,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> TypicalityReport:
     """Mutual typicality of (t1, region1) and (t2, region2) for one evolution.
 

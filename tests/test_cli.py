@@ -568,6 +568,14 @@ class TestExitCodes:
         assert code == 3
         assert "guard" in err
 
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_guard_violation_at_a_400_digit_repetition_count(self, capsys, n):
+        probs = "1.0" if n == "1" else "0.5,0.5"
+        code, out, err = run(capsys, "stat-bound", "--n", n, "--p", probs, "--N", "9" * 400)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("guard violation: ")
+
     def test_audit_rejects_accumulated_row_sum_slack(self, capsys, exported, tmp_path):
         # Rows pass the twin's 1e-12 check; the mass after a step does not.
         data = json.loads(open(exported).read())

@@ -135,6 +135,27 @@ def tail_specs(draw):
     return ExperimentSpec(n, probs, big_n, eps)
 
 
+@st.composite
+def region_specs(draw):
+    """Specs with n**N <= 4096, zero probabilities, and cutoffs on, or one
+    float above, the deviation of some sequence."""
+    n = draw(st.integers(1, 4))
+    big_n = draw(st.integers(1, (12, 12, 7, 6)[n - 1]))
+    weights = draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=n, max_size=n)
+        .filter(lambda w: sum(w) > 0.0)
+    )
+    probs = tuple(w / sum(weights) for w in weights)
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=big_n, max_size=big_n))
+    dev = deviation(seq, probs)
+    eps = draw(
+        st.sampled_from([dev, math.nextafter(dev, math.inf)])
+        if dev > 0.0
+        else st.floats(1e-3, 2.0)
+    )
+    return ExperimentSpec(n, probs, big_n, eps)
+
+
 def multinomial(counts):
     out = math.factorial(sum(counts))
     for k in counts:
@@ -350,6 +371,24 @@ class TestComplementMass:
         with pytest.raises(ResourceLimitError):
             typical_set_complement_mass(spec)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_guard_at_a_400_digit_repetition_count(self, n):
+        # The guard must not form n**N: that power alone would not fit in memory.
+        spec = ExperimentSpec(n, (1 / n,) * n, 10**400, 0.1)
+        with pytest.raises(ResourceLimitError):
+            typical_set_complement_mass(spec)
+
+    def test_lgamma_table_is_guarded_for_one_outcome(self, monkeypatch):
+        # One outcome has a single count vector, but the table has N + 1 entries.
+        monkeypatch.setattr(stats, "COMPOSITION_LIMIT", 50)
+        assert typical_set_complement_mass(ExperimentSpec(1, (1.0,), 49, 0.1)) == 0.0
+        with pytest.raises(ResourceLimitError, match="lgamma table of 51 entries"):
+            typical_set_complement_mass(ExperimentSpec(1, (1.0,), 50, 0.1))
+        # Two outcomes have N + 1 count vectors: the first guard, as before.
+        assert typical_set_complement_mass(ExperimentSpec(2, (0.5, 0.5), 49, 3.0)) == 0.0
+        with pytest.raises(ResourceLimitError, match="51 count vectors"):
+            typical_set_complement_mass(ExperimentSpec(2, (0.5, 0.5), 50, 0.1))
+
 
 class TestCompositionBlocks:
     @pytest.mark.parametrize(
@@ -433,11 +472,18 @@ class TestMeasurementChain:
             ((0.0, 0.25, 0.75), 6, 0.1),
             ((0.2, 0.3, 0.5), 5, 0.6),
             ((1 / 12,) * 12, 2, 0.5),  # two-character outcome digits
-            ((1 / 40,) * 40, 2, 0.5),  # count keys beyond 64-bit integers
+            ((1 / 40,) * 40, 2, 0.5),  # many outcomes, few repetitions
         ],
     )
     def test_regions_match_the_sequence_oracle(self, probs, big_n, eps):
         spec = ExperimentSpec(len(probs), probs, big_n, eps)
+        typical, atypical = region_oracle(spec)
+        assert typical_region(spec) == typical
+        assert atypical_region(spec) == atypical
+
+    @settings(max_examples=200, deadline=None)
+    @given(region_specs())
+    def test_regions_equal_the_oracle(self, spec):
         typical, atypical = region_oracle(spec)
         assert typical_region(spec) == typical
         assert atypical_region(spec) == atypical
@@ -475,6 +521,25 @@ class TestMeasurementChain:
         spec = ExperimentSpec(2, (0.5, 0.5), 21, 0.1)
         with pytest.raises(ResourceLimitError):
             build_measurement_chain(spec)
+
+    @pytest.mark.parametrize("build", [typical_region, atypical_region, build_measurement_chain])
+    def test_guard_at_a_huge_repetition_count(self, build):
+        # 2**(10**12) would not fit in memory; the guard must not form it.
+        with pytest.raises(ResourceLimitError, match="enumeration limit"):
+            build(ExperimentSpec(2, (0.5, 0.5), 10**12, 0.1))
+
+    @pytest.mark.parametrize(
+        "n, big_n, count",
+        [(2, 20, 2**20), (2, 21, None), (1024, 2, 2**20), (1025, 2, None),
+         (3, 12, 3**12), (3, 13, None), (1, 10**12, 1)],
+    )
+    def test_sequence_count_against_the_limit(self, n, big_n, count):
+        spec = ExperimentSpec(n, (1 / n,) * n, big_n, 0.1)
+        if count is None:
+            with pytest.raises(ResourceLimitError):
+                stats._sequence_count(spec)
+        else:
+            assert stats._sequence_count(spec) == count
 
 
 class TestBornFrequencyReport:
