@@ -15,7 +15,9 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -30,6 +32,11 @@ EXIT_AUDIT = 4
 # Key under a report's ``config.thresholds`` of each threshold option.
 _THRESHOLD_KEYS = {"epsilon_exclude": "epsilon_exclude", "tau_link": "tau_link",
                    "threshold": "typicality"}
+_THRESHOLD_DEFAULTS = {
+    "epsilon_exclude": graph.DEFAULT_EPSILON_EXCLUDE,
+    "tau_link": graph.DEFAULT_TAU_LINK,
+    "threshold": typicality.DEFAULT_THRESHOLD,
+}
 
 
 def _csv(rows) -> str:
@@ -40,7 +47,86 @@ def _csv(rows) -> str:
 
 
 def _json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The report text ``json.dumps(data, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"``, byte for byte, in one recursive pass.
+
+    Unlike ``json.dumps``, a key that is not a ``str`` raises ``TypeError``
+    instead of being converted; no report has one.
+    """
+    return _json_value(data, "\n") + "\n"
+
+
+def _json_float(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    raise ValueError("Out of range float values are not JSON compliant: " + repr(value))
+
+
+# Text of each scalar type, for lists whose items all have that exact type.
+_JSON_SCALARS = {
+    str: _json_string,
+    int: int.__repr__,
+    float: float.__repr__,  # after a finiteness check of the whole list
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_value(value, newline: str) -> str:
+    """``value``'s JSON text; ``newline`` starts each line at its depth."""
+    kind = type(value)
+    if kind is str:
+        return _json_string(value)
+    if kind is float:
+        return _json_float(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is dict:
+        return _json_object(value, newline)
+    if kind is list or kind is tuple:
+        return _json_array(value, newline)
+    # Subclasses, in the order of json.encoder's isinstance checks.
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    if isinstance(value, (list, tuple)):
+        return _json_array(value, newline)
+    if isinstance(value, dict):
+        return _json_object(value, newline)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _json_array(items, newline: str) -> str:
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    kinds = set(map(type, items))
+    scalar = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    if scalar is float.__repr__ and not all(map(math.isfinite, items)):
+        scalar = _json_float  # raises at the first non-finite item
+    if scalar is None:
+        texts = [_json_value(item, inner) for item in items]
+    else:
+        texts = map(scalar, items)
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
+def _json_object(mapping, newline: str) -> str:
+    if not mapping:
+        return "{}"
+    inner = newline + "  "
+    texts = [
+        _json_string(key) + ": " + _json_value(value, inner)
+        for key, value in sorted(mapping.items())
+    ]
+    return "{" + inner + ("," + inner).join(texts) + newline + "}"
 
 
 def _write(path: str | None, text: str) -> None:
@@ -113,13 +199,17 @@ def _export_scenario(structure, path: str) -> None:
 
 
 # Options of ``scenario`` that each built-in experiment would ignore; the
-# obstacle variants of the interferometer have no in-arm detector.
+# obstacle variants of the interferometer have no in-arm detector, fig1
+# reads only --threshold and nonadditivity no threshold at all.
 _UNUSED_SCENARIO_OPTIONS = {
     "unruh": (),
     "unruh with --obstacle": ("detector_d2",),
-    "fig1": ("detector_d2", "obstacle"),
-    "nonadditivity": ("detector_d2", "obstacle", "export"),
+    "fig1": ("detector_d2", "obstacle", "epsilon_exclude", "tau_link"),
+    "nonadditivity": ("detector_d2", "obstacle", "export",
+                      "epsilon_exclude", "tau_link", "threshold"),
 }
+_SCENARIO_DEFAULTS = {"detector_d2": False, "obstacle": None, "export": None,
+                      **_THRESHOLD_DEFAULTS}
 
 
 def _cmd_scenario(args) -> int:
@@ -127,9 +217,11 @@ def _cmd_scenario(args) -> int:
     if variant == "unruh" and args.obstacle:
         variant = "unruh with --obstacle"
     for name in _UNUSED_SCENARIO_OPTIONS[variant]:
-        if getattr(args, name):
+        if getattr(args, name) != _SCENARIO_DEFAULTS[name]:
             option = "--" + name.replace("_", "-")
             raise ValidationError(f"{option} does not apply to scenario {variant}")
+        if name in _THRESHOLD_KEYS:
+            delattr(args, name)  # so the report's config does not record it
     if args.scenario == "unruh":
         if args.obstacle:
             model = scenarios.obstacle_variant(args.obstacle)
@@ -325,35 +417,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Typicality analysis of finite-dimensional quantum processes.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    thresholds = {
-        "--epsilon-exclude": graph.DEFAULT_EPSILON_EXCLUDE,
-        "--tau-link": graph.DEFAULT_TAU_LINK,
-        "--threshold": typicality.DEFAULT_THRESHOLD,
-    }
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help, *reads):
         p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="write report here instead of stdout")
-        for option in reads:
-            p.add_argument(option, type=float, default=thresholds[option])
+        for dest in reads:
+            p.add_argument("--" + dest.replace("_", "-"), type=float,
+                           default=_THRESHOLD_DEFAULTS[dest])
         p.set_defaults(func=func)
         return p
 
-    p_scn = command("scenario", _cmd_scenario, "built-in experiments",
-                    "--epsilon-exclude", "--tau-link", "--threshold")
+    p_scn = command("scenario", _cmd_scenario, "built-in experiments", *_THRESHOLD_DEFAULTS)
     p_scn.add_argument("scenario", choices=("unruh", "fig1", "nonadditivity"))
     p_scn.add_argument("--detector-d2", action="store_true")
     p_scn.add_argument("--obstacle", choices=("U1", "D1"), default=None)
     p_scn.add_argument("--export", default=None, help="also write the scenario JSON here")
 
-    p_typ = command("typicality", _cmd_typicality, "pairwise measure", "--threshold")
+    p_typ = command("typicality", _cmd_typicality, "pairwise measure", "threshold")
     p_typ.add_argument("--scenario-file", required=True)
     p_typ.add_argument("--s1", required=True, help="TIME:LABEL[,LABEL...]")
     p_typ.add_argument("--s2", required=True)
 
-    p_gra = command("graph", _cmd_graph, "trajectory graph", "--epsilon-exclude", "--tau-link")
+    p_gra = command("graph", _cmd_graph, "trajectory graph", "epsilon_exclude", "tau_link")
     p_gra.add_argument("--scenario-file", required=True)
     p_gra.add_argument(
         "--slice", action="append", required=True, help="TIME:REGION|REGION..."

@@ -153,27 +153,20 @@ def build_graph(
         slices.append(tuple(slice_nodes))
 
     # Links across all slice pairs, not only adjacent ones: the rule holds
-    # for arbitrary pairs of s-sets.
-    links = []
-    for si, sj in itertools.combinations(range(len(slices)), 2):
-        for a in slices[si]:
-            if nodes[a].excluded:
-                continue
-            for b in slices[sj]:
-                if nodes[b].excluded:
-                    continue
-                report = typicality.mutual_typicality(
-                    structure,
-                    SSet(nodes[a].time, nodes[a].region),
-                    SSet(nodes[b].time, nodes[b].region),
-                    threshold=tau_link,
-                )
-                if report.verdict is typicality.Verdict.MUTUALLY_TYPICAL:
-                    links.append((a, b, report.m_big))
-
+    # for arbitrary pairs of s-sets. One table of masses per slice pair.
     candidates = [
         [i for i in slice_nodes if not nodes[i].excluded] for slice_nodes in slices
     ]
+    ssets = [[SSet(nodes[i].time, nodes[i].region) for i in cands] for cands in candidates]
+    links = []
+    for si, sj in itertools.combinations(range(len(slices)), 2):
+        table = typicality.pair_masses(structure, ssets[si], ssets[sj])
+        for i, a in enumerate(candidates[si]):
+            for j, b in enumerate(candidates[sj]):
+                report = table.report(i, j, tau_link)
+                if report.verdict is typicality.Verdict.MUTUALLY_TYPICAL:
+                    links.append((a, b, report.m_big))
+
     paths = _admissible_paths(candidates, [(a, b) for a, b, _ in links])
 
     return TrajectoryGraph(

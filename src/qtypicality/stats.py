@@ -194,11 +194,13 @@ def typical_set_bound(spec: ExperimentSpec) -> float:
 
 def _sequence_count(spec: ExperimentSpec) -> int:
     """The number ``n**N`` of outcome sequences, within the enumeration
-    limit. For n > 1, ``n**N >= 2**N`` passes the limit from N = its bit
-    length on, so no huge power is formed."""
-    too_long = spec.n > 1 and spec.N >= ENUMERATION_LIMIT.bit_length()
-    if too_long or spec.n ** spec.N > ENUMERATION_LIMIT:
-        raise ResourceLimitError(f"{spec.n}**{spec.N} sequences exceed the enumeration limit")
+    limit. From N = the limit's bit length on, every n is refused before a
+    power is formed: for n > 1, ``n**N >= 2**N`` passes the limit, and one
+    outcome still costs N steps and a label of 2N - 1 characters."""
+    if spec.N >= ENUMERATION_LIMIT.bit_length() or spec.n ** spec.N > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"sequences of {spec.N} outcomes among {spec.n} exceed the enumeration limit"
+        )
     return spec.n ** spec.N
 
 

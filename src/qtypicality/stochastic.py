@@ -276,10 +276,12 @@ def correspondence_audit(
     inside = {t: (rows @ joint[t, t] @ rows.T).tolist() for t in twin_times}
     across = {st: (rows @ law @ (1.0 - rows).T).tolist() for st, law in joint.items()}
     paired = sorted(pairing.items())
-    ssets = [(SSet(qt, r), ct, k) for qt, ct in paired for k, r in enumerate(regions)]
+    quantum = [SSet(qt, r) for qt, _ in paired for r in regions]
+    twin = [(ct, k) for _, ct in paired for k in range(len(regions))]
+    table = typicality.pair_masses(q, quantum, quantum)
     in_regime = 0
-    for (qa, s, a), (qb, t, b) in itertools.combinations(ssets, 2):
-        rep_q = typicality.mutual_typicality(q, qa, qb, threshold=REGIME_THRESHOLD)
+    for (i, (s, a)), (j, (t, b)) in itertools.combinations(enumerate(twin), 2):
+        rep_q = table.report(i, j, REGIME_THRESHOLD)
         rep_mu = typicality.mutual_typicality_measure_mu(
             inside[s][a][a], inside[t][b][b], across[s, t][a][b] + across[t, s][b][a],
             threshold=REGIME_THRESHOLD,

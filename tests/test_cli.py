@@ -1,12 +1,24 @@
 import csv
+import enum
 import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtypicality import PartitionSchedule, build_graph, build_unruh, load_scenario
-from qtypicality.cli import main, parse_slice
+from qtypicality import (
+    PartitionSchedule,
+    build_graph,
+    build_unruh,
+    load_scenario,
+    matched_markov_chain,
+    process_to_dict,
+    structure_to_dict,
+)
+from qtypicality.cli import _json, main, parse_slice
 
 SCHEMA_DIR = "schemas"
 
@@ -49,11 +61,8 @@ REPORT_CONFIGS = [
         OUTPUT_KEYS | {"thresholds", "scenario", "detector_d2", "obstacle"},
         {"epsilon_exclude", "tau_link", "typicality"},
     ),
-    (
-        ("scenario", "fig1"),
-        OUTPUT_KEYS | {"thresholds", "scenario"},
-        {"epsilon_exclude", "tau_link", "typicality"},
-    ),
+    (("scenario", "fig1"), OUTPUT_KEYS | {"thresholds", "scenario"}, {"typicality"}),
+    (("scenario", "nonadditivity"), OUTPUT_KEYS | {"scenario"}, set()),
     (
         ("typicality", "--scenario-file", "SCENARIO", "--s1", "1:U", "--s2", "3:D"),
         OUTPUT_KEYS | {"thresholds", "scenario_path", "s1", "s2"},
@@ -494,6 +503,11 @@ class TestExitCodes:
             (("fig1", "--obstacle", "D1"), "--obstacle"),
             (("nonadditivity", "--detector-d2"), "--detector-d2"),
             (("nonadditivity", "--obstacle", "U1"), "--obstacle"),
+            (("fig1", "--epsilon-exclude", "0.2"), "--epsilon-exclude"),
+            (("fig1", "--tau-link", "0.3"), "--tau-link"),
+            (("nonadditivity", "--threshold", "0.5", "--tau-link", "0.3"), "--tau-link"),
+            (("nonadditivity", "--threshold", "0.5"), "--threshold"),
+            (("nonadditivity", "--epsilon-exclude", "0.2"), "--epsilon-exclude"),
         ],
     )
     def test_unused_scenario_option_is_parse_error(self, capsys, tmp_path, argv, option):
@@ -503,6 +517,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and option in err
         assert not export.exists()
+
+    @pytest.mark.parametrize(
+        "argv, thresholds",
+        [
+            (("fig1", "--threshold", "0.2"), {"typicality": 0.2}),
+            (("nonadditivity", "--threshold", "0.08", "--tau-link", "0.08"), None),
+        ],
+    )
+    def test_ignored_threshold_at_its_default_is_accepted(self, capsys, argv, thresholds):
+        config = run_json(capsys, "scenario", *argv)["config"]
+        assert config.get("thresholds") == thresholds
 
     @pytest.mark.parametrize(
         "argv",
@@ -602,3 +627,98 @@ class TestExitCodes:
         assert code == 4
         assert "audit failed" in err
         assert json.loads(out)["results"]["passed"] is False
+
+
+def stdlib_json(data):
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+class Kind(str, enum.Enum):
+    WHICH = "which-way \u00e9\n"
+    BORN = "Born"
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 0.1]
+BIG_INTS = [2**64, -(2**64) - 1, 2**200, 0, 1, -1]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from(BIG_INTS),
+    finite,
+    st.sampled_from(SPECIAL_FLOATS),
+    st.text(),
+    st.text(alphabet=st.characters(max_codepoint=0x1F)),  # control characters
+    finite.map(np.float64),
+    st.sampled_from(list(Kind)),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=6),
+        # one scalar type per list: the joined fast path
+        st.lists(st.integers() | st.sampled_from(BIG_INTS), max_size=6),
+        st.lists(finite | st.sampled_from(SPECIAL_FLOATS), max_size=6),
+        st.lists(st.text(max_size=4), max_size=6),
+        st.lists(st.booleans(), max_size=6),
+        st.lists(st.none(), max_size=3),
+    ),
+    max_leaves=40,
+)
+
+
+class TestReportEncoder:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_bytes_equal_the_stdlib_encoder(self, data):
+        assert _json(data) == stdlib_json(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [{}, [], (), {"a": []}, [{}], [[[]]], {"k": {"j": {}}}, [True, 1, False, 0],
+         [1, 1.0], [np.float64(1.5), 2.5], Kind.WHICH, [Kind.BORN, "Born"],
+         {Kind.BORN: 1, "a": 2}, SPECIAL_FLOATS, BIG_INTS, "\x00\x1f\u2028\U0001f600"],
+    )
+    def test_edge_cases_equal_the_stdlib_encoder(self, data):
+        assert _json(data) == stdlib_json(data)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    @pytest.mark.parametrize(
+        "place", [lambda x: x, lambda x: [x], lambda x: [0.5, x], lambda x: [1, x],
+                  lambda x: {"a": {"b": x}}],
+    )
+    def test_non_finite_float_raises_value_error(self, bad, place):
+        with pytest.raises(ValueError):
+            _json(place(bad))
+
+    @pytest.mark.parametrize("data", [{1: "a"}, {True: 1}, {None: 1}, {1.5: 1},
+                                      {"a": {2: 3}}, [{"a": 1, 2: 3}]])
+    def test_non_string_key_raises_type_error(self, data):
+        # json.dumps would convert these keys; no report has one.
+        with pytest.raises(TypeError):
+            _json(data)
+
+    def test_unknown_type_raises_type_error(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _json({"a": object()})
+
+    def test_does_not_call_the_stdlib_encoder(self, monkeypatch):
+        monkeypatch.setattr(json, "dumps", pytest.fail)
+        assert _json({"b": [1.5, 2], "a": None}) == '{\n  "a": null,\n  "b": [\n    1.5,\n    2\n  ]\n}\n'
+
+    def test_export_bytes_equal_the_stdlib_encoder(self, capsys, tmp_path):
+        path = tmp_path / "unruh.json"
+        code, _, err = run(capsys, "scenario", "unruh", "--export", str(path))
+        assert code == 0, err
+        structure = build_unruh().structure
+        data = structure_to_dict(structure)
+        data["stochastic"] = process_to_dict(matched_markov_chain(structure))
+        assert path.read_bytes() == stdlib_json(data).encode()
+
+    def test_graph_report_bytes_equal_the_stdlib_encoder(self, capsys, exported):
+        code, out, err = run(capsys, "graph", "--scenario-file", exported, *UNRUH_SLICES)
+        assert code == 0, err
+        assert out == stdlib_json(json.loads(out))

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,15 @@ from qtypicality import (
     branch_following_check,
     build_graph,
     build_measurement_chain,
+    QuantumStructure,
+    Verdict,
     build_unruh,
+    mutual_typicality,
+    obstacle_variant,
 )
 from qtypicality.graph import _admissible_paths
+
+from conftest import random_structure, random_unitary
 
 FIG3_PATHS = {("U@1", "U@2", "D@3"), ("D@1", "U@2", "U@3")}
 FIG5_PATHS = {
@@ -140,6 +147,91 @@ def product_oracle(candidates, links):
         for combo in itertools.product(*candidates)
         if all((a in combo) == (b in combo) for a, b in links)
     ]
+
+
+def reference_links_and_paths(structure, graph, tau_link):
+    """Forced links by one ``mutual_typicality`` call per node pair, in slice
+    pair order and then by node index, and the paths they admit."""
+    nodes = graph.nodes
+    links = []
+    for earlier, later in itertools.combinations(graph.slices, 2):
+        for a in earlier:
+            for b in later:
+                if nodes[a].excluded or nodes[b].excluded:
+                    continue
+                report = mutual_typicality(
+                    structure,
+                    SSet(nodes[a].time, nodes[a].region),
+                    SSet(nodes[b].time, nodes[b].region),
+                    threshold=tau_link,
+                )
+                if report.verdict is Verdict.MUTUALLY_TYPICAL:
+                    links.append((a, b, report.m_big))
+    candidates = [[i for i in s if not nodes[i].excluded] for s in graph.slices]
+    return links, product_oracle(candidates, [(a, b) for a, b, _ in links])
+
+
+def near_classical_structure(rng, dim=16, n_steps=4, n_cells=4, angle=0.1):
+    """Steps that permute equal blocks of cells after a small rotation, so
+    many node pairs across times are mutually typical."""
+    size = dim // n_cells
+    schedule = []
+    for _ in range(n_steps):
+        q, r = np.linalg.qr(np.eye(dim) + angle * random_unitary(rng, dim))
+        small = q * (np.diag(r) / np.abs(np.diag(r)))
+        perm = rng.permutation(n_cells)
+        image = np.concatenate([np.arange(size) + perm[c] * size for c in range(n_cells)])
+        step = np.zeros((dim, dim), dtype=complex)
+        step[image, np.arange(dim)] = 1.0
+        schedule.append(step @ small)
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    cells = {f"c{c}": list(range(c * size, (c + 1) * size)) for c in range(n_cells)}
+    return QuantumStructure(dim, psi0 / np.linalg.norm(psi0), schedule, cells)
+
+
+def singleton_schedule(structure, times):
+    return PartitionSchedule((t, [{label} for label in structure.labels]) for t in times)
+
+
+class TestLinksMatchThePairLoop:
+    @pytest.mark.parametrize("tau_link", [0.02, 0.08, 0.5])
+    def test_near_classical_and_haar_structures(self, rng, tau_link):
+        total_links = 0
+        for make in (near_classical_structure, random_structure) * 3:
+            structure = make(rng, dim=16, n_steps=4, n_cells=4)
+            graph = build_graph(
+                structure, singleton_schedule(structure, structure.times), 0.01, tau_link
+            )
+            links, paths = reference_links_and_paths(structure, graph, tau_link)
+            assert list(graph.links) == links
+            assert list(graph.paths) == paths
+            total_links += len(links)
+        assert total_links > 0
+
+    @pytest.mark.parametrize(
+        "model",
+        [build_unruh(), build_unruh(with_detector_d2=True), obstacle_variant("U1"),
+         obstacle_variant("D1")],
+        ids=["unruh", "detector", "obstacle-U1", "obstacle-D1"],
+    )
+    def test_unruh_models(self, model):
+        graph = build_graph(model.structure, model.partition_schedule())
+        links, paths = reference_links_and_paths(model.structure, graph, 0.08)
+        assert list(graph.links) == links
+        assert list(graph.paths) == paths
+
+    def test_grouped_regions_and_excluded_nodes(self, rng):
+        structure = near_classical_structure(rng, dim=24, n_steps=3, n_cells=6)
+        schedule = PartitionSchedule(
+            [(0, [{"c0", "c1"}, {"c2"}, {"c3", "c4", "c5"}]),
+             (2, [{"c0"}, {"c1", "c2", "c3"}, {"c4"}, {"c5"}]),
+             (3, [{label} for label in structure.labels])]
+        )
+        graph = build_graph(structure, schedule, 0.1, 0.3)
+        assert any(node.excluded for node in graph.nodes)
+        links, paths = reference_links_and_paths(structure, graph, 0.3)
+        assert list(graph.links) == links
+        assert list(graph.paths) == paths
 
 
 @st.composite

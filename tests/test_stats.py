@@ -528,10 +528,19 @@ class TestMeasurementChain:
         with pytest.raises(ResourceLimitError, match="enumeration limit"):
             build(ExperimentSpec(2, (0.5, 0.5), 10**12, 0.1))
 
+    @pytest.mark.parametrize("build", [typical_region, atypical_region, build_measurement_chain])
+    @pytest.mark.parametrize("big_n", [70, 10**6])
+    def test_one_outcome_has_the_same_length_bound(self, build, big_n):
+        # One sequence only, but N steps and a 2N - 1 character label: at
+        # N = 70 occupations() would need a 70-dimensional array, and at
+        # N = 10**6 the region took 13 s before the bound.
+        with pytest.raises(ResourceLimitError, match="enumeration limit"):
+            build(ExperimentSpec(1, (1.0,), big_n, 0.1))
+
     @pytest.mark.parametrize(
         "n, big_n, count",
         [(2, 20, 2**20), (2, 21, None), (1024, 2, 2**20), (1025, 2, None),
-         (3, 12, 3**12), (3, 13, None), (1, 10**12, 1)],
+         (3, 12, 3**12), (3, 13, None), (1, 20, 1), (1, 21, None), (1, 10**12, None)],
     )
     def test_sequence_count_against_the_limit(self, n, big_n, count):
         spec = ExperimentSpec(n, (1 / n,) * n, big_n, 0.1)

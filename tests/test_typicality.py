@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +17,8 @@ from qtypicality import (
     mutual_typicality,
     mutual_typicality_measure_mu,
 )
-from qtypicality.typicality import report_from_masses
+from qtypicality import core, typicality
+from qtypicality.typicality import pair_masses, report_from_masses
 
 from conftest import heisenberg_operator, random_region, random_structure
 
@@ -81,6 +84,78 @@ class TestMutualTypicality:
     def test_bad_threshold(self, unruh):
         with pytest.raises(ValidationError):
             mutual_typicality(unruh, SSet(1, {"U"}), SSet(2, {"U"}), threshold=1.5)
+
+
+def report_bits(report):
+    """The report's fields with each float as its exact repr."""
+    return tuple(repr(v) for v in dataclasses.astuple(report))
+
+
+def all_ssets(structure):
+    return [SSet(t, {label}) for t in structure.times for label in structure.labels] + [
+        SSet(t, set(structure.labels)) for t in structure.times
+    ]
+
+
+class TestPairMasses:
+    def test_entries_equal_the_one_pair_reports_across_blocks(self, rng):
+        structure = random_structure(rng, dim=64, n_steps=4, n_cells=16)
+        ssets = all_ssets(structure)
+        rows, cols = ssets[::2], ssets[1::3]
+        # Several blocks of rows, the last one short.
+        block_rows = typicality.PAIR_BLOCK_ENTRIES // (len(cols) * structure.dim)
+        assert 1 < block_rows < len(rows) and len(rows) % block_rows
+        table = pair_masses(structure, rows, cols)
+        assert (len(table.diff_sq), len(table.diff_sq[0])) == (len(rows), len(cols))
+        for i, j in itertools.product(range(len(rows)), range(len(cols))):
+            one = mutual_typicality(structure, rows[i], cols[j], 0.3)
+            assert report_bits(table.report(i, j, 0.3)) == report_bits(one)
+
+    def test_norms_are_the_projections_norms(self, rng):
+        structure = random_structure(rng, dim=16, n_cells=5)
+        ssets = all_ssets(structure)
+        table = pair_masses(structure, ssets, ssets[:3])
+        expected = [core.project_initial(structure, s).norm_sq for s in ssets]
+        assert table.row_norm_sq == expected
+        assert table.col_norm_sq == expected[:3]
+
+    def test_self_table_is_symmetric_with_zero_diagonal(self, rng):
+        structure = random_structure(rng, dim=64, n_steps=4, n_cells=16)
+        ssets = all_ssets(structure)
+        diff_sq = pair_masses(structure, ssets, ssets).diff_sq
+        for i, j in itertools.product(range(len(ssets)), repeat=2):
+            assert diff_sq[i][j] == diff_sq[j][i]
+        assert all(diff_sq[i][i] == 0.0 for i in range(len(ssets)))
+
+    def test_measure_matches_the_dense_difference(self, rng):
+        structure = random_structure(rng, dim=16, n_cells=5)
+        ssets = all_ssets(structure)
+        table = pair_masses(structure, ssets, ssets)
+        psi0 = structure.psi0
+        vecs = [heisenberg_operator(structure, s) @ psi0 for s in ssets]
+        for i, j in itertools.product(range(len(ssets)), repeat=2):
+            diff = vecs[i] - vecs[j]
+            assert table.diff_sq[i][j] == pytest.approx(np.vdot(diff, diff).real, abs=1e-12)
+
+    def test_zero_projection_row_is_degenerate(self, unruh):
+        # D2 is interference-dead: its projection vanishes at every time.
+        rows = [SSet(2, {"D"}), SSet(1, {"U"})]
+        cols = [SSet(2, {"D"}), SSet(3, {"D"})]
+        table = pair_masses(unruh, rows, cols)
+        assert table.row_norm_sq[0] < typicality.DEGENERATE_NORM_TOL
+        assert table.report(0, 0, 0.08).verdict is Verdict.DEGENERATE
+        assert table.report(0, 1, 0.08).verdict is Verdict.NOT_TYPICAL
+        assert math.isinf(table.report(0, 1, 0.08).m_small)
+        assert table.report(1, 1, 0.08).verdict is Verdict.MUTUALLY_TYPICAL
+        for i, j in itertools.product(range(2), repeat=2):
+            one = mutual_typicality(unruh, rows[i], cols[j])
+            assert report_bits(table.report(i, j, 0.08)) == report_bits(one)
+
+    def test_empty_sides(self, unruh):
+        u1 = SSet(1, {"U"})
+        norm = core.project_initial(unruh, u1).norm_sq
+        assert pair_masses(unruh, [], [u1]) == ([], [], [norm])
+        assert pair_masses(unruh, [u1], []) == ([[]], [norm], [])
 
 
 class TestExclusionMeasure:
