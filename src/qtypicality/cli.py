@@ -324,6 +324,8 @@ def _stat_rows(args):
 def _cmd_stat_bound(args) -> int:
     if args.sweep_draws < 1:
         raise ValidationError("--sweep-draws must be at least 1")
+    if args.seed < 0:
+        raise ValidationError("--seed must be non-negative")
     rows = []
     for spec in _stat_rows(args):
         mass = stats.typical_set_complement_mass(spec)
@@ -364,22 +366,9 @@ def _cmd_wavepacket(args) -> int:
         length=args.length,
     )
     if args.snapshot:
-        state = wavepacket.superposition(
-            wavepacket.gaussian_packet(
-                -args.separations[0] * args.sigma / 2,
-                args.sigma,
-                -args.momentum,
-                args.n_points,
-                args.length,
-            ),
-            wavepacket.gaussian_packet(
-                args.separations[0] * args.sigma / 2,
-                args.sigma,
-                args.momentum,
-                args.n_points,
-                args.length,
-            ),
-        )
+        state = wavepacket.superposition(*wavepacket.packet_pair(
+            args.separations[0], args.sigma, args.momentum, args.n_points, args.length
+        ))
         density = zip(state.x.tolist(), state.density().tolist())
         _write(args.snapshot, _csv(itertools.chain([["x", "density"]], density)))
     _emit(

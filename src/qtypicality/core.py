@@ -349,13 +349,16 @@ def chain_project(
     return evolve(structure, out, at_time)
 
 
+def _cell_masses(structure: QuantumStructure, vec: np.ndarray) -> np.ndarray:
+    """Per-cell ||E(cell) vec||^2, in the structure's label order."""
+    weights = np.abs(vec) ** 2
+    return np.array([np.sum(weights[idx]) for idx in structure.cells.values()])
+
+
 def occupations(structure: QuantumStructure, time: int) -> dict:
     """Per-cell probability mass ||E(cell) Psi(t)||^2 at one time index."""
-    psi = state_at(structure, time).amplitudes
-    weights = np.abs(psi) ** 2
-    return {
-        label: float(np.sum(weights[idx])) for label, idx in structure.cells.items()
-    }
+    masses = _cell_masses(structure, state_at(structure, time).amplitudes)
+    return dict(zip(structure.labels, masses.tolist()))
 
 
 # -- scenario JSON ----------------------------------------------------------
@@ -383,7 +386,7 @@ def structure_from_dict(data: Mapping) -> QuantumStructure:
         psi0 = _complex_in(data["psi0"])
         schedule = [_complex_in(m) for m in data["schedule"]]
         cells = {str(k): list(v) for k, v in data["cells"].items()}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed scenario: {exc}") from exc
     if not _is_index(dim):
         raise SchemaError(f"dim {dim!r} is not an integer")

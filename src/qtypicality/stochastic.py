@@ -158,31 +158,24 @@ def matched_markov_chain(structure: QuantumStructure) -> StochasticProcessSpec:
     transfer miss the true next-time marginal, the step falls back to rows
     equal to the next marginal, which matches it by construction.
     """
-    labels = structure.labels
-    n = len(labels)
-    occs = []
-    for t in structure.times:
-        occ = core.occupations(structure, t)
-        occs.append(np.array([occ[lab] for lab in labels]))
+    n = len(structure.labels)
+    states = [core.state_at(structure, t).amplitudes for t in structure.times]
+    occs = [core._cell_masses(structure, psi) for psi in states]
     kernels = []
     for t in range(structure.n_steps):
         kernel = np.empty((n, n))
-        psi = core.state_at(structure, t).amplitudes
-        for i, label in enumerate(labels):
-            branch = psi * structure.region_mask([label])
+        for i, label in enumerate(structure.labels):
+            branch = states[t] * structure.region_mask([label])
             mass = float(np.vdot(branch, branch).real)
             if mass < 1e-14:
                 kernel[i] = occs[t + 1]
                 continue
             moved = core.evolve(structure, core.ProjectedVector(branch, t), t + 1)
-            weights = np.abs(moved.amplitudes) ** 2
-            kernel[i] = [
-                np.sum(weights[structure.cells[lab]]) / mass for lab in labels
-            ]
+            kernel[i] = core._cell_masses(structure, moved.amplitudes) / mass
         if np.abs(occs[t] @ kernel - occs[t + 1]).max() > MARGINAL_TOL:
             kernel = np.tile(occs[t + 1], (n, 1))
         kernels.append(kernel)
-    return StochasticProcessSpec(labels, occs[0], kernels)
+    return StochasticProcessSpec(structure.labels, occs[0], kernels)
 
 
 @dataclass(frozen=True)
@@ -224,63 +217,52 @@ class CorrespondenceAudit:
         }
 
 
-def correspondence_audit(
-    q: QuantumStructure,
-    c: StochasticProcessSpec,
-    pairing: Mapping[int, int] | None = None,
-) -> CorrespondenceAudit:
-    """Compare a structure with its stochastic twin.
+def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> CorrespondenceAudit:
+    """Compare a structure with its stochastic twin at every time ``0..T``.
 
     Checks single-time marginal agreement, verdict agreement for pairs
     where both measures sit inside the typicality regime, additivity of the
     cylinder measure, and searches for a chained-norm nonadditivity witness
-    on the quantum side. A marginal mismatch is reported, not raised.
+    on the quantum side. A marginal mismatch is reported, not raised; a twin
+    with another step count or other labels is rejected.
 
     Every twin value is a sum of entries of a two-time joint law
-    ``P(X_s = i, X_t = j)``, built once per ordered pair of paired twin times
-    with the cells in the structure's label order: ``diag(marginal(s))``
-    stepped through the kernels from ``s`` to ``t``, and its transpose for
-    ``s > t``. Region masses are sums of those tables over 0/1 region rows.
+    ``P(X_s = i, X_t = j)``, built once per ordered pair of times with the
+    cells in the structure's label order: ``diag(marginal(s))`` stepped
+    through the kernels from ``s`` to ``t``, and its transpose for ``s > t``.
+    Region masses are sums of those tables over 0/1 region rows.
     """
     if set(q.labels) != set(c.states):
         raise ValidationError("structure and chain use different cell labels")
-    if pairing is None:
-        if q.n_steps != c.n_steps:
-            raise ValidationError("step counts differ and no pairing was given")
-        pairing = {t: t for t in q.times}
-    pairing = {q.check_time(qt): c.check_time(ct) for qt, ct in pairing.items()}
+    if q.n_steps != c.n_steps:
+        raise ValidationError(f"structure has {q.n_steps} steps but its twin has {c.n_steps}")
 
-    twin_times = sorted(set(pairing.values()))
     order = [c.states.index(label) for label in q.labels]
     joint = {}  # (s, t) -> P(X_s = i, X_t = j)
-    for s in twin_times:
-        laws = itertools.accumulate(
-            c.kernels[s:twin_times[-1]], np.matmul, initial=np.diag(c.marginal(s))
-        )
+    for s in q.times:
+        laws = itertools.accumulate(c.kernels[s:], np.matmul, initial=np.diag(c.marginal(s)))
         for t, law in enumerate(laws, start=s):
-            if t in twin_times:
-                joint[s, t] = law[np.ix_(order, order)]
-                joint[t, s] = joint[s, t].T
+            joint[s, t] = law[np.ix_(order, order)]
+            joint[t, s] = joint[s, t].T
 
     # (c3): occupations against single-time marginals.
     c3_max = 0.0
-    for qt, ct in pairing.items():
-        occ = core.occupations(q, qt)
-        for label, mass in zip(q.labels, np.diag(joint[ct, ct]).tolist()):
+    for t in q.times:
+        occ = core.occupations(q, t)
+        for label, mass in zip(q.labels, np.diag(joint[t, t]).tolist()):
             c3_max = max(c3_max, abs(occ[label] - mass))
 
     # (c5)/(c6): pairs that both sides judge mutually typical (inside the
-    # regime), over all singleton and full regions at the paired times.
+    # regime), over all singleton and full regions at every time.
     regions = [frozenset({label}) for label in q.labels] + [frozenset(q.labels)]
     rows = np.vstack([np.eye(len(q.labels)), np.ones(len(q.labels))])  # one per region
-    inside = {t: (rows @ joint[t, t] @ rows.T).tolist() for t in twin_times}
+    inside = {t: (rows @ joint[t, t] @ rows.T).tolist() for t in q.times}
     across = {st: (rows @ law @ (1.0 - rows).T).tolist() for st, law in joint.items()}
-    paired = sorted(pairing.items())
-    quantum = [SSet(qt, r) for qt, _ in paired for r in regions]
-    twin = [(ct, k) for _, ct in paired for k in range(len(regions))]
-    table = typicality.pair_masses(q, quantum, quantum)
+    ssets = [SSet(t, r) for t in q.times for r in regions]
+    table = typicality.pair_masses(q, ssets, ssets)
     in_regime = 0
-    for (i, (s, a)), (j, (t, b)) in itertools.combinations(enumerate(twin), 2):
+    for i, j in itertools.combinations(range(len(ssets)), 2):
+        (s, a), (t, b) = divmod(i, len(regions)), divmod(j, len(regions))
         rep_q = table.report(i, j, REGIME_THRESHOLD)
         rep_mu = typicality.mutual_typicality_measure_mu(
             inside[s][a][a], inside[t][b][b], across[s, t][a][b] + across[t, s][b][a],
@@ -292,24 +274,24 @@ def correspondence_audit(
     mu_additive, max_defect, witness = True, 0.0, None
     # One forward sweep per (t1, label) gives every later chained mass.
     chained = {
-        (qt1, lab): core.chain_cell_masses(q, SSet(qt1, {lab}))
-        for qt1, _ in paired[:-1]
+        (t1, lab): core.chain_cell_masses(q, SSet(t1, {lab}))
+        for t1 in q.times[:-1]
         for lab in q.labels
     }
-    for (qt1, ct1), (qt2, ct2) in itertools.combinations(paired, 2):
+    for t1, t2 in itertools.combinations(q.times, 2):
         # Summing P(X_t1 = i, X_t2 = j) over i gives back P(X_t2 = j).
-        if np.any(np.abs(joint[ct1, ct2].sum(axis=0) - np.diag(joint[ct2, ct2])) > 1e-12):
+        if np.any(np.abs(joint[t1, t2].sum(axis=0) - np.diag(joint[t2, t2])) > 1e-12):
             mu_additive = False
         for label2 in q.labels:
-            chained_sum = sum(chained[qt1, lab][qt2][label2] for lab in q.labels)
-            total = core.project_initial(q, SSet(qt2, {label2})).norm_sq
+            chained_sum = sum(chained[t1, lab][t2][label2] for lab in q.labels)
+            total = core.project_initial(q, SSet(t2, {label2})).norm_sq
             defect = abs(total - chained_sum)
             if defect > max_defect:
                 max_defect = defect
                 if defect > NONADDITIVITY_WITNESS:
                     witness = {
-                        "t1": qt1,
-                        "t2": qt2,
+                        "t1": t1,
+                        "t2": t2,
                         "region2": [label2],
                         "quantum_total": total,
                         "quantum_termwise_sum": chained_sum,
@@ -338,7 +320,8 @@ def process_from_dict(data: Mapping) -> StochasticProcessSpec:
         )
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: ragged arrays
+    # ValueError: ragged arrays; OverflowError: an integer beyond float range
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed stochastic section: {exc}") from exc
 
 

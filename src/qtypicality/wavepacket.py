@@ -79,6 +79,8 @@ def gaussian_packet(
     if abs(center) > length / 2.0 - 6.0 * width_sigma:
         raise ValidationError("packet closer than 6 sigma to the boundary")
     x = (np.arange(n_points) - n_points // 2) * dx
+    if not math.isfinite(momentum * float(x[0])):  # x[0] has the largest |x|
+        raise ValidationError(f"momentum {momentum} gives a non-finite plane-wave phase")
     amp = np.exp(-((x - center) ** 2) / (4.0 * width_sigma**2) + 1j * momentum * x)
     amp /= math.sqrt(float(np.sum(np.abs(amp) ** 2) * dx))
     return GridState(n_points, float(length), amp, 0.0)
@@ -185,6 +187,19 @@ def support_condition_check(
     return report_from_masses(diff_sq, moved.mass, fixed.mass, threshold)
 
 
+def packet_pair(
+    separation_sigma: float, sigma: float, momentum: float, n_points: int, length: float
+) -> tuple:
+    """The packets ``(left, right)``, centred ``separation_sigma * sigma``
+    apart, with momenta ``-momentum`` and ``momentum``."""
+    if not math.isfinite(separation_sigma):
+        raise ValidationError(f"separation {separation_sigma} must be finite")
+    half = 0.5 * separation_sigma * sigma
+    # Built first, so an error names the momentum as given.
+    right = gaussian_packet(half, sigma, momentum, n_points, length)
+    return gaussian_packet(-half, sigma, -momentum, n_points, length), right
+
+
 def separation_sweep(
     separations_sigma=(4.0, 6.0, 8.0, 10.0),
     sigma: float = 1.0,
@@ -206,11 +221,7 @@ def separation_sweep(
     rows = []
     dt = sigma / momentum  # each packet drifts by one sigma
     for s in separations_sigma:
-        if not math.isfinite(s):
-            raise ValidationError(f"separation {s} must be finite")
-        half = 0.5 * s * sigma
-        left = gaussian_packet(-half, sigma, -momentum, n_points, length)
-        right = gaussian_packet(half, sigma, momentum, n_points, length)
+        left, right = packet_pair(s, sigma, momentum, n_points, length)
         both_t1 = superposition(left, right)
         both_t2 = free_evolve(both_t1, dt)
         support_t1 = packet_support(left, mass_cutoff)

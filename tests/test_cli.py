@@ -446,6 +446,9 @@ class TestExitCodes:
             ("stochastic", "kernels", [[[1.0, 0.0], [0.0]]] * 3),
             ("stochastic", "initial", [[1.0], 0.0]),
             (None, "dim", 2.7),
+            (None, "psi0", [[10**400, 0.0], [0.0, 0.0]]),  # no float holds it
+            ("stochastic", "initial", [10**400, 0.0]),
+            ("stochastic", "kernels", [[[10**400, 0.0], [0.0, 1.0]]] * 3),
         ],
     )
     def test_malformed_scenario_is_parse_error(
@@ -487,12 +490,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "1/(eps*N)" in err
 
-    @pytest.mark.parametrize("draws", ["0", "-1"])
-    def test_sweep_without_draws_is_parse_error(self, capsys, draws):
-        code, out, err = run(capsys, "stat-bound", "--sweep", "--sweep-draws", draws)
+    @pytest.mark.parametrize(
+        "argv",
+        [("--sweep", "--sweep-draws", "0"), ("--sweep", "--sweep-draws", "-1"),
+         ("--seed", "-1")],  # the generator is seeded even without --sweep
+        ids=["0", "-1", "seed-1"],
+    )
+    def test_sweep_without_draws_is_parse_error(self, capsys, argv):
+        code, out, err = run(capsys, "stat-bound", *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and "--sweep-draws" in err
+        assert err.startswith("error: ") and argv[-2] in err
 
     @pytest.mark.parametrize(
         "argv, option",
@@ -559,6 +567,8 @@ class TestExitCodes:
             # dt = sigma/momentum: 0.5*k**2*dt overflows, or dt itself does.
             (("--separations", "4", "--momentum", "1e-305"), "phase"),
             (("--separations", "4", "--momentum", "1e-320"), "phase"),
+            # the packets' plane-wave phase momentum * x overflows
+            (("--momentum", "1e308"), "phase"),
         ],
     )
     def test_bad_wavepacket_argument_is_parse_error(self, capsys, argv, name):

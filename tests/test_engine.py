@@ -38,7 +38,7 @@ from qtypicality import (
 )
 from qtypicality import stochastic
 from qtypicality.core import ProjectedVector, chain_cell_masses, project_initial
-from qtypicality.errors import TimeRangeError, ValidationError
+from qtypicality.errors import ValidationError
 from qtypicality.stochastic import NONADDITIVITY_WITNESS, REGIME_THRESHOLD
 
 from conftest import (
@@ -298,33 +298,31 @@ class TestCachedEqualsUncached:
             )
 
 
-def reference_audit(q, c, pairing=None):
+def reference_audit(q, c):
     """The audit with every twin value read through ``cylinder_measure``.
 
     The formulas are those the audit used before its forward sweeps: one
     cylinder per single-set measure, two per symmetric difference, one per
     additivity term.
     """
-    if pairing is None:
-        pairing = {t: t for t in q.times}
     c3_max = 0.0
-    for qt, ct in pairing.items():
-        occ = occupations(q, qt)
+    for t in q.times:
+        occ = occupations(q, t)
         for label in q.labels:
-            mu = cylinder_measure(c, [SSet(ct, {label})])
+            mu = cylinder_measure(c, [SSet(t, {label})])
             c3_max = max(c3_max, abs(occ[label] - mu))
 
     full = frozenset(q.labels)
     regions = [frozenset({label}) for label in q.labels] + [full]
-    ssets = [(SSet(qt, r), SSet(ct, r)) for qt, ct in sorted(pairing.items()) for r in regions]
+    ssets = [SSet(t, r) for t in q.times for r in regions]
     in_regime = agreements = 0
-    for (qa, ca), (qb, cb) in itertools.combinations(ssets, 2):
-        rep_q = mutual_typicality(q, qa, qb, threshold=REGIME_THRESHOLD)
-        xor = cylinder_measure(c, [ca, SSet(cb.time, full - cb.region)]) + cylinder_measure(
-            c, [SSet(ca.time, full - ca.region), cb]
+    for a, b in itertools.combinations(ssets, 2):
+        rep_q = mutual_typicality(q, a, b, threshold=REGIME_THRESHOLD)
+        xor = cylinder_measure(c, [a, SSet(b.time, full - b.region)]) + cylinder_measure(
+            c, [SSet(a.time, full - a.region), b]
         )
         rep_mu = mutual_typicality_measure_mu(
-            cylinder_measure(c, [ca]), cylinder_measure(c, [cb]), xor, REGIME_THRESHOLD
+            cylinder_measure(c, [a]), cylinder_measure(c, [b]), xor, REGIME_THRESHOLD
         )
         if rep_q.degenerate or rep_mu.degenerate:
             continue
@@ -333,26 +331,25 @@ def reference_audit(q, c, pairing=None):
             agreements += rep_q.verdict is rep_mu.verdict
 
     mu_additive, max_defect, witness = True, 0.0, None
-    paired = sorted(pairing.items())
-    for (qt1, ct1), (qt2, ct2) in itertools.combinations(paired, 2):
+    for t1, t2 in itertools.combinations(q.times, 2):
         for label2 in q.labels:
             chained_sum = sum(
-                chain_cell_masses(q, SSet(qt1, {lab}))[qt2][label2] for lab in q.labels
+                chain_cell_masses(q, SSet(t1, {lab}))[t2][label2] for lab in q.labels
             )
-            total = project_initial(q, SSet(qt2, {label2})).norm_sq
+            total = project_initial(q, SSet(t2, {label2})).norm_sq
             defect = abs(total - chained_sum)
             if defect > max_defect:
                 max_defect = defect
                 if defect > NONADDITIVITY_WITNESS:
                     witness = {
-                        "t1": qt1,
-                        "t2": qt2,
+                        "t1": t1,
+                        "t2": t2,
                         "region2": [label2],
                         "quantum_total": total,
                         "quantum_termwise_sum": chained_sum,
                     }
-            s2c = SSet(ct2, {label2})
-            mu_sum = sum(cylinder_measure(c, [SSet(ct1, {lab}), s2c]) for lab in q.labels)
+            s2c = SSet(t2, {label2})
+            mu_sum = sum(cylinder_measure(c, [SSet(t1, {lab}), s2c]) for lab in q.labels)
             if abs(cylinder_measure(c, [s2c]) - mu_sum) > 1e-12:
                 mu_additive = False
     return CorrespondenceAudit(
@@ -361,10 +358,10 @@ def reference_audit(q, c, pairing=None):
     )
 
 
-def outcome(audit, q, c, pairing):
+def outcome(audit, q, c):
     """The audit's report, or the type and text of the error it raises."""
     try:
-        return audit(q, c, pairing).to_dict()
+        return audit(q, c).to_dict()
     except Exception as exc:  # compared as data below
         return type(exc).__name__, str(exc)
 
@@ -386,27 +383,17 @@ def random_chain(rng, labels, n_steps):
 
 @st.composite
 def audit_problems(draw):
-    """A small Haar structure, a twin on its labels and a pairing of times."""
+    """A small Haar structure and a random twin on its labels and step count."""
     seed = draw(st.integers(0, 2**32 - 1))
     n_cells = draw(st.integers(2, 4))
-    q_steps, c_steps = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    n_steps = draw(st.integers(0, 4))
     rng = np.random.default_rng(seed)
     dim = n_cells * draw(st.integers(1, 2))
     q = QuantumStructure(
-        dim, random_state(rng, dim), [random_unitary(rng, dim) for _ in range(q_steps)],
+        dim, random_state(rng, dim), [random_unitary(rng, dim) for _ in range(n_steps)],
         equal_cells(dim, n_cells),
     )
-    c = random_chain(rng, list(q.labels), c_steps)
-    kind = draw(st.sampled_from(["identity", "permuted", "repeated"]))
-    q_times = draw(st.lists(st.sampled_from(list(q.times)), unique=True, min_size=1))
-    if kind == "identity":
-        pairing = {t: t for t in range(min(q_steps, c_steps) + 1)}
-    elif kind == "permuted":
-        c_times = draw(st.permutations(list(c.times)))
-        pairing = dict(zip(q_times, c_times))
-    else:
-        pairing = {t: draw(st.sampled_from(list(c.times))) for t in q_times}
-    return q, c, pairing
+    return q, random_chain(rng, list(q.labels), n_steps)
 
 
 class TestAuditSweeps:
@@ -415,39 +402,8 @@ class TestAuditSweeps:
     @settings(max_examples=60, deadline=None)
     @given(audit_problems())
     def test_sweeps_equal_cylinder_measure_exactly(self, problem):
-        q, c, pairing = problem
-        assert outcome(correspondence_audit, q, c, pairing) == outcome(
-            reference_audit, q, c, pairing
-        )
-
-    @pytest.mark.parametrize(
-        "pairing",
-        [None, {0: 0, 1: 2, 2: 1, 3: 3, 4: 4}, {1: 1.0}, {0: 4, 1: 4, 2: 0}, {4: 0, 0: 4}],
-        ids=["identity", "non-monotone", "float-time", "repeated", "reversed"],
-    )
-    def test_pairings_equal_cylinder_measure_exactly(self, pairing):
-        q = haar_structure(1, 8)
-        c = matched_markov_chain(q)
-        assert correspondence_audit(q, c, pairing).to_dict() == reference_audit(
-            q, c, pairing
-        ).to_dict()
-
-    @pytest.mark.parametrize("twin_time", [5, -1])
-    def test_twin_time_out_of_range(self, twin_time):
-        q = haar_structure(1, 8)
-        with pytest.raises(TimeRangeError, match=f"time index {twin_time} outside 0..4"):
-            correspondence_audit(q, matched_markov_chain(q), {0: 0, 1: twin_time})
-
-    @pytest.mark.parametrize(
-        "pairing",
-        [{0: 0, 1: 1.5}, {0: 0, 1.5: 1}, {0: 0, 1: float("nan")}, {0: 0, 1: True}],
-        ids=["twin-time", "quantum-time", "nan", "bool"],
-    )
-    def test_non_integral_pairing_rejected(self, pairing):
-        # 1.5 once audited twin time 1 without a word.
-        q = haar_structure(1, 8)
-        with pytest.raises(ValidationError, match="time index .* is not an integer"):
-            correspondence_audit(q, matched_markov_chain(q), pairing)
+        q, c = problem
+        assert outcome(correspondence_audit, q, c) == outcome(reference_audit, q, c)
 
     def test_accumulated_row_sum_slack_rejected(self):
         # Each row is within the twin's 1e-12 row-sum check, but the full-region

@@ -213,9 +213,10 @@ class TestCorrespondenceAudit:
             correspondence_audit(structure, chain)
 
     def test_step_count_mismatch_needs_pairing(self):
+        # The audit compares the two processes at every time 0..T, so both need T.
         structure = build_unruh().structure
         chain = StochasticProcessSpec(["U", "D"], [0.0, 1.0], [IDENTITY2])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="structure has 3 steps but its twin has 1"):
             correspondence_audit(structure, chain)
 
     def test_mismatched_chain_fails_c3(self):

@@ -60,6 +60,7 @@ class TestGaussianPacket:
             {"center": math.nan},
             {"momentum": math.nan},
             {"momentum": -math.inf},
+            {"momentum": 1e308},  # finite, but momentum * x overflows
         ],
     )
     def test_non_finite_or_non_positive_rejected(self, bad):
