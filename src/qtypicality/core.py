@@ -39,7 +39,7 @@ class FactorUnitary:
     """
 
     def __init__(self, matrix: np.ndarray, index: int, num_factors: int):
-        matrix = _frozen(matrix)
+        matrix = _frozen(matrix, "step matrix")
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValidationError("step matrix must be square")
         if not np.all(np.isfinite(matrix)):
@@ -73,9 +73,13 @@ class FactorUnitary:
         return float(np.abs(m.conj().T @ m - np.eye(self.base)).max())
 
 
-def _frozen(arr) -> np.ndarray:
-    """A read-only complex copy, so no caller can change it behind a cache."""
-    out = np.array(arr, dtype=complex)
+def _frozen(arr, what: str, dtype=complex) -> np.ndarray:
+    """A read-only copy, so no caller can change it behind a cache. An
+    integer entry beyond float range raises, naming ``what``."""
+    try:
+        out = np.array(arr, dtype=dtype)
+    except OverflowError:
+        raise ValidationError(f"{what} has an integer entry beyond float range") from None
     out.setflags(write=False)
     return out
 
@@ -166,7 +170,7 @@ class QuantumStructure:
         cells: Mapping[str, Iterable[int]],
     ):
         self.dim = _as_int(dim, "dimension")
-        self.psi0 = _frozen(psi0).reshape(-1)
+        self.psi0 = _frozen(psi0, "psi0").reshape(-1)
         if self.psi0.shape[0] != self.dim:
             raise ValidationError("psi0 length does not match dim")
         if not np.all(np.isfinite(self.psi0)):

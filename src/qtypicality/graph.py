@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import core, typicality
 from .core import QuantumStructure, SSet
 from .errors import ResourceLimitError, ValidationError
@@ -161,11 +163,9 @@ def build_graph(
     links = []
     for si, sj in itertools.combinations(range(len(slices)), 2):
         table = typicality.pair_masses(structure, ssets[si], ssets[sj])
-        for i, a in enumerate(candidates[si]):
-            for j, b in enumerate(candidates[sj]):
-                report = table.report(i, j, tau_link)
-                if report.verdict is typicality.Verdict.MUTUALLY_TYPICAL:
-                    links.append((a, b, report.m_big))
+        hits = np.nonzero(table.typical(tau_link))  # row-major: links in (row, column) order
+        for i, j, m_big in zip(*(x.tolist() for x in hits), table.m_big[hits].tolist()):
+            links.append((candidates[si][i], candidates[sj][j], m_big))
 
     paths = _admissible_paths(candidates, [(a, b) for a, b, _ in links])
 

@@ -39,18 +39,16 @@ class StochasticProcessSpec:
         self.states = tuple(str(s) for s in states)
         if len(set(self.states)) != len(self.states):
             raise ValidationError("duplicate state labels")
-        self.initial = np.array(initial, dtype=float)
-        self.initial.setflags(write=False)
+        self.initial = core._frozen(initial, "initial distribution", float)
         if self.initial.shape != (len(self.states),):
             raise ValidationError("initial distribution has wrong length")
         if not np.all(np.isfinite(self.initial)):
             raise ValidationError("initial distribution has non-finite entries")
         if np.any(self.initial < 0.0) or abs(self.initial.sum() - 1.0) > ROW_SUM_TOL:
             raise ValidationError("initial distribution is not a probability vector")
-        self.kernels = tuple(np.array(k, dtype=float) for k in kernels)
+        self.kernels = tuple(core._frozen(k, f"kernel {t}", float) for t, k in enumerate(kernels))
         n = len(self.states)
         for t, kernel in enumerate(self.kernels):
-            kernel.setflags(write=False)
             if kernel.shape != (n, n):
                 raise ValidationError(f"kernel {t} is not {n}x{n}")
             if not np.all(np.isfinite(kernel)):
@@ -184,7 +182,10 @@ class CorrespondenceAudit:
 
     c5 counts the pairs that both sides judge ``MutuallyTypical``, which is
     what being inside the regime means; ``c5_agreements`` equals
-    ``c5_pairs_in_regime`` and ``c5_pass`` holds for every input.
+    ``c5_pairs_in_regime`` and ``c5_pass`` holds for every input. Each side
+    judges all its pairs as one table (``typicality.pair_masses`` and
+    ``typicality.mu_pair_masses``), and the count reads the two verdict
+    masks.
     """
 
     c3_max_error: float
@@ -231,6 +232,13 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
     cells in the structure's label order: ``diag(marginal(s))`` stepped
     through the kernels from ``s`` to ``t``, and its transpose for ``s > t``.
     Region masses are sums of those tables over 0/1 region rows.
+
+    c5 judges every pair of its ``(T+1)(cells+1)`` s-sets at once: the
+    quantum side as one ``pair_masses`` table, the twin side as one table of
+    region masses and symmetric-difference masses, checked as measures. A
+    twin value that fails the check raises the ``ValidationError`` that
+    ``mutual_typicality_measure_mu`` raises for the first such pair in
+    ``itertools.combinations`` order.
     """
     if set(q.labels) != set(c.states):
         raise ValidationError("structure and chain use different cell labels")
@@ -253,22 +261,18 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
             c3_max = max(c3_max, abs(occ[label] - mass))
 
     # (c5)/(c6): pairs that both sides judge mutually typical (inside the
-    # regime), over all singleton and full regions at every time.
+    # regime), over all singleton and full regions at every time. Each side
+    # is one table over those s-sets, time-major, and the count reads the
+    # upper triangle of the two verdict masks.
     regions = [frozenset({label}) for label in q.labels] + [frozenset(q.labels)]
     rows = np.vstack([np.eye(len(q.labels)), np.ones(len(q.labels))])  # one per region
-    inside = {t: (rows @ joint[t, t] @ rows.T).tolist() for t in q.times}
-    across = {st: (rows @ law @ (1.0 - rows).T).tolist() for st, law in joint.items()}
+    mu = np.concatenate([np.diag(rows @ joint[t, t] @ rows.T) for t in q.times])
+    # across[(s, a), (t, b)] = P(X_s in region a, X_t not in region b)
+    across = np.block([[rows @ joint[s, t] @ (1.0 - rows).T for t in q.times] for s in q.times])
     ssets = [SSet(t, r) for t in q.times for r in regions]
-    table = typicality.pair_masses(q, ssets, ssets)
-    in_regime = 0
-    for i, j in itertools.combinations(range(len(ssets)), 2):
-        (s, a), (t, b) = divmod(i, len(regions)), divmod(j, len(regions))
-        rep_q = table.report(i, j, REGIME_THRESHOLD)
-        rep_mu = typicality.mutual_typicality_measure_mu(
-            inside[s][a][a], inside[t][b][b], across[s, t][a][b] + across[t, s][b][a],
-            threshold=REGIME_THRESHOLD,
-        )
-        in_regime += rep_q.verdict is rep_mu.verdict is typicality.Verdict.MUTUALLY_TYPICAL
+    typical_q = typicality.pair_masses(q, ssets, ssets).typical(REGIME_THRESHOLD)
+    typical_mu = typicality.mu_pair_masses(mu, across + across.T).typical(REGIME_THRESHOLD)
+    in_regime = int(np.count_nonzero(np.triu(typical_q & typical_mu, 1)))
 
     # (c7): additivity of mu, nonadditivity witness for the chained norm.
     mu_additive, max_defect, witness = True, 0.0, None
@@ -313,16 +317,13 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
 
 def process_from_dict(data: Mapping) -> StochasticProcessSpec:
     try:
-        return StochasticProcessSpec(
-            states=[str(s) for s in data["states"]],
-            initial=data["initial"],
-            kernels=data["kernels"],
-        )
-    except ValidationError:
-        raise
-    # ValueError: ragged arrays; OverflowError: an integer beyond float range
+        states = [str(s) for s in data["states"]]
+        # ValueError: ragged arrays; OverflowError: an integer beyond float range
+        initial = np.asarray(data["initial"], dtype=float)
+        kernels = [np.asarray(k, dtype=float) for k in data["kernels"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed stochastic section: {exc}") from exc
+    return StochasticProcessSpec(states, initial, kernels)
 
 
 def process_to_dict(spec: StochasticProcessSpec) -> dict:

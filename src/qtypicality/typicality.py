@@ -21,6 +21,8 @@ from .errors import ValidationError
 DEFAULT_THRESHOLD = 0.08
 DEGENERATE_NORM_TOL = 1e-14
 CHAIN_TOL = 1e-9
+# Slack allowed on the measure axioms of a stochastic pair's three values.
+MU_TOL = 1e-12
 # Complex entries in one block of pair differences, so a table's working
 # memory does not grow with its size. At 64 KB a block stays below the size
 # for which the C allocator maps fresh pages; blocks of 2**16 entries raised
@@ -69,33 +71,58 @@ def _check_threshold(threshold: float) -> float:
     return threshold
 
 
+def _m_big(diff_sq, norm1_sq, norm2_sq):
+    """The rule's measure, elementwise over broadcast arrays of the three
+    squared masses of pairs: ``diff_sq / max(norm1_sq, norm2_sq)``, NaN for
+    a degenerate pair (both masses below ``DEGENERATE_NORM_TOL``)."""
+    hi = np.maximum(norm1_sq, norm2_sq)
+    live = hi >= DEGENERATE_NORM_TOL
+    return np.divide(diff_sq, hi, out=np.full(np.shape(live), np.nan), where=live)
+
+
+def _typical(m_big, threshold: float):
+    """The verdict: mutually typical when ``m_big <= threshold``. NaN
+    compares false, so a degenerate pair never is."""
+    return m_big <= threshold
+
+
 def report_from_masses(
     diff_sq: float, norm1_sq: float, norm2_sq: float, threshold: float
 ) -> TypicalityReport:
     """Assemble a report from the three squared masses of a pair."""
     threshold = _check_threshold(threshold)
-    hi = max(norm1_sq, norm2_sq)
-    lo = min(norm1_sq, norm2_sq)
-    if hi < DEGENERATE_NORM_TOL:
+    m_big = float(_m_big(diff_sq, norm1_sq, norm2_sq))
+    if math.isnan(m_big):
         return TypicalityReport(
             math.nan, math.nan, norm1_sq, norm2_sq, threshold, Verdict.DEGENERATE
         )
-    m_big = diff_sq / hi
+    lo = min(norm1_sq, norm2_sq)
     m_small = diff_sq / lo if lo > 0.0 else math.inf
-    verdict = Verdict.MUTUALLY_TYPICAL if m_big <= threshold else Verdict.NOT_TYPICAL
+    verdict = Verdict.MUTUALLY_TYPICAL if _typical(m_big, threshold) else Verdict.NOT_TYPICAL
     return TypicalityReport(m_big, m_small, norm1_sq, norm2_sq, threshold, verdict)
 
 
 class PairMasses(NamedTuple):
-    """Squared masses of every pair of a row s-set and a column s-set."""
+    """Squared masses of every pair of a row s-set and a column s-set, as
+    read-only float arrays."""
 
-    diff_sq: list  # diff_sq[i][j] = ||v_i - w_j||^2
-    row_norm_sq: list  # ||v_i||^2
-    col_norm_sq: list  # ||w_j||^2
+    diff_sq: np.ndarray  # diff_sq[i, j] = ||v_i - w_j||^2
+    row_norm_sq: np.ndarray  # ||v_i||^2
+    col_norm_sq: np.ndarray  # ||w_j||^2
+
+    @property
+    def m_big(self) -> np.ndarray:
+        """Every pair's ``m_big``, NaN where the pair is degenerate."""
+        return _m_big(self.diff_sq, self.row_norm_sq[:, None], self.col_norm_sq[None, :])
+
+    def typical(self, threshold: float) -> np.ndarray:
+        """Boolean mask of the pairs judged ``MutuallyTypical`` at ``threshold``."""
+        return _typical(self.m_big, _check_threshold(threshold))
 
     def report(self, i: int, j: int, threshold: float) -> TypicalityReport:
         return report_from_masses(
-            self.diff_sq[i][j], self.row_norm_sq[i], self.col_norm_sq[j], threshold
+            float(self.diff_sq[i, j]), float(self.row_norm_sq[i]),
+            float(self.col_norm_sq[j]), threshold,
         )
 
 
@@ -125,8 +152,11 @@ def pair_masses(
         diff = (v[start:start + step, None, :] - w[None, :, :]).view(float)
         np.square(diff, out=diff)
         diff.sum(axis=-1, out=diff_sq[start:start + step])
+    diff_sq.setflags(write=False)
     return PairMasses(
-        diff_sq.tolist(), [x.norm_sq for x in row_vecs], [x.norm_sq for x in col_vecs]
+        diff_sq,
+        core._frozen([x.norm_sq for x in row_vecs], "row_norm_sq", float),
+        core._frozen([x.norm_sq for x in col_vecs], "col_norm_sq", float),
     )
 
 
@@ -147,19 +177,44 @@ def mutual_typicality_measure_mu(
     mu_symm_diff: float,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> TypicalityReport:
-    """Probabilistic mutual typicality from measures of S1, S2 and S1 xor S2."""
-    for name, value in (("mu1", mu1), ("mu2", mu2), ("mu_symm_diff", mu_symm_diff)):
-        if not 0.0 <= value <= 1.0 + 1e-12:
-            raise ValidationError(f"{name}={value} outside [0, 1]")
-    if abs(mu1 - mu2) > mu_symm_diff + 1e-12:
-        raise ValidationError(
-            f"inconsistent measures: |{mu1} - {mu2}| > {mu_symm_diff}"
+    """Probabilistic mutual typicality from measures of S1, S2 and S1 xor S2:
+    the one-pair case of ``mu_pair_masses``."""
+    table = mu_pair_masses([mu1, mu2], [[0.0, mu_symm_diff], [mu_symm_diff, 0.0]])
+    return table.report(0, 1, threshold)
+
+
+def mu_pair_masses(mu, mu_xor) -> PairMasses:
+    """Measures of every pair ``i < j`` of one list of sets, checked as
+    measures: ``mu[i]`` is the measure of set ``i`` and ``mu_xor[i, j]`` that
+    of the symmetric difference of sets ``i`` and ``j``.
+
+    Each of the three values of a pair must lie in ``[0, 1 + MU_TOL]`` and
+    satisfy ``|mu_i - mu_j| <= mu_xor <= mu_i + mu_j`` within ``MU_TOL``.
+    The first pair in ``itertools.combinations`` order that fails raises
+    ``ValidationError`` naming its values; entries on or below the diagonal
+    are neither checked nor meant to be read. The table's rows and columns
+    are both ``mu``, so ``report(i, j)`` judges ``mu_xor[i, j]`` against
+    ``max(mu[i], mu[j])``.
+    """
+    mu, xor = core._frozen(mu, "mu", float), core._frozen(mu_xor, "mu_xor", float)
+    mu1, mu2 = mu[:, None], mu[None, :]
+    with np.errstate(invalid="ignore"):  # inf - inf fails the range checks first
+        checks = (  # (holds, message), in the order a single pair is checked
+            ((0.0 <= mu1) & (mu1 <= 1.0 + MU_TOL), "mu1={a} outside [0, 1]"),
+            ((0.0 <= mu2) & (mu2 <= 1.0 + MU_TOL), "mu2={b} outside [0, 1]"),
+            ((0.0 <= xor) & (xor <= 1.0 + MU_TOL), "mu_symm_diff={x} outside [0, 1]"),
+            (~(np.abs(mu1 - mu2) > xor + MU_TOL), "inconsistent measures: |{a} - {b}| > {x}"),
+            (~(xor > mu1 + mu2 + MU_TOL), "inconsistent measures: {x} > {a} + {b}"),
         )
-    if mu_symm_diff > mu1 + mu2 + 1e-12:
+    holds = [np.broadcast_to(ok, xor.shape) for ok, _ in checks]
+    bad = np.triu(~np.logical_and.reduce(holds), 1)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        message = next(msg for ok, (_, msg) in zip(holds, checks) if not ok[i, j])
         raise ValidationError(
-            f"inconsistent measures: {mu_symm_diff} > {mu1} + {mu2}"
+            message.format(a=float(mu[i]), b=float(mu[j]), x=float(xor[i, j]))
         )
-    return report_from_masses(float(mu_symm_diff), float(mu1), float(mu2), threshold)
+    return PairMasses(xor, mu, mu)
 
 
 def exclusion_measure(structure: QuantumStructure, sset: SSet) -> float:

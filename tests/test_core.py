@@ -194,6 +194,15 @@ class TestConstructionValidation:
         with pytest.raises(ValidationError, match="non-finite"):
             FactorUnitary(bad, index=0, num_factors=1)
 
+    def test_integer_beyond_float_range_is_named(self):
+        with pytest.raises(ValidationError, match="psi0 has an integer entry beyond float range"):
+            QuantumStructure(2, [10**400, 0], [SPLITTER], {"U": [0], "D": [1]})
+
+    def test_step_integer_beyond_float_range_is_named(self):
+        bad = [[10**400, 0], [0, 1]]
+        with pytest.raises(ValidationError, match="step matrix has an integer entry beyond"):
+            QuantumStructure(2, [1.0, 0.0], [bad], {"U": [0], "D": [1]})
+
     def test_cells_must_partition(self):
         with pytest.raises(ValidationError):
             QuantumStructure(2, [1.0, 0.0], [SPLITTER], {"U": [0]})

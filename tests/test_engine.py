@@ -33,6 +33,7 @@ from qtypicality import (
     matched_markov_chain,
     mutual_typicality,
     mutual_typicality_measure_mu,
+    obstacle_variant,
     occupations,
     state_at,
 )
@@ -422,6 +423,25 @@ class TestAuditSweeps:
         q = near_classical_structure(3, 16)
         audit = correspondence_audit(q, matched_markov_chain(q))
         assert audit.passed and audit.c5_pairs_in_regime > 0
+
+
+C5_STRUCTURES = [
+    pytest.param(lambda: haar_structure(1, 16), id="haar"),
+    pytest.param(lambda: near_classical_structure(3, 16), id="near-classical"),
+    pytest.param(lambda: build_unruh().structure, id="unruh"),
+    pytest.param(lambda: obstacle_variant("U1").structure, id="obstacle-U1"),
+]
+
+
+@pytest.mark.parametrize("make", C5_STRUCTURES)
+def test_c5_tables_count_what_the_pair_loop_counts(make):
+    # reference_audit judges each c5 pair by its own two reports.
+    q = make()
+    c = matched_markov_chain(q)
+    expected = reference_audit(q, c)
+    audit = correspondence_audit(q, c)
+    assert audit.c5_pairs_in_regime == expected.c5_pairs_in_regime > 0
+    assert audit.to_dict() == expected.to_dict()
 
 
 class TestCacheIsolation:

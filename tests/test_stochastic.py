@@ -55,6 +55,12 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             StochasticProcessSpec(["U", "D"], [0.5, 0.5], [np.eye(3)])
 
+    def test_integer_beyond_float_range_is_named(self):
+        with pytest.raises(ValidationError, match="initial distribution has an integer entry"):
+            StochasticProcessSpec(["a", "b"], [10**400, 0], [])
+        with pytest.raises(ValidationError, match="kernel 1 has an integer entry beyond"):
+            StochasticProcessSpec(["a", "b"], [1, 0], [IDENTITY2, [[1, 0], [10**400, 0]]])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries(self, bad):
         with pytest.raises(ValidationError, match="initial distribution has non-finite"):

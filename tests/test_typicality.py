@@ -18,7 +18,7 @@ from qtypicality import (
     mutual_typicality_measure_mu,
 )
 from qtypicality import core, typicality
-from qtypicality.typicality import pair_masses, report_from_masses
+from qtypicality.typicality import PairMasses, mu_pair_masses, pair_masses, report_from_masses
 
 from conftest import heisenberg_operator, random_region, random_structure
 
@@ -116,8 +116,8 @@ class TestPairMasses:
         ssets = all_ssets(structure)
         table = pair_masses(structure, ssets, ssets[:3])
         expected = [core.project_initial(structure, s).norm_sq for s in ssets]
-        assert table.row_norm_sq == expected
-        assert table.col_norm_sq == expected[:3]
+        assert table.row_norm_sq.tolist() == expected
+        assert table.col_norm_sq.tolist() == expected[:3]
 
     def test_self_table_is_symmetric_with_zero_diagonal(self, rng):
         structure = random_structure(rng, dim=64, n_steps=4, n_cells=16)
@@ -154,8 +154,182 @@ class TestPairMasses:
     def test_empty_sides(self, unruh):
         u1 = SSet(1, {"U"})
         norm = core.project_initial(unruh, u1).norm_sq
-        assert pair_masses(unruh, [], [u1]) == ([], [], [norm])
-        assert pair_masses(unruh, [u1], []) == ([[]], [norm], [])
+        for rows, cols, shape in (([], [u1], (0, 1)), ([u1], [], (1, 0))):
+            table = pair_masses(unruh, rows, cols)
+            assert table.diff_sq.shape == table.m_big.shape == shape
+            assert table.typical(0.08).shape == shape
+            assert table.row_norm_sq.tolist() == [norm] * len(rows)
+            assert table.col_norm_sq.tolist() == [norm] * len(cols)
+
+
+def legacy_report(diff_sq, norm1_sq, norm2_sq, threshold):
+    """``(m_big, verdict)`` of one pair by the rule in plain Python."""
+    hi = max(norm1_sq, norm2_sq)
+    if hi < typicality.DEGENERATE_NORM_TOL:
+        return math.nan, Verdict.DEGENERATE
+    m_big = diff_sq / hi
+    return m_big, Verdict.MUTUALLY_TYPICAL if m_big <= threshold else Verdict.NOT_TYPICAL
+
+
+# Masses around the degenerate bound and plain ones.
+MASSES = st.one_of(
+    st.sampled_from([0.0, 1e-15, typicality.DEGENERATE_NORM_TOL, 0.25, 0.5, 1.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def mass_tables(draw):
+    """A table of masses, empty sides and zero differences included, and a
+    threshold that sometimes equals one entry's ``m_big`` exactly."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = draw(st.lists(MASSES, min_size=n, max_size=n))
+    cols = draw(st.lists(MASSES, min_size=m, max_size=m))
+    diff = st.one_of(st.just(0.0), st.floats(0.0, 4.0))
+    diff_sq = [draw(st.lists(diff, min_size=m, max_size=m)) for _ in range(n)]
+    threshold = draw(st.floats(0.01, 0.99))
+    if n and m and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+        hi = max(rows[i], cols[j])
+        if hi >= typicality.DEGENERATE_NORM_TOL and 0.0 < diff_sq[i][j] / hi < 1.0:
+            threshold = diff_sq[i][j] / hi
+    table = PairMasses(np.array(diff_sq).reshape(n, m), np.array(rows), np.array(cols))
+    return table, threshold
+
+
+class TestTableVerdicts:
+    """``PairMasses.m_big`` and ``typical`` against the per-pair reports."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mass_tables())
+    def test_table_equals_the_pair_reports_bit_for_bit(self, problem):
+        table, threshold = problem
+        m_big, typical = table.m_big, table.typical(threshold)
+        assert m_big.shape == typical.shape == table.diff_sq.shape
+        for i, j in itertools.product(*map(range, table.diff_sq.shape)):
+            masses = (table.diff_sq[i, j], table.row_norm_sq[i], table.col_norm_sq[j])
+            one = report_from_masses(*map(float, masses), threshold)
+            assert repr(float(m_big[i, j])) == repr(one.m_big)
+            assert bool(typical[i, j]) is (one.verdict is Verdict.MUTUALLY_TYPICAL)
+            legacy_m_big, legacy_verdict = legacy_report(*map(float, masses), threshold)
+            assert repr(one.m_big) == repr(legacy_m_big)
+            assert one.verdict is legacy_verdict
+
+    def test_measure_on_the_threshold_is_typical(self):
+        table = PairMasses(np.array([[0.04, 0.04]]), np.array([0.5]), np.array([0.5, 0.3]))
+        assert table.m_big.tolist() == [[0.08, 0.08]]
+        assert table.typical(0.08).tolist() == [[True, True]]
+        assert table.report(0, 0, 0.08).verdict is Verdict.MUTUALLY_TYPICAL
+
+    def test_degenerate_pairs_are_never_typical(self):
+        # Row 0 and column 0 are dead; a live row against a dead column is not.
+        table = PairMasses(np.zeros((2, 2)), np.array([0.0, 0.5]), np.array([1e-15, 0.5]))
+        assert np.isnan(table.m_big[0, 0])
+        assert table.m_big[1, 0] == table.m_big[1, 1] == 0.0
+        assert table.typical(0.5).tolist() == [[False, True], [True, True]]
+        assert table.report(0, 0, 0.5).verdict is Verdict.DEGENERATE
+
+    def test_threshold_is_checked(self):
+        table = PairMasses(np.zeros((1, 1)), np.ones(1), np.ones(1))
+        with pytest.raises(ValidationError, match="threshold 1.0 outside"):
+            table.typical(1.0)
+
+    def test_arrays_are_read_only(self, unruh):
+        table = pair_masses(unruh, [SSet(1, {"U"})], [SSet(3, {"D"})])
+        for arr in table:
+            assert not arr.flags.writeable
+        table = mu_pair_masses([0.5, 0.5], [[0.0, 0.0], [0.0, 0.0]])
+        for arr in table:
+            assert not arr.flags.writeable
+
+
+def legacy_mu_problem(mu1, mu2, mu_symm_diff):
+    """The message of the first measure check a pair fails, as the one-pair
+    function words it, or ``None``."""
+    for name, value in (("mu1", mu1), ("mu2", mu2), ("mu_symm_diff", mu_symm_diff)):
+        if not 0.0 <= value <= 1.0 + 1e-12:
+            return f"{name}={value} outside [0, 1]"
+    if abs(mu1 - mu2) > mu_symm_diff + 1e-12:
+        return f"inconsistent measures: |{mu1} - {mu2}| > {mu_symm_diff}"
+    if mu_symm_diff > mu1 + mu2 + 1e-12:
+        return f"inconsistent measures: {mu_symm_diff} > {mu1} + {mu2}"
+    return None
+
+
+PERTURBATIONS = ("negative", "above", "edge", "nan", "below_gap", "above_sum")
+
+
+@st.composite
+def mu_tables(draw):
+    """Measures of random subsets of a random finite probability space, and
+    their symmetric differences, with up to three values perturbed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, atoms = draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    p = rng.dirichlet(np.ones(atoms)) * (rng.random(atoms) < 0.8)
+    p = p / p.sum() if p.any() else np.eye(atoms)[0]
+    sets = rng.random((n, atoms)) < 0.5
+    mu = [float(p[s].sum()) for s in sets]
+    xor = [[float(p[a ^ b].sum()) for b in sets] for a in sets]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(PERTURBATIONS))
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        value = {
+            "negative": -draw(st.floats(1e-300, 1.0)),
+            "above": 1.0 + draw(st.sampled_from([1.1e-12, 1e-9, 0.5])),
+            "edge": 1.0 + 1e-12,  # on the tolerance: accepted
+            "nan": math.nan,
+            "below_gap": abs(mu[i] - mu[j]) - draw(st.sampled_from([0.5e-12, 2e-12, 1e-6])),
+            "above_sum": mu[i] + mu[j] + draw(st.sampled_from([0.5e-12, 2e-12, 1e-6])),
+        }[kind]
+        if kind in ("negative", "above", "edge", "nan") and draw(st.booleans()):
+            mu[i] = value  # a set's own measure: its row and column
+        else:
+            xor[i][j] = xor[j][i] = value
+    return mu, xor, draw(st.floats(0.01, 0.99))
+
+
+class TestMuTable:
+    """``mu_pair_masses`` against the one-pair checks, pair by pair."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mu_tables())
+    def test_raises_what_the_first_failing_pair_raises(self, problem):
+        mu, xor, threshold = problem
+        pairs = list(itertools.combinations(range(len(mu)), 2))
+        problems = [legacy_mu_problem(mu[i], mu[j], xor[i][j]) for i, j in pairs]
+        expected = next((msg for msg in problems if msg is not None), None)
+        if expected is not None:
+            assert "np." not in expected
+            with pytest.raises(ValidationError) as err:
+                mu_pair_masses(mu, xor)
+            assert str(err.value) == expected
+            return
+        table = mu_pair_masses(mu, xor)
+        typical = table.typical(threshold)
+        for i, j in pairs:
+            one = report_from_masses(xor[i][j], mu[i], mu[j], threshold)
+            assert report_bits(table.report(i, j, threshold)) == report_bits(one)
+            assert bool(typical[i, j]) is (one.verdict is Verdict.MUTUALLY_TYPICAL)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mu_tables())
+    def test_one_pair_function_raises_what_the_checks_raise(self, problem):
+        mu, xor, threshold = problem
+        for i, j in itertools.combinations(range(len(mu)), 2):
+            expected = legacy_mu_problem(mu[i], mu[j], xor[i][j])
+            if expected is None:
+                one = mutual_typicality_measure_mu(mu[i], mu[j], xor[i][j], threshold)
+                legacy = report_from_masses(xor[i][j], mu[i], mu[j], threshold)
+                assert report_bits(one) == report_bits(legacy)
+            else:
+                with pytest.raises(ValidationError) as err:
+                    mutual_typicality_measure_mu(mu[i], mu[j], xor[i][j], threshold)
+                assert str(err.value) == expected
+
+    def test_only_pairs_above_the_diagonal_are_read(self):
+        bad = math.nan
+        table = mu_pair_masses([0.5, 0.25], [[bad, 0.25], [bad, bad]])
+        assert table.report(0, 1, 0.6).m_big == 0.5
 
 
 class TestExclusionMeasure:
