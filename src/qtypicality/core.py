@@ -305,28 +305,6 @@ def project_initial(structure: QuantumStructure, sset: SSet) -> ProjectedVector:
     return out
 
 
-def chain_cell_masses(structure: QuantumStructure, sset: SSet) -> dict:
-    """Squared norms of every two-set chain starting at ``sset``.
-
-    Returns ``{t2: {label: ||E(label) U(t2, t1) E(region) Psi(t1)||^2}}`` for
-    every later time ``t2`` and every cell. One forward sweep applies the
-    same steps in the same order as ``chain_project``, so each value equals
-    ``chain_project(structure, [sset, SSet(t2, {label})]).norm_sq`` bit for
-    bit.
-    """
-    structure.check_sset(sset)
-    t1 = sset.time
-    vec = state_at(structure, t1).amplitudes * structure.region_mask(sset.region)
-    out = {}
-    for t2 in range(t1 + 1, structure.n_steps + 1):
-        vec = evolve(structure, ProjectedVector(vec, t2 - 1), t2).amplitudes
-        out[t2] = {
-            label: ProjectedVector(vec * structure.region_mask((label,)), t2).norm_sq
-            for label in structure.labels
-        }
-    return out
-
-
 def chain_project(
     structure: QuantumStructure,
     ssets: Sequence[SSet],
@@ -357,6 +335,25 @@ def _cell_masses(structure: QuantumStructure, vec: np.ndarray) -> np.ndarray:
     """Per-cell ||E(cell) vec||^2, in the structure's label order."""
     weights = np.abs(vec) ** 2
     return np.array([np.sum(weights[idx]) for idx in structure.cells.values()])
+
+
+def branch_sweep(structure: QuantumStructure, time: int):
+    """Cell masses of every branch ``E(i) Psi(t)`` carried forward from ``t``.
+
+    Yields, for each later time ``t2``, one read-only ``cells x cells``
+    array ``m[i, j] = ||E(j) U(t2, t) E(i) Psi(t)||^2`` in label order.
+    Each branch takes the steps of ``chain_project`` one at a time, so row
+    ``i`` equals ``_cell_masses`` of ``chain_project(structure,
+    [SSet(t, {label_i})], at_time=t2)`` bit for bit.
+    """
+    time = structure.check_time(time)
+    psi = state_at(structure, time).amplitudes
+    branches = [psi * structure.region_mask((label,)) for label in structure.labels]
+    for t2 in range(time + 1, structure.n_steps + 1):
+        branches = [evolve(structure, ProjectedVector(b, t2 - 1), t2).amplitudes for b in branches]
+        masses = np.array([_cell_masses(structure, b) for b in branches])
+        masses.setflags(write=False)
+        yield masses
 
 
 def occupations(structure: QuantumStructure, time: int) -> dict:

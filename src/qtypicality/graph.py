@@ -210,22 +210,22 @@ def branch_following_check(
 
     For every earlier/later pair the pair must either be mutually typical
     (measure at most ``tau``) or the later projection must survive chaining
-    through the earlier one up to a relative mass loss of ``tau``.
+    through the earlier one up to a relative mass loss of ``tau``. All pairs
+    are judged as one ``typicality.pair_masses`` table; the chain loss is
+    computed only for pairs that are not typical, in
+    ``itertools.combinations`` order.
     """
     times = [s.time for s in branch_regions]
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValidationError("branch regions must be strictly time-ordered")
     for s in branch_regions:
         structure.check_sset(s)
-    for i, j in itertools.combinations(range(len(branch_regions)), 2):
-        s_i, s_j = branch_regions[i], branch_regions[j]
-        report = typicality.mutual_typicality(structure, s_i, s_j, threshold=tau)
-        if report.verdict is typicality.Verdict.MUTUALLY_TYPICAL:
-            continue
-        later = core.project_initial(structure, s_j)
-        chained = core.chain_project(structure, [s_i, s_j], at_time=0)
+    typical = typicality.pair_masses(structure, branch_regions, branch_regions).typical(tau)
+    for i, j in zip(*np.nonzero(np.triu(~typical, 1))):
+        later = core.project_initial(structure, branch_regions[j])
         if later.norm_sq < typicality.DEGENERATE_NORM_TOL:
             continue  # dead branch constrains nothing
+        chained = core.chain_project(structure, [branch_regions[i], branch_regions[j]], at_time=0)
         loss = later.amplitudes - chained.amplitudes
         if float((loss.conj() @ loss).real) / later.norm_sq > tau:
             return False

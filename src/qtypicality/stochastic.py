@@ -151,25 +151,21 @@ def mu_typicality(
 def matched_markov_chain(structure: QuantumStructure) -> StochasticProcessSpec:
     """Markov twin whose single-time marginals equal the cell occupations.
 
-    Each step first tries the per-branch occupation transfer (mask one cell,
-    evolve one step, read cell masses). Where interference makes that
-    transfer miss the true next-time marginal, the step falls back to rows
-    equal to the next marginal, which matches it by construction.
+    Each step first tries the per-branch occupation transfer: the first
+    ``core.branch_sweep`` array from ``t``, each row divided by its branch's
+    mass (a branch below 1e-14 takes the next marginal). Where interference
+    makes that transfer miss the true next-time marginal, the step falls
+    back to rows equal to the next marginal, which matches it by construction.
     """
     n = len(structure.labels)
     states = [core.state_at(structure, t).amplitudes for t in structure.times]
     occs = [core._cell_masses(structure, psi) for psi in states]
     kernels = []
     for t in range(structure.n_steps):
-        kernel = np.empty((n, n))
-        for i, label in enumerate(structure.labels):
-            branch = states[t] * structure.region_mask([label])
-            mass = float(np.vdot(branch, branch).real)
-            if mass < 1e-14:
-                kernel[i] = occs[t + 1]
-                continue
-            moved = core.evolve(structure, core.ProjectedVector(branch, t), t + 1)
-            kernel[i] = core._cell_masses(structure, moved.amplitudes) / mass
+        branches = (states[t] * structure.region_mask((label,)) for label in structure.labels)
+        mass = np.array([np.vdot(b, b).real for b in branches])[:, None]
+        kernel = np.tile(occs[t + 1], (n, 1))
+        np.divide(next(core.branch_sweep(structure, t)), mass, out=kernel, where=mass >= 1e-14)
         if np.abs(occs[t] @ kernel - occs[t + 1]).max() > MARGINAL_TOL:
             kernel = np.tile(occs[t + 1], (n, 1))
         kernels.append(kernel)
@@ -186,6 +182,11 @@ class CorrespondenceAudit:
     judges all its pairs as one table (``typicality.pair_masses`` and
     ``typicality.mu_pair_masses``), and the count reads the two verdict
     masks.
+
+    c7's defect at ``t1 < t2`` and cell ``j`` is ``|occ[t2, j] - sum_i
+    m[i, j]|`` over the ``core.branch_sweep`` array ``m`` from ``t1`` at
+    ``t2``. A witness (past ``NONADDITIVITY_WITNESS``) holds both masses of
+    the first largest defect.
     """
 
     c3_max_error: float
@@ -239,6 +240,9 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
     twin value that fails the check raises the ``ValidationError`` that
     ``mutual_typicality_measure_mu`` raises for the first such pair in
     ``itertools.combinations`` order.
+
+    c3 and c7 read one occupations table ``occ[t, j]``, and c7 compares it
+    with the column sums of one ``core.branch_sweep`` per earlier time.
     """
     if set(q.labels) != set(c.states):
         raise ValidationError("structure and chain use different cell labels")
@@ -254,11 +258,8 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
             joint[t, s] = joint[s, t].T
 
     # (c3): occupations against single-time marginals.
-    c3_max = 0.0
-    for t in q.times:
-        occ = core.occupations(q, t)
-        for label, mass in zip(q.labels, np.diag(joint[t, t]).tolist()):
-            c3_max = max(c3_max, abs(occ[label] - mass))
+    occ = np.array([core._cell_masses(q, core.state_at(q, t).amplitudes) for t in q.times])
+    c3_max = float(np.abs(occ - [np.diag(joint[t, t]) for t in q.times]).max())
 
     # (c5)/(c6): pairs that both sides judge mutually typical (inside the
     # regime), over all singleton and full regions at every time. Each side
@@ -276,29 +277,23 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
 
     # (c7): additivity of mu, nonadditivity witness for the chained norm.
     mu_additive, max_defect, witness = True, 0.0, None
-    # One forward sweep per (t1, label) gives every later chained mass.
-    chained = {
-        (t1, lab): core.chain_cell_masses(q, SSet(t1, {lab}))
-        for t1 in q.times[:-1]
-        for lab in q.labels
-    }
-    for t1, t2 in itertools.combinations(q.times, 2):
-        # Summing P(X_t1 = i, X_t2 = j) over i gives back P(X_t2 = j).
-        if np.any(np.abs(joint[t1, t2].sum(axis=0) - np.diag(joint[t2, t2])) > 1e-12):
-            mu_additive = False
-        for label2 in q.labels:
-            chained_sum = sum(chained[t1, lab][t2][label2] for lab in q.labels)
-            total = core.project_initial(q, SSet(t2, {label2})).norm_sq
-            defect = abs(total - chained_sum)
-            if defect > max_defect:
-                max_defect = defect
-                if defect > NONADDITIVITY_WITNESS:
+    for t1 in q.times[:-1]:
+        for t2, chained in enumerate(core.branch_sweep(q, t1), start=t1 + 1):
+            # Summing P(X_t1 = i, X_t2 = j) over i gives back P(X_t2 = j).
+            if np.any(np.abs(joint[t1, t2].sum(axis=0) - np.diag(joint[t2, t2])) > 1e-12):
+                mu_additive = False
+            chained_sum = chained.sum(axis=0)
+            defects = np.abs(occ[t2] - chained_sum)
+            j = int(np.argmax(defects))
+            if defects[j] > max_defect:
+                max_defect = float(defects[j])
+                if max_defect > NONADDITIVITY_WITNESS:
                     witness = {
                         "t1": t1,
                         "t2": t2,
-                        "region2": [label2],
-                        "quantum_total": total,
-                        "quantum_termwise_sum": chained_sum,
+                        "region2": [q.labels[j]],
+                        "quantum_total": float(occ[t2, j]),
+                        "quantum_termwise_sum": float(chained_sum[j]),
                     }
     return CorrespondenceAudit(
         c3_max_error=c3_max,

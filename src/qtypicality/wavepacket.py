@@ -13,12 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .typicality import DEFAULT_THRESHOLD, TypicalityReport, report_from_masses
 
 SUPPORT_MASS_CUTOFF = 1e-6
 SEAM_POINTS = 3
 SEAM_MASS_FLAG = 1e-6
+# 64 MB per complex grid array; a sweep holds several at once.
+MAX_GRID_POINTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,8 @@ def gaussian_packet(
     """
     if n_points < 1:
         raise ValidationError(f"n_points {n_points} must be at least 1")
+    if n_points > MAX_GRID_POINTS:
+        raise ResourceLimitError(f"n_points {n_points} exceeds the grid limit {MAX_GRID_POINTS}")
     for name, value in (("sigma", width_sigma), ("length", length)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValidationError(f"{name} {value} must be finite and positive")

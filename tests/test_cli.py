@@ -611,6 +611,12 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("guard violation: ")
 
+    def test_guard_violation_at_an_unbounded_grid(self, capsys):
+        code, out, err = run(capsys, "wavepacket", "--n-points", str(10**15))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("guard violation: n_points 1000000000000000 exceeds")
+
     def test_audit_rejects_accumulated_row_sum_slack(self, capsys, exported, tmp_path):
         # Rows pass the twin's 1e-12 check; the mass after a step does not.
         data = json.loads(open(exported).read())

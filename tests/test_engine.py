@@ -38,7 +38,7 @@ from qtypicality import (
     state_at,
 )
 from qtypicality import stochastic
-from qtypicality.core import ProjectedVector, chain_cell_masses, project_initial
+from qtypicality.core import ProjectedVector, _cell_masses, branch_sweep, project_initial
 from qtypicality.errors import ValidationError
 from qtypicality.stochastic import NONADDITIVITY_WITNESS, REGIME_THRESHOLD
 
@@ -253,15 +253,16 @@ class TestAgainstDenseOracle:
 class TestCachedEqualsUncached:
     @pytest.mark.parametrize("dim", DIMS)
     def test_chain_sweep_equals_chain_project_exactly(self, dim):
-        q = haar_structure(5, dim)
-        for t1 in q.times:
-            for region in [{lab} for lab in q.labels] + [{"c1", "c3"}]:
-                masses = chain_cell_masses(q, SSet(t1, region))
-                assert sorted(masses) == list(range(t1 + 1, q.n_steps + 1))
-                for t2, row in masses.items():
-                    for label2, mass in row.items():
-                        chained = chain_project(q, [SSet(t1, region), SSet(t2, {label2})])
-                        assert mass == chained.norm_sq
+        for q in (haar_structure(5, dim), near_classical_structure(5, dim)):
+            for t1 in q.times:
+                sweep = list(branch_sweep(q, t1))
+                assert len(sweep) == q.n_steps - t1
+                for t2, masses in enumerate(sweep, start=t1 + 1):
+                    assert masses.shape == (N_CELLS, N_CELLS)
+                    assert not masses.flags.writeable
+                    for row, label in zip(masses, q.labels):
+                        chained = chain_project(q, [SSet(t1, {label})], at_time=t2)
+                        np.testing.assert_array_equal(row, _cell_masses(q, chained.amplitudes))
 
     def test_project_initial_equals_heisenberg_project_exactly(self):
         q = haar_structure(6, 16)
@@ -304,7 +305,8 @@ def reference_audit(q, c):
 
     The formulas are those the audit used before its forward sweeps: one
     cylinder per single-set measure, two per symmetric difference, one per
-    additivity term.
+    additivity term. The chained quantum masses of c7 are read one
+    ``chain_project`` per (t1, cell, t2) and summed left to right.
     """
     c3_max = 0.0
     for t in q.times:
@@ -333,11 +335,15 @@ def reference_audit(q, c):
 
     mu_additive, max_defect, witness = True, 0.0, None
     for t1, t2 in itertools.combinations(q.times, 2):
-        for label2 in q.labels:
-            chained_sum = sum(
-                chain_cell_masses(q, SSet(t1, {lab}))[t2][label2] for lab in q.labels
-            )
-            total = project_initial(q, SSet(t2, {label2})).norm_sq
+        rows = [
+            _cell_masses(q, chain_project(q, [SSet(t1, {lab})], at_time=t2).amplitudes)
+            for lab in q.labels
+        ]
+        for j, label2 in enumerate(q.labels):
+            chained_sum = 0.0
+            for row in rows:  # left to right, in label order
+                chained_sum += row[j]
+            total = occupations(q, t2)[label2]
             defect = abs(total - chained_sum)
             if defect > max_defect:
                 max_defect = defect
@@ -442,6 +448,41 @@ def test_c5_tables_count_what_the_pair_loop_counts(make):
     audit = correspondence_audit(q, c)
     assert audit.c5_pairs_in_regime == expected.c5_pairs_in_regime > 0
     assert audit.to_dict() == expected.to_dict()
+
+
+def per_branch_twin(q):
+    """The twin's initial law and kernels, one branch at a time: mask one
+    cell, evolve it one step, read its cell masses, divide by its mass."""
+    n = len(q.labels)
+    states = [state_at(q, t).amplitudes for t in q.times]
+    occs = [_cell_masses(q, psi) for psi in states]
+    kernels = []
+    for t in range(q.n_steps):
+        kernel = np.empty((n, n))
+        for i, label in enumerate(q.labels):
+            branch = states[t] * q.region_mask([label])
+            mass = float(np.vdot(branch, branch).real)
+            if mass < 1e-14:
+                kernel[i] = occs[t + 1]
+                continue
+            moved = evolve(q, ProjectedVector(branch, t), t + 1)
+            kernel[i] = _cell_masses(q, moved.amplitudes) / mass
+        if np.abs(occs[t] @ kernel - occs[t + 1]).max() > stochastic.MARGINAL_TOL:
+            kernel = np.tile(occs[t + 1], (n, 1))
+        kernels.append(kernel)
+    return occs[0], kernels
+
+
+@pytest.mark.parametrize(
+    "make",
+    C5_STRUCTURES + [pytest.param(lambda: obstacle_variant("D1").structure, id="obstacle-D1")],
+)
+def test_twin_kernels_equal_the_per_branch_loop(make):
+    q = make()
+    initial, kernels = per_branch_twin(q)
+    twin = matched_markov_chain(q)
+    assert twin.initial.tobytes() == initial.tobytes()
+    assert [k.tobytes() for k in twin.kernels] == [k.tobytes() for k in kernels]
 
 
 class TestCacheIsolation:

@@ -190,6 +190,7 @@ def test_mutated_scenario_file_exits_with_a_documented_code(workdir, scenario, a
 @settings(max_examples=200, deadline=None)
 @example(["stat-bound", "--seed", "-1"])
 @example(["wavepacket", "--momentum", "1e308"])
+@example(["wavepacket", "--n-points", str(10**15)])  # rejected before any grid is built
 @given(command_lines())
 def test_random_options_exit_with_a_documented_code(workdir, argv):
     check(argv, workdir)

@@ -21,6 +21,7 @@ from qtypicality import (
     mutual_typicality,
     obstacle_variant,
 )
+from qtypicality import core, typicality
 from qtypicality.graph import _admissible_paths
 
 from conftest import random_structure, random_unitary
@@ -320,3 +321,81 @@ class TestBranchFollowing:
     def test_non_time_ordered_rejected(self, toy):
         with pytest.raises(ValidationError):
             branch_following_check(toy, [SSet(2, {"0,0"}), SSet(1, {"0,0", "0,1"})])
+
+
+def per_pair_branch_following(structure, branch_regions, tau):
+    """``branch_following_check`` as one report per pair: each pair is judged
+    by ``mutual_typicality`` before its chain loss is computed."""
+    times = [s.time for s in branch_regions]
+    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        raise ValidationError("branch regions must be strictly time-ordered")
+    for s in branch_regions:
+        structure.check_sset(s)
+    for i, j in itertools.combinations(range(len(branch_regions)), 2):
+        s_i, s_j = branch_regions[i], branch_regions[j]
+        report = mutual_typicality(structure, s_i, s_j, threshold=tau)
+        if report.verdict is Verdict.MUTUALLY_TYPICAL:
+            continue
+        later = core.project_initial(structure, s_j)
+        chained = core.chain_project(structure, [s_i, s_j], at_time=0)
+        if later.norm_sq < typicality.DEGENERATE_NORM_TOL:
+            continue
+        loss = later.amplitudes - chained.amplitudes
+        if float((loss.conj() @ loss).real) / later.norm_sq > tau:
+            return False
+    return True
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except Exception as exc:  # compared as data below
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def branch_lists(draw):
+    """A random structure, a branch list with distinct times in order (or,
+    now and then, one time repeated), regions nested, unrelated or empty,
+    and a threshold."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = random_structure(rng, dim=draw(st.sampled_from([2, 4, 6])), n_steps=3)
+    times = sorted(draw(st.sets(st.integers(0, 3), max_size=4)))
+    if times and draw(st.integers(0, 9)) == 0:
+        times.append(times[-1])
+    labels = list(q.labels)
+    branches = []
+    for t in times:
+        region = draw(st.sets(st.sampled_from(labels), min_size=0, max_size=len(labels)))
+        branches.append(SSet(t, region))
+    tau = draw(st.one_of(
+        st.sampled_from([0.08, 0.3, 0.9, 0.5, 0.0, 1.0, -0.1, float("nan")]),
+        st.floats(0.01, 0.99),
+    ))
+    return q, branches, tau
+
+
+class TestBranchFollowingTable:
+    @settings(max_examples=150, deadline=None)
+    @given(branch_lists())
+    def test_table_equals_the_per_pair_loop(self, problem):
+        q, branches, tau = problem
+        got = outcome(branch_following_check, q, branches, tau)
+        expected = outcome(per_pair_branch_following, q, branches, tau)
+        if len(branches) < 2 and not 0.0 < tau < 1.0:
+            # The table checks tau even when it has no pair to judge.
+            assert expected is True
+            assert got == ("ValidationError", f"threshold {float(tau)} outside (0, 1)")
+        else:
+            assert got == expected
+
+    def test_dead_later_branch_constrains_nothing(self):
+        q = build_unruh().structure
+        assert branch_following_check(q, [SSet(1, {"U"}), SSet(2, set())])
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_bad_tau_rejected_without_pairs(self, tau):
+        q = build_unruh().structure
+        for branches in ([], [SSet(1, {"U"})]):
+            with pytest.raises(ValidationError, match="threshold"):
+                branch_following_check(q, branches, tau)

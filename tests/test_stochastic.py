@@ -13,7 +13,6 @@ from qtypicality import (
     ValidationError,
     build_beamsplitter_fig1,
     build_unruh,
-    correspondence_audit,
     cylinder_measure,
     matched_markov_chain,
     mu_sset,
@@ -23,6 +22,19 @@ from qtypicality import (
     process_from_dict,
     process_to_dict,
 )
+from qtypicality import correspondence_audit as _correspondence_audit
+from qtypicality import obstacle_variant
+
+
+def correspondence_audit(q, c):
+    """The audit, with its c7 witness checked against its maximum defect."""
+    audit = _correspondence_audit(q, c)
+    witness = audit.c7_witness
+    if witness is not None:
+        gap = abs(witness["quantum_total"] - witness["quantum_termwise_sum"])
+        assert gap == audit.c7_max_defect
+    return audit
+
 
 IDENTITY2 = np.eye(2)
 MIXING2 = np.full((2, 2), 0.5)
@@ -193,6 +205,19 @@ class TestCorrespondenceAudit:
         # the interferometer is the canonical nonadditivity witness
         assert audit.c7_witness is not None
         assert audit.c7_max_defect == pytest.approx(0.5, abs=1e-12)
+        assert audit.passed
+
+    @pytest.mark.parametrize(
+        "model",
+        [lambda: build_unruh(with_detector_d2=True), lambda: obstacle_variant("U1"),
+         lambda: obstacle_variant("D1")],
+        ids=["detector-d2", "obstacle-U1", "obstacle-D1"],
+    )
+    def test_variant_audits_carry_a_witness(self, model):
+        # The module's correspondence_audit checks the witness's two masses.
+        structure = model().structure
+        audit = correspondence_audit(structure, matched_markov_chain(structure))
+        assert audit.c7_witness is not None
         assert audit.passed
 
     def test_fig1_audit_no_witness(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qtypicality import (
+    ResourceLimitError,
     ValidationError,
     Verdict,
     free_evolve,
@@ -14,6 +15,7 @@ from qtypicality import (
     support_condition_check,
 )
 from qtypicality.wavepacket import (
+    MAX_GRID_POINTS,
     mask_interval,
     momentum_mean_sq,
     position_mean,
@@ -47,6 +49,12 @@ class TestGaussianPacket:
     @pytest.mark.parametrize("n_points", [0, -4])
     def test_no_grid_points_rejected(self, n_points):
         with pytest.raises(ValidationError, match="n_points"):
+            gaussian_packet(0.0, 1.0, 0.0, n_points=n_points)
+
+    @pytest.mark.parametrize("n_points", [MAX_GRID_POINTS + 1, 10**9, 10**15])
+    def test_grid_past_the_limit_rejected_before_allocation(self, n_points):
+        # Values this large would take gigabytes; the guard must come first.
+        with pytest.raises(ResourceLimitError, match="grid limit"):
             gaussian_packet(0.0, 1.0, 0.0, n_points=n_points)
 
     @pytest.mark.parametrize(
