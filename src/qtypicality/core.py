@@ -4,14 +4,16 @@ A quantum structure bundles a Hilbert space of dimension ``dim``, a unit
 initial vector, a schedule of per-step unitaries (step ``k`` evolves time
 index ``k`` to ``k + 1``), and a labeled partition of the basis index set
 that plays the role of a projection-valued measure on configuration space.
+The cell half (the checked cell table, labels, time range and region masks)
+is the base ``CellProcess``, which the Markov twin in ``stochastic`` shares.
 
-All inputs are copied and frozen at construction. Each structure keeps
-private caches, filled lazily and dropped with the structure: the trajectory
-``Psi(t)``, one boolean mask per region, and the Heisenberg-projected
-initial vectors served by ``project_initial``. Cached arrays are read-only,
-so callers can share them but never change them. Every cache entry is a
-pure function of its key, so two threads filling one entry store equal
-values and a structure stays safe to share between threads.
+All inputs are copied and frozen at construction. Each process keeps
+private caches, filled lazily and dropped with it: the base caches one
+boolean mask per region; a structure adds the trajectory ``Psi(t)`` and the
+Heisenberg-projected initial vectors served by ``project_initial``. Cached
+arrays are read-only, so callers can share them but never change them.
+Every cache entry is a pure function of its key, so two threads filling one
+entry store equal values and a process stays safe to share between threads.
 """
 from __future__ import annotations
 
@@ -159,46 +161,19 @@ class ProjectedVector:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
-class QuantumStructure:
-    """Hilbert dimension, initial state, step unitaries, and labeled cells."""
+class CellProcess:
+    """A labeled partition of ``range(dim)`` observed at time indices
+    ``0..n_steps``: the cell space that a quantum structure and its Markov
+    twin share. The region masks are cached here, one per region."""
 
-    def __init__(
-        self,
-        dim: int,
-        psi0: np.ndarray,
-        schedule: Sequence,
-        cells: Mapping[str, Iterable[int]],
-    ):
-        self.dim = _as_int(dim, "dimension")
-        self.psi0 = _frozen(psi0, "psi0").reshape(-1)
-        if self.psi0.shape[0] != self.dim:
-            raise ValidationError("psi0 length does not match dim")
-        if not np.all(np.isfinite(self.psi0)):
-            raise ValidationError("psi0 has non-finite entries")
-        if abs(np.vdot(self.psi0, self.psi0).real - 1.0) > NORM_TOL:
-            raise ValidationError("psi0 is not unit norm")
-
-        self.schedule = tuple(
-            s if isinstance(s, FactorUnitary) else FactorUnitary(s, 0, 1) for s in schedule
-        )
-        for k, step in enumerate(self.schedule):
-            if step.dim != self.dim:
-                raise ValidationError(f"schedule step {k} has wrong dimension")
-            if step.unitarity_defect() > UNITARITY_TOL:
-                raise ValidationError(f"schedule step {k} is not unitary")
-
-        self.cells = _cell_table(cells, self.dim)
+    def __init__(self, dim: int, cells: Mapping[str, Iterable[int]], n_steps: int):
+        self.dim = dim
+        self.cells = _cell_table(cells, dim)
         self._labels = tuple(self.cells)
-
-        self._trajectory = {0: self.psi0}  # requested time -> Psi(t)
+        self.n_steps = n_steps
         self._masks: dict = {}  # frozenset region -> boolean mask
-        self._projections: dict = {}  # (time, region) -> U^dagger E U psi0
 
     # -- time bookkeeping ---------------------------------------------------
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.schedule)
 
     @property
     def times(self) -> range:
@@ -236,6 +211,39 @@ class QuantumStructure:
         self.check_time(sset.time)
         self.region_mask(sset.region)  # rejects unknown labels
         return sset
+
+
+class QuantumStructure(CellProcess):
+    """Hilbert dimension, initial state, step unitaries, and labeled cells."""
+
+    def __init__(
+        self,
+        dim: int,
+        psi0: np.ndarray,
+        schedule: Sequence,
+        cells: Mapping[str, Iterable[int]],
+    ):
+        dim = _as_int(dim, "dimension")
+        self.psi0 = _frozen(psi0, "psi0").reshape(-1)
+        if self.psi0.shape[0] != dim:
+            raise ValidationError("psi0 length does not match dim")
+        if not np.all(np.isfinite(self.psi0)):
+            raise ValidationError("psi0 has non-finite entries")
+        if abs(np.vdot(self.psi0, self.psi0).real - 1.0) > NORM_TOL:
+            raise ValidationError("psi0 is not unit norm")
+
+        self.schedule = tuple(
+            s if isinstance(s, FactorUnitary) else FactorUnitary(s, 0, 1) for s in schedule
+        )
+        for k, step in enumerate(self.schedule):
+            if step.dim != dim:
+                raise ValidationError(f"schedule step {k} has wrong dimension")
+            if step.unitarity_defect() > UNITARITY_TOL:
+                raise ValidationError(f"schedule step {k} is not unitary")
+
+        super().__init__(dim, cells, len(self.schedule))
+        self._trajectory = {0: self.psi0}  # requested time -> Psi(t)
+        self._projections: dict = {}  # (time, region) -> U^dagger E U psi0
 
 
 def evolve(structure: QuantumStructure, state: ProjectedVector, to_time: int) -> ProjectedVector:
@@ -374,7 +382,8 @@ def _complex_in(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 0 or arr.shape[-1] != 2:
         raise SchemaError("complex entries must be [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j, which the checks reject
+        return arr[..., 0] + 1j * arr[..., 1]
 
 
 def _complex_out(arr: np.ndarray):

@@ -1,6 +1,6 @@
 """Concrete interferometer models: beam splitter, multi-pass Mach-Zehnder.
 
-Phase convention, fixed once and recorded on each model: half-silvered
+Phase convention, fixed once for every model here: half-silvered
 mirrors transmit with amplitude 1/sqrt(2) and reflect with i/sqrt(2) (a
 pi/2 phase shift per reflection), full-mirror bounces contribute an equal
 phase to both arms and therefore drop out, and the source enters in the
@@ -26,21 +26,12 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 #: cross-reflect i/sqrt(2).
 BEAM_SPLITTER = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) * _INV_SQRT2
 
-CONVENTION = {
-    "transmit": _INV_SQRT2,
-    "reflect": 1.0j * _INV_SQRT2,
-    "full_mirror_phase": 1.0j,
-    "source_mode": "D",
-}
-
 
 @dataclass(frozen=True)
 class UnruhModel:
     """Multi-pass Mach-Zehnder over arm cells U and D (plus detector cells)."""
 
     structure: QuantumStructure
-    times: tuple
-    convention: dict
 
     @property
     def psi_u(self) -> ProjectedVector:
@@ -97,7 +88,7 @@ def build_unruh(with_detector_d2: bool = False) -> UnruhModel:
         cells = {"U": [0], "D": [1]}
         psi0 = np.array([0.0, 1.0], dtype=complex)
     structure = QuantumStructure(dim, psi0, schedule, cells)
-    return UnruhModel(structure, (0, 1, 2, 3), dict(CONVENTION))
+    return UnruhModel(structure)
 
 
 def obstacle_variant(arm: str) -> UnruhModel:
@@ -111,7 +102,7 @@ def obstacle_variant(arm: str) -> UnruhModel:
     cells = {"U": [0], "D": [1], "BLOCK": [2]}
     psi0 = np.array([0.0, 1.0, 0.0], dtype=complex)
     structure = QuantumStructure(dim, psi0, schedule, cells)
-    return UnruhModel(structure, (0, 1, 2, 3), dict(CONVENTION))
+    return UnruhModel(structure)
 
 
 class NonadditivityWitness(NamedTuple):

@@ -1,21 +1,23 @@
 """Finite Markov processes and the quantum/stochastic correspondence audit.
 
 The twin of a quantum structure is a finite-state Markov chain sharing its
-cell labels and step count. Its cylinder-set measure is exactly additive,
-which is precisely the property the chained quantum squared norm lacks; the
-audit quantifies both sides.
+cell labels and step count. Both are ``core.CellProcess``es: the twin's
+cells are one index per state, and its region masks are cached on that
+base. Its cylinder-set measure is exactly additive, which is precisely the
+property the chained quantum squared norm lacks; the audit quantifies both
+sides.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import core, typicality
 from .core import QuantumStructure, SSet
-from .errors import SchemaError, TimeRangeError, ValidationError
+from .errors import SchemaError, ValidationError
 
 ROW_SUM_TOL = 1e-12
 MARGINAL_TOL = 1e-10
@@ -23,11 +25,11 @@ REGIME_THRESHOLD = typicality.DEFAULT_THRESHOLD
 NONADDITIVITY_WITNESS = 0.1
 
 
-class StochasticProcessSpec:
+class StochasticProcessSpec(core.CellProcess):
     """States, initial distribution, and one row-stochastic kernel per step.
 
-    The arrays are read-only after validation. Region masks are cached per
-    process, filled lazily and dropped with it.
+    The arrays are read-only after validation. The states are the cell
+    labels, state ``i`` the cell ``[i]``.
     """
 
     def __init__(
@@ -36,18 +38,19 @@ class StochasticProcessSpec:
         initial: Sequence[float],
         kernels: Sequence,
     ):
-        self.states = tuple(str(s) for s in states)
-        if len(set(self.states)) != len(self.states):
+        # A dict would merge duplicate labels, so they are rejected first.
+        states = [str(s) for s in states]
+        n = len(states)
+        if len(set(states)) != n:
             raise ValidationError("duplicate state labels")
         self.initial = core._frozen(initial, "initial distribution", float)
-        if self.initial.shape != (len(self.states),):
+        if self.initial.shape != (n,):
             raise ValidationError("initial distribution has wrong length")
         if not np.all(np.isfinite(self.initial)):
             raise ValidationError("initial distribution has non-finite entries")
         if np.any(self.initial < 0.0) or abs(self.initial.sum() - 1.0) > ROW_SUM_TOL:
             raise ValidationError("initial distribution is not a probability vector")
         self.kernels = tuple(core._frozen(k, f"kernel {t}", float) for t, k in enumerate(kernels))
-        n = len(self.states)
         for t, kernel in enumerate(self.kernels):
             if kernel.shape != (n, n):
                 raise ValidationError(f"kernel {t} is not {n}x{n}")
@@ -55,38 +58,11 @@ class StochasticProcessSpec:
                 raise ValidationError(f"kernel {t} has non-finite entries")
             if np.any(kernel < 0.0) or np.any(np.abs(kernel.sum(axis=1) - 1.0) > ROW_SUM_TOL):
                 raise ValidationError(f"kernel {t} is not row-stochastic")
-        self._index = {s: i for i, s in enumerate(self.states)}
-        self._masks: dict = {}  # frozenset region -> boolean mask
+        super().__init__(n, {s: [i] for i, s in enumerate(states)}, len(self.kernels))
 
     @property
-    def n_steps(self) -> int:
-        return len(self.kernels)
-
-    @property
-    def times(self) -> range:
-        return range(self.n_steps + 1)
-
-    def region_mask(self, region: Iterable[str]) -> np.ndarray:
-        """Read-only boolean mask of the states in ``region``."""
-        region = frozenset(region)
-        mask = self._masks.get(region)
-        if mask is not None:
-            return mask
-        mask = np.zeros(len(self.states), dtype=bool)
-        for label in region:
-            try:
-                mask[self._index[label]] = True
-            except KeyError:
-                raise SchemaError(f"unknown state label {label!r}") from None
-        mask.setflags(write=False)
-        self._masks[region] = mask
-        return mask
-
-    def check_time(self, t: int) -> int:
-        t = core._as_int(t, "time index")
-        if not 0 <= t <= self.n_steps:
-            raise TimeRangeError(f"time index {t} outside 0..{self.n_steps}")
-        return t
+    def states(self) -> tuple:
+        return self.labels
 
     def marginal(self, time: int) -> np.ndarray:
         time = self.check_time(time)
@@ -104,7 +80,7 @@ def cylinder_measure(spec: StochasticProcessSpec, ssets: Sequence[SSet]) -> floa
     """
     by_time: dict[int, np.ndarray] = {}
     for sset in ssets:
-        spec.check_time(sset.time)
+        spec.check_sset(sset)
         mask = spec.region_mask(sset.region)
         by_time[sset.time] = mask & by_time.get(sset.time, mask)
     if not by_time:
@@ -186,7 +162,9 @@ class CorrespondenceAudit:
     c7's defect at ``t1 < t2`` and cell ``j`` is ``|occ[t2, j] - sum_i
     m[i, j]|`` over the ``core.branch_sweep`` array ``m`` from ``t1`` at
     ``t2``. A witness (past ``NONADDITIVITY_WITNESS``) holds both masses of
-    the first largest defect.
+    one defect within a relative 1e-12 of the largest: the earliest
+    ``(t1, t2)``, then the cell whose label sorts first, so that defects
+    tied in exact arithmetic name the same witness in any label order.
     """
 
     c3_max_error: float
@@ -276,25 +254,30 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
     in_regime = int(np.count_nonzero(np.triu(typical_q & typical_mu, 1)))
 
     # (c7): additivity of mu, nonadditivity witness for the chained norm.
-    mu_additive, max_defect, witness = True, 0.0, None
+    mu_additive, chained_sums = True, {}  # (t1, t2) -> sum_i m[i, j], in time order
     for t1 in q.times[:-1]:
         for t2, chained in enumerate(core.branch_sweep(q, t1), start=t1 + 1):
             # Summing P(X_t1 = i, X_t2 = j) over i gives back P(X_t2 = j).
             if np.any(np.abs(joint[t1, t2].sum(axis=0) - np.diag(joint[t2, t2])) > 1e-12):
                 mu_additive = False
-            chained_sum = chained.sum(axis=0)
-            defects = np.abs(occ[t2] - chained_sum)
-            j = int(np.argmax(defects))
-            if defects[j] > max_defect:
-                max_defect = float(defects[j])
-                if max_defect > NONADDITIVITY_WITNESS:
-                    witness = {
-                        "t1": t1,
-                        "t2": t2,
-                        "region2": [q.labels[j]],
-                        "quantum_total": float(occ[t2, j]),
-                        "quantum_termwise_sum": float(chained_sum[j]),
-                    }
+            chained_sums[t1, t2] = chained.sum(axis=0)
+    defects = {(t1, t2): np.abs(occ[t2] - sums) for (t1, t2), sums in chained_sums.items()}
+    max_defect = max((float(d.max()) for d in defects.values()), default=0.0)
+    witness = None
+    if max_defect > NONADDITIVITY_WITNESS:
+        # Defects tied in exact arithmetic differ in their last bits, so any
+        # within a relative 1e-12 of the largest may witness; the earliest
+        # (t1, t2) does, at the cell whose label sorts first.
+        near = max_defect * (1.0 - 1e-12)
+        (t1, t2), d = next((key, d) for key, d in defects.items() if d.max() >= near)
+        label, j = min((q.labels[j], j) for j in np.flatnonzero(d >= near))
+        witness = {
+            "t1": t1,
+            "t2": t2,
+            "region2": [label],
+            "quantum_total": float(occ[t2, j]),
+            "quantum_termwise_sum": float(chained_sums[t1, t2][j]),
+        }
     return CorrespondenceAudit(
         c3_max_error=c3_max,
         c3_pass=c3_max <= MARGINAL_TOL,

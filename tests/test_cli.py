@@ -13,8 +13,10 @@ from qtypicality import (
     PartitionSchedule,
     build_graph,
     build_unruh,
+    correspondence_audit,
     load_scenario,
     matched_markov_chain,
+    obstacle_variant,
     process_to_dict,
     structure_to_dict,
 )
@@ -305,6 +307,28 @@ class TestScenarioFileRoundTrip:
         assert results["passed"] is True
         assert results["c7"]["witness"] is not None
 
+    @pytest.mark.parametrize(
+        "model, options",
+        [(build_unruh, ()), (lambda: obstacle_variant("U1"), ("--obstacle", "U1")),
+         (lambda: obstacle_variant("D1"), ("--obstacle", "D1"))],
+        ids=["unruh", "obstacle-U1", "obstacle-D1"],
+    )
+    def test_audit_witness_survives_export(self, capsys, tmp_path, model, options):
+        # The export sorts the cell labels; tied defects must still name one witness.
+        path = tmp_path / "model.json"
+        code, _, err = run(capsys, "scenario", "unruh", *options, "--export", str(path))
+        assert code == 0, err
+        exported = run_json(capsys, "audit", "--scenario-file", str(path))["results"]["c7"]
+        q = model().structure
+        in_memory = correspondence_audit(q, matched_markov_chain(q)).to_dict()["c7"]
+        assert in_memory["max_quantum_defect"] == exported["max_quantum_defect"]
+        witnesses = in_memory["witness"], exported["witness"]
+        assert [[w["t1"], w["t2"], w["region2"]] for w in witnesses] == [
+            [exported["witness"]["t1"], exported["witness"]["t2"], ["D"]]
+        ] * 2
+        for key in ("quantum_total", "quantum_termwise_sum"):
+            assert witnesses[0][key] == pytest.approx(witnesses[1][key], abs=1e-12)
+
     def test_output_file(self, capsys, exported, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run(
@@ -433,6 +457,20 @@ class TestExitCodes:
         )
         assert code == 2
         assert out == ""
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("entry", ["psi0", "schedule"])
+    def test_infinite_imaginary_part_is_parse_error(self, capsys, exported, tmp_path, entry):
+        # 1j * inf has a NaN real part; reading it must not warn.
+        data = json.loads(open(exported).read())
+        if entry == "psi0":
+            data["psi0"][0] = [0.0, float("inf")]
+        else:
+            data["schedule"][1][0][1] = [0.0, float("inf")]
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "audit", "--scenario-file", str(bad))
+        assert (code, out) == (2, "")
         assert "non-finite" in err
 
     @pytest.mark.parametrize(

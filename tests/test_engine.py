@@ -333,7 +333,7 @@ def reference_audit(q, c):
             in_regime += 1
             agreements += rep_q.verdict is rep_mu.verdict
 
-    mu_additive, max_defect, witness = True, 0.0, None
+    mu_additive, max_defect, candidates = True, 0.0, []
     for t1, t2 in itertools.combinations(q.times, 2):
         rows = [
             _cell_masses(q, chain_project(q, [SSet(t1, {lab})], at_time=t2).amplitudes)
@@ -345,20 +345,25 @@ def reference_audit(q, c):
                 chained_sum += row[j]
             total = occupations(q, t2)[label2]
             defect = abs(total - chained_sum)
-            if defect > max_defect:
-                max_defect = defect
-                if defect > NONADDITIVITY_WITNESS:
-                    witness = {
-                        "t1": t1,
-                        "t2": t2,
-                        "region2": [label2],
-                        "quantum_total": total,
-                        "quantum_termwise_sum": chained_sum,
-                    }
+            max_defect = max(max_defect, defect)
+            candidates.append((t1, t2, label2, total, chained_sum, defect))
             s2c = SSet(t2, {label2})
             mu_sum = sum(cylinder_measure(c, [SSet(t1, {lab}), s2c]) for lab in q.labels)
             if abs(cylinder_measure(c, [s2c]) - mu_sum) > 1e-12:
                 mu_additive = False
+    # The witness: among the defects within a relative 1e-12 of the largest,
+    # the earliest (t1, t2), then the label that sorts first.
+    witness = None
+    if max_defect > NONADDITIVITY_WITNESS:
+        near = [c for c in candidates if c[5] >= max_defect * (1.0 - 1e-12)]
+        t1, t2, label2, total, chained_sum, _ = min(near, key=lambda c: c[:3])
+        witness = {
+            "t1": t1,
+            "t2": t2,
+            "region2": [label2],
+            "quantum_total": total,
+            "quantum_termwise_sum": chained_sum,
+        }
     return CorrespondenceAudit(
         c3_max, c3_max <= stochastic.MARGINAL_TOL, in_regime, agreements,
         in_regime == agreements, mu_additive, max_defect, witness,

@@ -27,12 +27,13 @@ from qtypicality import obstacle_variant
 
 
 def correspondence_audit(q, c):
-    """The audit, with its c7 witness checked against its maximum defect."""
+    """The audit, with its c7 witness checked against its maximum defect: a
+    witness's defect is within a relative 1e-12 of the largest."""
     audit = _correspondence_audit(q, c)
     witness = audit.c7_witness
     if witness is not None:
         gap = abs(witness["quantum_total"] - witness["quantum_termwise_sum"])
-        assert gap == audit.c7_max_defect
+        assert audit.c7_max_defect * (1.0 - 1e-12) <= gap <= audit.c7_max_defect
     return audit
 
 
@@ -54,6 +55,23 @@ class TestSpecValidation:
     def test_duplicate_labels(self):
         with pytest.raises(ValidationError):
             StochasticProcessSpec(["U", "U"], [0.5, 0.5], [IDENTITY2])
+
+    @pytest.mark.parametrize(
+        "states, initial, message",
+        [
+            (["U", "U"], [0.5, 0.5], "duplicate state labels"),
+            (["U", "U"], [1.0], "duplicate state labels"),
+            ([], [], "initial distribution is not a probability vector"),
+            ([], [1.0], "initial distribution has wrong length"),
+            (["U"], [0.5, 0.5], "initial distribution has wrong length"),
+            (["U", "D", "X"], [0.5, 0.5], "initial distribution has wrong length"),
+        ],
+        ids=["duplicate", "duplicate-wrong-length", "empty", "empty-wrong-length",
+             "short", "long"],
+    )
+    def test_bad_states_rejected_before_the_cell_table(self, states, initial, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            StochasticProcessSpec(states, initial, [np.eye(3)])
 
     def test_bad_initial(self):
         with pytest.raises(ValidationError):
@@ -193,6 +211,31 @@ class TestMatchedChain:
             assert cylinder_measure(chain, ssets) == pytest.approx(
                 chain_project(structure, ssets).norm_sq, abs=1e-12
             )
+
+
+class TestSharedCellSpace:
+    def test_unknown_label_is_named(self, identity_chain):
+        with pytest.raises(SchemaError, match=r"^unknown cell label 'X'$"):
+            cylinder_measure(identity_chain, [SSet(1, {"U"}), SSet(2, {"X"})])
+        with pytest.raises(SchemaError, match=r"^unknown cell label 'X'$"):
+            identity_chain.region_mask({"X"})
+
+    @pytest.mark.parametrize(
+        "model",
+        [lambda: build_unruh().structure, lambda: obstacle_variant("D1").structure,
+         build_beamsplitter_fig1],
+        ids=["unruh", "obstacle-D1", "fig1"],
+    )
+    def test_twin_has_the_structure_cell_space(self, model):
+        q = model()
+        c = matched_markov_chain(q)
+        assert c.labels == c.states == q.labels
+        assert c.times == q.times and c.n_steps == q.n_steps
+        assert c.dim == len(c.labels)
+        one_hot = np.eye(c.dim, dtype=bool)
+        for i, label in enumerate(c.labels):
+            assert c.cells[label].tolist() == [i]
+            np.testing.assert_array_equal(c.region_mask({label}), one_hot[i])
 
 
 class TestCorrespondenceAudit:
