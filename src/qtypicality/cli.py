@@ -4,6 +4,12 @@ Every JSON report embeds the tool version and its command's resolved
 options; a command takes only the thresholds and seed it reads (any other
 exits 2). Identical configuration gives byte-identical output.
 
+One table, ``_COMMANDS``, lists each command's handler, help text, the
+thresholds it reads and the function adding its own arguments. A call that
+names a command builds that command's subparser alone; help, the version
+and an unknown command get the full parser. The texts are the same either
+way: the usage line names every command.
+
 Exit codes: 0 success, 2 parse/configuration error, 3 computational guard
 violation, 4 audit assertion failure.
 """
@@ -400,72 +406,105 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def float_list(text: str) -> list:
+    """Parse 'X[,X...]' into a list of floats."""
+    return [float(x) for x in text.split(",")]
+
+
+def _scenario_arguments(p) -> None:
+    p.add_argument("scenario", choices=("unruh", "fig1", "nonadditivity"))
+    p.add_argument("--detector-d2", action="store_true")
+    p.add_argument("--obstacle", choices=("U1", "D1"), default=None)
+    p.add_argument("--export", default=None, help="also write the scenario JSON here")
+
+
+def _scenario_file_argument(p) -> None:
+    p.add_argument("--scenario-file", required=True)
+
+
+def _typicality_arguments(p) -> None:
+    _scenario_file_argument(p)
+    p.add_argument("--s1", required=True, help="TIME:LABEL[,LABEL...]")
+    p.add_argument("--s2", required=True)
+
+
+def _graph_arguments(p) -> None:
+    _scenario_file_argument(p)
+    p.add_argument("--slice", action="append", required=True, help="TIME:REGION|REGION...")
+
+
+def _stat_bound_arguments(p) -> None:
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--p", type=float_list, default=[0.5, 0.5])
+    p.add_argument("--N", type=int, default=16)
+    p.add_argument("--eps", type=float, default=0.125)
+    p.add_argument("--sweep", action="store_true")
+    p.add_argument("--sweep-draws", type=int, default=20)
+
+
+def _wavepacket_arguments(p) -> None:
+    p.add_argument("--separations", type=float_list, default=[4.0, 6.0, 8.0, 10.0],
+                   help="separations in units of sigma")
+    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--momentum", type=float, default=2.0)
+    p.add_argument("--n-points", type=int, default=4096)
+    p.add_argument("--length", type=float, default=200.0)
+    p.add_argument("--snapshot", default=None, help="write |psi(x)|^2 CSV here")
+
+
+# Each command's handler, help text, the threshold options it reads and the
+# function adding its own arguments, in the order the usage line lists them.
+_COMMANDS = {
+    "scenario": (_cmd_scenario, "built-in experiments", tuple(_THRESHOLD_DEFAULTS),
+                 _scenario_arguments),
+    "typicality": (_cmd_typicality, "pairwise measure", ("threshold",), _typicality_arguments),
+    "graph": (_cmd_graph, "trajectory graph", ("epsilon_exclude", "tau_link"), _graph_arguments),
+    "stat-bound": (_cmd_stat_bound, "typical-set tail bound", (), _stat_bound_arguments),
+    "wavepacket": (_cmd_wavepacket, "grid-packet sweep", (), _wavepacket_arguments),
+    "audit": (_cmd_audit, "correspondence audit", (), _scenario_file_argument),
+}
+
+
+def build_parser(commands=tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The parser with a subparser for each of ``commands``, in table order."""
     parser = argparse.ArgumentParser(
         prog="qtypicality",
         description="Typicality analysis of finite-dimensional quantum processes.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help, *reads):
+    # A parser of fewer commands names all of them in its usage line, so the
+    # errors it reports itself (unrecognized arguments, an ambiguous '--=x')
+    # read as the full parser's. The full parser has no metavar: its error
+    # for a missing command names the dest, "command".
+    every = set(_COMMANDS) <= set(commands)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if every else "{" + ",".join(_COMMANDS) + "}")
+    for name, (handler, help, reads, add_arguments) in _COMMANDS.items():
+        if name not in commands:
+            continue
         p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="write report here instead of stdout")
         for dest in reads:
             p.add_argument("--" + dest.replace("_", "-"), type=float,
                            default=_THRESHOLD_DEFAULTS[dest])
-        p.set_defaults(func=func)
-        return p
-
-    p_scn = command("scenario", _cmd_scenario, "built-in experiments", *_THRESHOLD_DEFAULTS)
-    p_scn.add_argument("scenario", choices=("unruh", "fig1", "nonadditivity"))
-    p_scn.add_argument("--detector-d2", action="store_true")
-    p_scn.add_argument("--obstacle", choices=("U1", "D1"), default=None)
-    p_scn.add_argument("--export", default=None, help="also write the scenario JSON here")
-
-    p_typ = command("typicality", _cmd_typicality, "pairwise measure", "threshold")
-    p_typ.add_argument("--scenario-file", required=True)
-    p_typ.add_argument("--s1", required=True, help="TIME:LABEL[,LABEL...]")
-    p_typ.add_argument("--s2", required=True)
-
-    p_gra = command("graph", _cmd_graph, "trajectory graph", "epsilon_exclude", "tau_link")
-    p_gra.add_argument("--scenario-file", required=True)
-    p_gra.add_argument(
-        "--slice", action="append", required=True, help="TIME:REGION|REGION..."
-    )
-
-    p_sta = command("stat-bound", _cmd_stat_bound, "typical-set tail bound")
-    p_sta.add_argument("--seed", type=int, default=0)
-    p_sta.add_argument("--n", type=int, default=2)
-    p_sta.add_argument("--p", type=lambda s: [float(x) for x in s.split(",")], default=[0.5, 0.5])
-    p_sta.add_argument("--N", type=int, default=16)
-    p_sta.add_argument("--eps", type=float, default=0.125)
-    p_sta.add_argument("--sweep", action="store_true")
-    p_sta.add_argument("--sweep-draws", type=int, default=20)
-
-    p_wav = command("wavepacket", _cmd_wavepacket, "grid-packet sweep")
-    p_wav.add_argument(
-        "--separations",
-        type=lambda s: [float(x) for x in s.split(",")],
-        default=[4.0, 6.0, 8.0, 10.0],
-        help="separations in units of sigma",
-    )
-    p_wav.add_argument("--sigma", type=float, default=1.0)
-    p_wav.add_argument("--momentum", type=float, default=2.0)
-    p_wav.add_argument("--n-points", type=int, default=4096)
-    p_wav.add_argument("--length", type=float, default=200.0)
-    p_wav.add_argument("--snapshot", default=None, help="write |psi(x)|^2 CSV here")
-
-    p_aud = command("audit", _cmd_audit, "correspondence audit")
-    p_aud.add_argument("--scenario-file", required=True)
-
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
+def parse_command_line(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the subparser of
+    the command that ``argv`` starts with, if it names one."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        return build_parser(argv[:1]).parse_args(argv)
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_command_line(argv)
     try:
         for name in _THRESHOLD_KEYS:
             if name in vars(args) and not 0.0 < getattr(args, name) < 1.0:

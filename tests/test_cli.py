@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import enum
 import io
@@ -6,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtypicality import (
@@ -20,7 +22,8 @@ from qtypicality import (
     process_to_dict,
     structure_to_dict,
 )
-from qtypicality.cli import _json, main, parse_slice
+from qtypicality.cli import _json, build_parser, main, parse_command_line, parse_slice
+from test_fuzz import command_lines
 
 SCHEMA_DIR = "schemas"
 
@@ -681,6 +684,79 @@ class TestExitCodes:
         assert code == 4
         assert "audit failed" in err
         assert json.loads(out)["results"]["passed"] is False
+
+
+EVERY_COMMAND = "{scenario,typicality,graph,stat-bound,wavepacket,audit}"
+# Command lines whose text comes from the top-level parser, or that end in
+# it; "F" is never read, since parsing fails first.
+TOP_LEVEL_ARGVS = [
+    [], ["-h"], ["--version"], ["bogus"], ["audit", "-h"],
+    ["audit", "--scenario-file", "F", "--bogus"],
+    ["audit", "--scenario-file", "F", "--version"], ["--version", "audit"],
+    ["audit", "--scenario-file", "F", "--=x"],
+]
+
+
+def parse_outcome(parse, argv):
+    """The repr of the Namespace ``parse(argv)`` returns (reprs, since NaN !=
+    NaN), or the exit code, stdout and stderr with which argparse exits."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return repr(parse(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+def full_parse(argv):
+    return build_parser().parse_args(argv)
+
+
+@st.composite
+def any_command_lines(draw):
+    """A fuzz command line, sometimes behind -h, --help or --version."""
+    argv = draw(command_lines())
+    return draw(st.sampled_from([[], ["-h"], ["--help"], ["--version"]])) + argv
+
+
+class TestCommandParser:
+    """``main`` parses with ``parse_command_line``, which builds only the
+    invoked command's subparser; the full parser is the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @example([])
+    @example(["audit", "--scenario-file", "F", "--=x"])
+    @given(any_command_lines())
+    def test_same_outcome_as_the_full_parser(self, argv):
+        assert parse_outcome(parse_command_line, argv) == parse_outcome(full_parse, argv)
+
+    @pytest.mark.parametrize("argv", TOP_LEVEL_ARGVS, ids=" ".join)
+    def test_top_level_text_is_the_full_parsers(self, argv):
+        code, out, err = parse_outcome(main, argv)
+        assert (code, out, err) == parse_outcome(full_parse, argv)
+        if code == 2 and argv[:1] == ["audit"]:
+            assert EVERY_COMMAND in err  # the top-level usage line
+
+    def test_a_valid_call_builds_one_subparser(self, capsys, monkeypatch, exported):
+        calls = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            calls.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        code, _, err = run(capsys, "audit", "--scenario-file", exported)
+        assert code == 0, err
+        assert calls == ["audit"]
+
+    @pytest.mark.parametrize(
+        "argv", [["stat-bound", "--p", "0.5,x"], ["wavepacket", "--separations", "4,"]]
+    )
+    def test_bad_float_list_names_its_type(self, argv):
+        code, out, err = parse_outcome(main, argv)
+        assert (code, out) == (2, "")
+        assert f"invalid float_list value: {argv[-1]!r}" in err
 
 
 def stdlib_json(data):

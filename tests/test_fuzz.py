@@ -3,7 +3,8 @@
 Two properties: scenario files with values replaced or deleted at random
 JSON paths, and random option values for every subcommand. Each run must
 exit 0, 2, 3 or 4 (argparse's ``SystemExit(2)`` counts as 2), raise nothing
-else, and write strict JSON on success. Values are drawn from small pools
+else, and write strict JSON on success. Some command lines carry an unknown
+command or option, which the CLI rejects. Values are drawn from small pools
 of boundary cases, so every example stays cheap; files go to a temporary
 directory.
 """
@@ -76,6 +77,10 @@ OPTIONS = {
 }
 POSITIONAL = {"scenario": ["unruh", "fig1", "nonadditivity", "other"]}
 OUTPUTS = ["--format", "--output"]
+# Words no subcommand knows. An option-like word is never taken as another
+# option's value, so it may go anywhere after the command.
+UNKNOWN_COMMANDS = ["bogus", "Audit", "stat", ""]
+UNKNOWN_OPTIONS = ["--bogus", "--=x", "-q"]
 
 # Replacement values for a scenario file: numbers at and past the boundaries,
 # wrong types and shapes, labels present and absent.
@@ -133,7 +138,8 @@ def mutated_scenarios(draw):
 
 @st.composite
 def command_lines(draw):
-    """A subcommand with a random subset of its options at random values."""
+    """A subcommand with a random subset of its options at random values;
+    about one line in five has an unknown command or option."""
     command = draw(st.sampled_from(list(OPTIONS)))
     argv = [command]
     if command in POSITIONAL:
@@ -150,6 +156,10 @@ def command_lines(draw):
             argv.append(option)
         else:
             argv += [option, draw(st.sampled_from(pool[option]))]
+    if draw(st.integers(0, 9)) == 9:
+        argv[0] = draw(st.sampled_from(UNKNOWN_COMMANDS))
+    if draw(st.integers(0, 9)) == 9:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(UNKNOWN_OPTIONS)))
     return argv
 
 
