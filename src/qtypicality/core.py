@@ -9,7 +9,9 @@ is the base ``CellProcess``, which the Markov twin in ``stochastic`` shares.
 
 All inputs are copied and frozen at construction. Each process keeps
 private caches, filled lazily and dropped with it: the base caches one
-boolean mask per region; a structure adds the trajectory ``Psi(t)`` and the
+boolean mask per region and, for the per-cell reduction ``_cell_masses``,
+the cell table grouped by cell size (label columns and a ``(cells, size)``
+index block per size); a structure adds the trajectory ``Psi(t)`` and the
 Heisenberg-projected initial vectors served by ``project_initial``. Cached
 arrays are read-only, so callers can share them but never change them.
 Every cache entry is a pure function of its key, so two threads filling one
@@ -172,6 +174,7 @@ class CellProcess:
         self._labels = tuple(self.cells)
         self.n_steps = n_steps
         self._masks: dict = {}  # frozenset region -> boolean mask
+        self._blocks = None  # ((label columns, index block) per cell size), on first use
 
     # -- time bookkeeping ---------------------------------------------------
 
@@ -199,13 +202,31 @@ class CellProcess:
             return mask
         unknown = region.difference(self.cells)
         if unknown:
-            raise SchemaError(f"unknown cell label {next(iter(unknown))!r}")
+            raise SchemaError(f"unknown cell label {min(unknown)!r}")
         mask = np.zeros(self.dim, dtype=bool)
         if region:
             mask[np.concatenate([self.cells[label] for label in region])] = True
         mask.setflags(write=False)
         self._masks[region] = mask
         return mask
+
+    def _size_blocks(self) -> tuple:
+        """The cell table grouped by cell size: one ``(columns, block)`` pair
+        per size, ``columns`` the label positions of that size's cells and
+        ``block`` their ``(cells, size)`` array of sorted basis indices."""
+        blocks = self._blocks
+        if blocks is None:
+            cells = list(self.cells.values())
+            by_size: dict = {}  # a plain dict: np.unique would import numpy.ma
+            for col, idx in enumerate(cells):
+                by_size.setdefault(len(idx), []).append(col)
+            blocks = tuple(
+                (_frozen(cols, "cell columns", np.intp),
+                 _frozen([cells[c] for c in cols], "cell block", np.intp))
+                for cols in by_size.values()
+            )
+            self._blocks = blocks
+        return blocks
 
     def check_sset(self, sset: SSet) -> SSet:
         self.check_time(sset.time)
@@ -339,10 +360,20 @@ def chain_project(
     return evolve(structure, out, at_time)
 
 
-def _cell_masses(structure: QuantumStructure, vec: np.ndarray) -> np.ndarray:
-    """Per-cell ||E(cell) vec||^2, in the structure's label order."""
-    weights = np.abs(vec) ** 2
-    return np.array([np.sum(weights[idx]) for idx in structure.cells.values()])
+def _cell_masses(process: CellProcess, vecs: np.ndarray) -> np.ndarray:
+    """Per-cell ``||E(cell) v||^2`` of every vector ``v`` in a ``(..., dim)``
+    stack, as a ``(..., cells)`` array in the process's label order.
+
+    One gather and one reduction per distinct cell size, over the whole
+    stack. Each entry equals ``np.sum((np.abs(v) ** 2)[idx])`` bit for bit:
+    ``np.take`` along the last axis keeps each cell's weights contiguous,
+    so ``np.add.reduce`` sums them in ``np.sum``'s pairwise order.
+    """
+    weights = np.abs(vecs) ** 2
+    out = np.empty(weights.shape[:-1] + (len(process.labels),))
+    for cols, block in process._size_blocks():
+        out[..., cols] = np.add.reduce(np.take(weights, block, axis=-1), axis=-1)
+    return out
 
 
 def branch_sweep(structure: QuantumStructure, time: int):
@@ -350,16 +381,17 @@ def branch_sweep(structure: QuantumStructure, time: int):
 
     Yields, for each later time ``t2``, one read-only ``cells x cells``
     array ``m[i, j] = ||E(j) U(t2, t) E(i) Psi(t)||^2`` in label order.
-    Each branch takes the steps of ``chain_project`` one at a time, so row
-    ``i`` equals ``_cell_masses`` of ``chain_project(structure,
-    [SSet(t, {label_i})], at_time=t2)`` bit for bit.
+    Each branch takes the steps of ``chain_project`` one at a time, and the
+    stacked branches are reduced by one ``_cell_masses`` call, so row ``i``
+    equals ``_cell_masses`` of ``chain_project(structure, [SSet(t,
+    {label_i})], at_time=t2)`` bit for bit.
     """
     time = structure.check_time(time)
     psi = state_at(structure, time).amplitudes
     branches = [psi * structure.region_mask((label,)) for label in structure.labels]
     for t2 in range(time + 1, structure.n_steps + 1):
         branches = [evolve(structure, ProjectedVector(b, t2 - 1), t2).amplitudes for b in branches]
-        masses = np.array([_cell_masses(structure, b) for b in branches])
+        masses = _cell_masses(structure, np.array(branches))
         masses.setflags(write=False)
         yield masses
 

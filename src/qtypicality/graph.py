@@ -10,6 +10,7 @@ respects every forced link in both directions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -49,7 +50,7 @@ class PartitionSchedule:
             seen: set = set()
             for region in regions:
                 structure.region_mask(region)  # rejects unknown labels
-                for label in region:
+                for label in sorted(region):  # a frozenset's order follows the hash seed
                     if label in seen:
                         raise ValidationError(
                             f"slice t={t}: label {label!r} appears in two regions"
@@ -146,7 +147,10 @@ def build_graph(
         slice_nodes = []
         total = 0.0
         for region in regions:
-            mass = sum(occ[label] for label in region)
+            # fsum is exact before its one rounding, so the frozenset's
+            # hash-seeded order cannot move the last digit; for one or two
+            # labels it equals the plain sum.
+            mass = math.fsum(occ[label] for label in region)
             total += mass
             slice_nodes.append(len(nodes))
             nodes.append(GraphNode(t, region, mass, mass <= epsilon_exclude))

@@ -135,7 +135,7 @@ def matched_markov_chain(structure: QuantumStructure) -> StochasticProcessSpec:
     """
     n = len(structure.labels)
     states = [core.state_at(structure, t).amplitudes for t in structure.times]
-    occs = [core._cell_masses(structure, psi) for psi in states]
+    occs = core._cell_masses(structure, np.array(states))
     kernels = []
     for t in range(structure.n_steps):
         branches = (states[t] * structure.region_mask((label,)) for label in structure.labels)
@@ -236,7 +236,7 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
             joint[t, s] = joint[s, t].T
 
     # (c3): occupations against single-time marginals.
-    occ = np.array([core._cell_masses(q, core.state_at(q, t).amplitudes) for t in q.times])
+    occ = core._cell_masses(q, np.array([core.state_at(q, t).amplitudes for t in q.times]))
     c3_max = float(np.abs(occ - [np.diag(joint[t, t]) for t in q.times]).max())
 
     # (c5)/(c6): pairs that both sides judge mutually typical (inside the

@@ -6,6 +6,7 @@ matrix products, so every comparison pits two independent computations
 against each other.
 """
 import math
+import os
 
 import numpy as np
 import pytest
@@ -93,3 +94,10 @@ def repo_root():
     import pathlib
 
     return pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session")
+def src_env(repo_root):
+    """The environment of a child Python that imports this checkout's package."""
+    paths = [str(repo_root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}

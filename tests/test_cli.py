@@ -5,6 +5,8 @@ import enum
 import io
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -383,6 +385,54 @@ class TestStatBound:
         assert single["sweep"] is False
 
 
+# Runs each request in one fresh process after ``import qtypicality.cli``
+# and prints, per request, the numpy modules it imported.
+FIRST_REQUESTS = """
+import json, os, sys
+import qtypicality.cli as cli
+work = sys.argv[1]
+u = os.path.join(work, "u.json")
+requests = [
+    ["scenario", "unruh", "--export", u],
+    ["scenario", "unruh", "--detector-d2"],
+    ["scenario", "fig1"],
+    ["scenario", "nonadditivity"],
+    ["audit", "--scenario-file", u],
+    ["graph", "--scenario-file", u, "--slice", "1:U|D", "--slice", "3:U|D"],
+    ["typicality", "--scenario-file", u, "--s1", "1:U", "--s2", "3:D"],
+    ["stat-bound", "--N", "10"],
+    ["wavepacket", "--separations", "4"],
+]
+for argv in requests:
+    before = set(sys.modules)
+    code = cli.main(argv + ["--output", os.path.join(work, "report")])
+    new = sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy")
+    print(json.dumps([argv[0], code, new]))
+"""
+
+
+def test_first_requests_import_no_numpy_submodule(tmp_path, src_env):
+    """numpy.random (a generator), numpy.ma (np.unique) and the like cost
+    milliseconds per process; only wavepacket needs one, numpy.fft."""
+    done = subprocess.run(
+        [sys.executable, "-c", FIRST_REQUESTS, str(tmp_path)],
+        env=src_env, capture_output=True, text=True, check=True,
+    )
+    seen = [json.loads(line) for line in done.stdout.splitlines()]
+    assert len(seen) == 9
+    for command, code, imported in seen:
+        assert code == 0, command
+        allowed = {"numpy.fft"} if command == "wavepacket" else set()
+        assert {".".join(m.split(".")[:2]) for m in imported} <= allowed, (command, imported)
+
+
+def test_stat_bound_sweep_still_draws_from_its_seed(capsys):
+    argv = ("stat-bound", "--sweep", "--sweep-draws", "1", "--seed")
+    first = run_json(capsys, *argv, "7")["results"]
+    assert run_json(capsys, *argv, "7")["results"] == first
+    assert run_json(capsys, *argv, "8")["results"] != first
+
+
 class TestWavepacket:
     def test_sweep_json(self, capsys):
         rows = run_json(capsys, "wavepacket", "--separations", "4,8")["results"]
@@ -534,7 +584,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [("--sweep", "--sweep-draws", "0"), ("--sweep", "--sweep-draws", "-1"),
-         ("--seed", "-1")],  # the generator is seeded even without --sweep
+         ("--seed", "-1")],  # --seed is checked even without --sweep
         ids=["0", "-1", "seed-1"],
     )
     def test_sweep_without_draws_is_parse_error(self, capsys, argv):

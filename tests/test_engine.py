@@ -37,7 +37,7 @@ from qtypicality import (
     occupations,
     state_at,
 )
-from qtypicality import stochastic
+from qtypicality import core, stochastic
 from qtypicality.core import ProjectedVector, _cell_masses, branch_sweep, project_initial
 from qtypicality.errors import ValidationError
 from qtypicality.stochastic import NONADDITIVITY_WITNESS, REGIME_THRESHOLD
@@ -298,6 +298,35 @@ class TestCachedEqualsUncached:
             assert value == pytest.approx(
                 dense_cylinder(warm, [(s.time, s.region) for s in family]), abs=1e-15
             )
+
+
+@st.composite
+def cell_mass_problems(draw):
+    """A cell table of unequal sizes (singletons among them), scattered
+    indices and labels in any order, and a stack of vectors or one vector."""
+    dim = draw(st.integers(1, 300))
+    order = draw(st.permutations(range(dim)))
+    cuts = sorted(draw(st.sets(st.integers(1, dim - 1), max_size=12)) if dim > 1 else [])
+    parts = [order[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, dim])]
+    names = draw(st.permutations([f"c{k}" for k in range(len(parts))]))
+    cells = dict(zip(names, parts))
+    seed = draw(st.integers(0, 2**32 - 1))
+    shape = draw(st.sampled_from([(), (1,), (2,), (3,), (4,), (5,), (6,)])) + (dim,)
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-8, 8, size=shape)
+    vecs = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
+    return core.CellProcess(dim, cells, 0), vecs
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_mass_problems())
+def test_cell_masses_equal_per_cell_sums_exactly(problem):
+    process, vecs = problem
+    masses = _cell_masses(process, vecs)
+    assert masses.shape == vecs.shape[:-1] + (len(process.labels),)
+    for v, row in zip(vecs.reshape(-1, process.dim), masses.reshape(-1, len(process.labels))):
+        expected = [np.sum((np.abs(v) ** 2)[process.cells[label]]) for label in process.labels]
+        assert row.tobytes() == np.array(expected).tobytes()
 
 
 def reference_audit(q, c):

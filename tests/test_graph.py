@@ -1,4 +1,7 @@
 import itertools
+import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -399,3 +402,47 @@ class TestBranchFollowingTable:
         for branches in ([], [SSet(1, {"U"})]):
             with pytest.raises(ValidationError, match="threshold"):
                 branch_following_check(q, branches, tau)
+
+
+# Graph requests on regions of three and more labels, and two rejections
+# that name one label of a region; run in one process per hash seed.
+HASH_SEED_REQUESTS = """
+import sys
+from qtypicality.cli import main
+path = sys.argv[1]
+for slices in (["1:c0,c1,c2|c3,c4,c5,c6,c7", "3:c0,c3,c5|c1,c2,c4,c6,c7"],
+               ["1:c0,c1,c2|c3,c2,c1"], ["1:c0,c1,c2|c3,c4,c5,c6,c7,X,Y"]):
+    code = main(["graph", "--scenario-file", path] + [a for s in slices for a in ("--slice", s)])
+    print("exit", code, flush=True)
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path, src_env):
+    """A region is a frozenset, whose iteration order follows the salted
+    string hash; node masses and error texts must not."""
+    rng = np.random.default_rng(1803)
+    dim, n_cells = 32, 8
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    structure = QuantumStructure(
+        dim,
+        psi0 / np.linalg.norm(psi0),
+        [random_unitary(rng, dim) for _ in range(4)],
+        {f"c{c}": list(range(4 * c, 4 * c + 4)) for c in range(n_cells)},
+    )
+    path = tmp_path / "haar.json"
+    path.write_text(json.dumps(core.structure_to_dict(structure)))
+    outputs = set()
+    for seed in range(8):
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_REQUESTS, str(path)],
+            env={**src_env, "PYTHONHASHSEED": str(seed)}, capture_output=True, text=True, check=True,
+        )
+        outputs.add((done.stdout, done.stderr))
+    assert len(outputs) == 1
+    out, err = outputs.pop()
+    assert json.loads(out.split("exit 0")[0])["results"]["nodes"][0]["region"] == ["c0", "c1", "c2"]
+    assert out.count("exit 2") == 2
+    assert err.splitlines() == [
+        "error: slice t=1: label 'c1' appears in two regions",
+        "error: unknown cell label 'X'",
+    ]
