@@ -1,19 +1,23 @@
 """Audit the correspondence between a quantum structure and its Markov
-twin: where they agree, and the one axiom the quantum side breaks.
+twin: where they agree, the one axiom the quantum side breaks, and the
+which-way links that only the typicality rule makes.
 
 Run with:  python3 demos/demo_correspondence.py
 """
+import itertools
 import json
 
 from qtypicality import (
     SSet,
     build_beamsplitter_fig1,
+    build_graph,
     build_unruh,
     correspondence_audit,
     cylinder_measure,
     matched_markov_chain,
     mu_typicality,
     mutual_typicality,
+    obstacle_variant,
 )
 
 
@@ -23,6 +27,24 @@ def show_audit(name, structure):
     print(f"\n=== {name} " + "=" * max(0, 60 - len(name)))
     print(json.dumps(audit.to_dict(), indent=2, sort_keys=True))
     return structure, chain
+
+
+def graph_lines(graph):
+    links = [f"{graph.nodes[a].name}~{graph.nodes[b].name}" for a, b, _ in graph.links]
+    paths = ["->".join(graph.node_names(p)) for p in graph.paths]
+    return [f"{len(links)} links:"] + links + [f"{len(paths)} paths:"] + paths
+
+
+def show_graphs(name, model):
+    """The quantum graph and its matched twin's, same schedule and thresholds."""
+    schedule = model.partition_schedule()
+    quantum = build_graph(model.structure, schedule)
+    twin = build_graph(matched_markov_chain(model.structure), schedule)
+    print(f"\n--- {name}: trajectory graphs " + "-" * max(0, 44 - len(name)))
+    print(f"  {'quantum structure':<32} matched Markov twin")
+    columns = itertools.zip_longest(graph_lines(quantum), graph_lines(twin), fillvalue="")
+    for left, right in columns:
+        print(f"  {left:<32} {right}")
 
 
 def main():
@@ -44,6 +66,15 @@ def main():
         for arm in ("U", "D")
     )
     print(f"    mu(U@2) = {total:.3f} vs termwise sum {split:.3f}")
+
+    show_graphs("Multi-pass interferometer", build_unruh())
+    print("  The which-way links U@1~D@3 and D@1~U@3 exist only under the")
+    print("  typicality rule. No Markov chain with these marginals makes them:")
+    print("  all its mass passes U@2, so X_3 cannot depend on X_1.")
+    show_graphs("Obstacle in the upper arm (U1)", obstacle_variant("U1"))
+    print("  The twin keeps only BLOCK@1~BLOCK@2. Its step 2 falls back to tiled")
+    print("  marginals, which forgets the absorbed branch, so its paths may leave")
+    print("  the absorber: BLOCK@1->BLOCK@2->U@3.")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ private caches, filled lazily and dropped with it: the base caches one
 boolean mask per region and, for the per-cell reduction ``_cell_masses``,
 the cell table grouped by cell size (label columns and a ``(cells, size)``
 index block per size); a structure adds the trajectory ``Psi(t)`` and the
-Heisenberg-projected initial vectors served by ``project_initial``. Cached
-arrays are read-only, so callers can share them but never change them.
+Heisenberg-projected initial vectors served by ``project_initial``, the twin
+its two-time laws. Cached arrays are read-only, so no caller can change them.
 Every cache entry is a pure function of its key, so two threads filling one
 entry store equal values and a process stays safe to share between threads.
 """
@@ -30,6 +30,10 @@ from .errors import SchemaError, TimeRangeError, ValidationError
 
 UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-12
+# Complex entries per block of pair differences, which bounds a table's working
+# memory: 64 KB stays below the C allocator's fresh-page size (blocks of 2**16
+# entries raised the audit benchmark's peak RSS by about 0.5 MB).
+PAIR_BLOCK_ENTRIES = 2**12
 
 
 class FactorUnitary:
@@ -166,7 +170,9 @@ class ProjectedVector:
 class CellProcess:
     """A labeled partition of ``range(dim)`` observed at time indices
     ``0..n_steps``: the cell space that a quantum structure and its Markov
-    twin share. The region masks are cached here, one per region."""
+    twin share. The region masks are cached here, one per region. Both
+    processes have ``occupations(t)``, the cell masses in label order, and
+    ``pair_table(rows, cols)``, a ``typicality.PairMasses`` of s-set pairs."""
 
     def __init__(self, dim: int, cells: Mapping[str, Iterable[int]], n_steps: int):
         self.dim = dim
@@ -265,6 +271,38 @@ class QuantumStructure(CellProcess):
         super().__init__(dim, cells, len(self.schedule))
         self._trajectory = {0: self.psi0}  # requested time -> Psi(t)
         self._projections: dict = {}  # (time, region) -> U^dagger E U psi0
+
+    def occupations(self, time: int) -> np.ndarray:
+        """Per-cell probability mass ||E(cell) Psi(t)||^2, in label order."""
+        return _cell_masses(self, state_at(self, time).amplitudes)
+
+    def pair_table(self, rows: Sequence[SSet], cols: Sequence[SSet]):
+        """``||v_i - w_j||^2`` and the squared norms of the ``project_initial``
+        vectors ``v_i`` of ``rows`` and ``w_j`` of ``cols``, formed a block of
+        rows at a time (at most ``PAIR_BLOCK_ENTRIES`` complex entries, or one
+        row). Each entry is one sum over one difference, so it equals its
+        one-pair table bit for bit, and a list's table against itself is
+        exactly symmetric."""
+        from .typicality import PairMasses  # typicality imports this module
+
+        row_vecs = [project_initial(self, sset) for sset in rows]
+        col_vecs = [project_initial(self, sset) for sset in cols]
+        v, w = (
+            np.array([x.amplitudes for x in vecs], dtype=complex).reshape(len(vecs), self.dim)
+            for vecs in (row_vecs, col_vecs)
+        )
+        diff_sq = np.empty((len(v), len(w)))
+        step = max(1, PAIR_BLOCK_ENTRIES // max(1, w.size))
+        for start in range(0, len(v), step):
+            diff = (v[start:start + step, None, :] - w[None, :, :]).view(float)
+            np.square(diff, out=diff)
+            diff.sum(axis=-1, out=diff_sq[start:start + step])
+        diff_sq.setflags(write=False)
+        return PairMasses(
+            diff_sq,
+            _frozen([x.norm_sq for x in row_vecs], "row_norm_sq", float),
+            _frozen([x.norm_sq for x in col_vecs], "col_norm_sq", float),
+        )
 
 
 def evolve(structure: QuantumStructure, state: ProjectedVector, to_time: int) -> ProjectedVector:
@@ -396,10 +434,9 @@ def branch_sweep(structure: QuantumStructure, time: int):
         yield masses
 
 
-def occupations(structure: QuantumStructure, time: int) -> dict:
-    """Per-cell probability mass ||E(cell) Psi(t)||^2 at one time index."""
-    masses = _cell_masses(structure, state_at(structure, time).amplitudes)
-    return dict(zip(structure.labels, masses.tolist()))
+def occupations(process: CellProcess, time: int) -> dict:
+    """Each cell's mass at one time index, by label, for either process."""
+    return dict(zip(process.labels, process.occupations(time).tolist()))
 
 
 # -- scenario JSON ----------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import core, typicality
-from .core import QuantumStructure, SSet
+from .core import CellProcess, QuantumStructure, SSet
 from .errors import ResourceLimitError, ValidationError
 
 OCCUPATION_SUM_TOL = 1e-10
@@ -39,24 +39,24 @@ class PartitionSchedule:
         )
         object.__setattr__(self, "slices", normalized)
 
-    def validate(self, structure: QuantumStructure) -> None:
+    def validate(self, process: CellProcess) -> None:
         if not self.slices:
             raise ValidationError("partition schedule is empty")
         times = [t for t, _ in self.slices]
         if len(set(times)) != len(times):
             raise ValidationError("duplicate time index in partition schedule")
         for t, regions in self.slices:
-            structure.check_time(t)
+            process.check_time(t)
             seen: set = set()
             for region in regions:
-                structure.region_mask(region)  # rejects unknown labels
+                process.region_mask(region)  # rejects unknown labels
                 for label in sorted(region):  # a frozenset's order follows the hash seed
                     if label in seen:
                         raise ValidationError(
                             f"slice t={t}: label {label!r} appears in two regions"
                         )
                     seen.add(label)
-            if seen != set(structure.labels):
+            if seen != set(process.labels):
                 raise ValidationError(f"slice t={t} does not cover all cells")
 
 
@@ -116,12 +116,12 @@ class TrajectoryGraph:
 
 
 def build_graph(
-    structure: QuantumStructure,
+    process: CellProcess,
     schedule: PartitionSchedule,
     epsilon_exclude: float = DEFAULT_EPSILON_EXCLUDE,
     tau_link: float = DEFAULT_TAU_LINK,
 ) -> TrajectoryGraph:
-    """Build the exclusion/link graph and enumerate admissible paths.
+    """Build the exclusion/link graph of either process, with its paths.
 
     Paths are listed in ``itertools.product`` order over the non-excluded
     nodes of each slice, but found by extending admissible prefixes one
@@ -129,7 +129,7 @@ def build_graph(
     before its extensions are formed. ``PATH_SPACE_LIMIT`` still bounds the
     raw product of the region counts.
     """
-    schedule.validate(structure)
+    schedule.validate(process)
     for name, value in (("epsilon_exclude", epsilon_exclude), ("tau_link", tau_link)):
         if not 0.0 < value < 1.0:
             raise ValidationError(f"{name}={value} outside (0, 1)")
@@ -143,7 +143,7 @@ def build_graph(
     nodes: list[GraphNode] = []
     slices: list[tuple] = []
     for t, regions in schedule.slices:
-        occ = core.occupations(structure, t)
+        occ = core.occupations(process, t)
         slice_nodes = []
         total = 0.0
         for region in regions:
@@ -159,14 +159,14 @@ def build_graph(
         slices.append(tuple(slice_nodes))
 
     # Links across all slice pairs, not only adjacent ones: the rule holds
-    # for arbitrary pairs of s-sets. One table of masses per slice pair.
+    # for arbitrary pairs of s-sets. One pair table per slice pair.
     candidates = [
         [i for i in slice_nodes if not nodes[i].excluded] for slice_nodes in slices
     ]
     ssets = [[SSet(nodes[i].time, nodes[i].region) for i in cands] for cands in candidates]
     links = []
     for si, sj in itertools.combinations(range(len(slices)), 2):
-        table = typicality.pair_masses(structure, ssets[si], ssets[sj])
+        table = process.pair_table(ssets[si], ssets[sj])
         hits = np.nonzero(table.typical(tau_link))  # row-major: links in (row, column) order
         for i, j, m_big in zip(*(x.tolist() for x in hits), table.m_big[hits].tolist()):
             links.append((candidates[si][i], candidates[sj][j], m_big))
@@ -215,16 +215,15 @@ def branch_following_check(
     For every earlier/later pair the pair must either be mutually typical
     (measure at most ``tau``) or the later projection must survive chaining
     through the earlier one up to a relative mass loss of ``tau``. All pairs
-    are judged as one ``typicality.pair_masses`` table; the chain loss is
-    computed only for pairs that are not typical, in
-    ``itertools.combinations`` order.
+    are judged as one ``pair_table``; the chain loss is computed only for
+    pairs that are not typical, in ``itertools.combinations`` order.
     """
     times = [s.time for s in branch_regions]
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValidationError("branch regions must be strictly time-ordered")
     for s in branch_regions:
         structure.check_sset(s)
-    typical = typicality.pair_masses(structure, branch_regions, branch_regions).typical(tau)
+    typical = structure.pair_table(branch_regions, branch_regions).typical(tau)
     for i, j in zip(*np.nonzero(np.triu(~typical, 1))):
         later = core.project_initial(structure, branch_regions[j])
         if later.norm_sq < typicality.DEGENERATE_NORM_TOL:

@@ -2,13 +2,14 @@
 
 The twin of a quantum structure is a finite-state Markov chain sharing its
 cell labels and step count. Both are ``core.CellProcess``es: the twin's
-cells are one index per state, and its region masks are cached on that
-base. Its cylinder-set measure is exactly additive, which is precisely the
-property the chained quantum squared norm lacks; the audit quantifies both
-sides.
+cells are one index per state, its region masks are cached on that base,
+and its pair table is read from its two-time laws. Its cylinder-set measure
+is exactly additive, which is precisely the property the chained quantum
+squared norm lacks; the audit quantifies both sides.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -71,6 +72,43 @@ class StochasticProcessSpec(core.CellProcess):
             dist = dist @ self.kernels[t]
         return dist
 
+    occupations = marginal  # the single-time law, in label order
+
+    @functools.cached_property
+    def _laws(self) -> np.ndarray:
+        """Read-only ``laws[s, t, i, j] = P(X_s = i, X_t = j)``: ``diag(marginal(s))``
+        stepped through the kernels to ``t``, and its transpose for ``s > t``."""
+        laws = np.empty((self.n_steps + 1,) * 2 + (self.dim,) * 2)
+        for s in self.times:
+            first = np.diag(self.marginal(s))  # P(X_s = i, X_s = j)
+            steps = itertools.accumulate(self.kernels[s:], np.matmul, initial=first)
+            for t, law in enumerate(steps, start=s):
+                laws[s, t], laws[t, s] = law, law.T
+        laws.setflags(write=False)
+        return laws
+
+    def pair_table(self, rows: Sequence[SSet], cols: Sequence[SSet]) -> typicality.PairMasses:
+        """Region masses, and for a row ``(s, A)`` and column ``(t, B)`` the
+        mass ``P(X_s in A, X_t not in B) + P(X_s not in A, X_t in B)``, checked
+        by ``typicality.mu_pair_masses``. Each mass is one sum over its own law
+        entries, so a one-pair table holds the same bits, and a table of a
+        list against itself is exactly symmetric."""
+
+        def side(ssets):  # the times, the cells as 0/1 rows, and the region masses
+            times = np.array([self.check_sset(x).time for x in ssets], dtype=np.intp)
+            masks = [self.region_mask(x.region) for x in ssets]
+            cells = np.array(masks, dtype=float).reshape(-1, self.dim)
+            marginals = self._laws[times, times].diagonal(axis1=1, axis2=2)
+            return times, cells, np.add.reduce(cells * marginals, axis=-1)
+
+        def inside_outside(s, a, t, b):  # P(X_s in A, X_t not in B), rows by columns
+            terms = a[:, None, :, None] * self._laws[s[:, None], t] * (1.0 - b)[:, None, :]
+            return np.add.reduce(terms.reshape(len(s), len(t), self.dim**2), axis=-1)
+
+        (s, a, mu_rows), (t, b, mu_cols) = side(rows), side(cols)
+        xor = inside_outside(s, a, t, b) + inside_outside(t, b, s, a).T
+        return typicality.mu_pair_masses(mu_rows, mu_cols, xor)
+
 
 def cylinder_measure(spec: StochasticProcessSpec, ssets: Sequence[SSet]) -> float:
     """Exact measure of the intersection of s-sets by masked propagation.
@@ -96,16 +134,13 @@ def cylinder_measure(spec: StochasticProcessSpec, ssets: Sequence[SSet]) -> floa
 
 
 def mu_sset(spec: StochasticProcessSpec, sset: SSet) -> float:
-    """Measure mu(S) of one s-set: the mass of its region at its time."""
-    return cylinder_measure(spec, [sset])
+    """Measure mu(S) of one s-set: the row mass of a one-row twin table."""
+    return float(spec.pair_table([sset], []).row_norm_sq[0])
 
 
 def mu_symmetric_difference(spec: StochasticProcessSpec, s1: SSet, s2: SSet) -> float:
-    """Measure of the symmetric difference: mu(S1 and not S2) + mu(not S1 and S2)."""
-    all_states = frozenset(spec.states)
-    c1 = SSet(s1.time, all_states - s1.region)
-    c2 = SSet(s2.time, all_states - s2.region)
-    return cylinder_measure(spec, [s1, c2]) + cylinder_measure(spec, [c1, s2])
+    """Measure of S1 xor S2: the entry of a one-pair twin table."""
+    return float(spec.pair_table([s1], [s2]).diff_sq[0, 0])
 
 
 def mu_typicality(
@@ -114,14 +149,8 @@ def mu_typicality(
     s2: SSet,
     threshold: float = REGIME_THRESHOLD,
 ) -> typicality.TypicalityReport:
-    """Probabilistic mutual typicality report for a pair of s-sets, judged by
-    ``typicality.mutual_typicality_measure_mu`` as the audit judges the twin."""
-    return typicality.mutual_typicality_measure_mu(
-        mu_sset(spec, s1),
-        mu_sset(spec, s2),
-        mu_symmetric_difference(spec, s1, s2),
-        threshold=threshold,
-    )
+    """Probabilistic mutual typicality of two s-sets: a one-pair twin table."""
+    return spec.pair_table([s1], [s2]).report(0, 0, threshold)
 
 
 def matched_markov_chain(structure: QuantumStructure) -> StochasticProcessSpec:
@@ -154,10 +183,8 @@ class CorrespondenceAudit:
 
     c5 counts the pairs that both sides judge ``MutuallyTypical``, which is
     what being inside the regime means; ``c5_agreements`` equals
-    ``c5_pairs_in_regime`` and ``c5_pass`` holds for every input. Each side
-    judges all its pairs as one table (``typicality.pair_masses`` and
-    ``typicality.mu_pair_masses``), and the count reads the two verdict
-    masks.
+    ``c5_pairs_in_regime`` and ``c5_pass`` holds for every input. The count
+    reads the verdict masks of the two processes' ``pair_table``s.
 
     c7's defect at ``t1 < t2`` and cell ``j`` is ``|occ[t2, j] - sum_i
     m[i, j]|`` over the ``core.branch_sweep`` array ``m`` from ``t1`` at
@@ -206,51 +233,31 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
     on the quantum side. A marginal mismatch is reported, not raised; a twin
     with another step count or other labels is rejected.
 
-    Every twin value is a sum of entries of a two-time joint law
-    ``P(X_s = i, X_t = j)``, built once per ordered pair of times with the
-    cells in the structure's label order: ``diag(marginal(s))`` stepped
-    through the kernels from ``s`` to ``t``, and its transpose for ``s > t``.
-    Region masses are sums of those tables over 0/1 region rows.
+    c5 judges its ``(T+1)(cells+1)`` s-sets as one ``pair_table`` of each
+    process. A twin value that fails the measure checks raises for the first
+    failing pair in row-major order, which for this symmetric table is the
+    first in ``itertools.combinations`` order.
 
-    c5 judges every pair of its ``(T+1)(cells+1)`` s-sets at once: the
-    quantum side as one ``pair_masses`` table, the twin side as one table of
-    region masses and symmetric-difference masses, checked as measures. A
-    twin value that fails the check raises the ``ValidationError`` that
-    ``mutual_typicality_measure_mu`` raises for the first such pair in
-    ``itertools.combinations`` order.
-
-    c3 and c7 read one occupations table ``occ[t, j]``, and c7 compares it
-    with the column sums of one ``core.branch_sweep`` per earlier time.
+    c3 and c7 read one occupations table ``occ[t, j]``; c3 compares it with
+    the twin's marginals, and c7 with the column sums of one
+    ``core.branch_sweep`` per earlier time and the twin's two-time laws.
     """
     if set(q.labels) != set(c.states):
         raise ValidationError("structure and chain use different cell labels")
     if q.n_steps != c.n_steps:
         raise ValidationError(f"structure has {q.n_steps} steps but its twin has {c.n_steps}")
 
-    order = [c.states.index(label) for label in q.labels]
-    joint = {}  # (s, t) -> P(X_s = i, X_t = j)
-    for s in q.times:
-        laws = itertools.accumulate(c.kernels[s:], np.matmul, initial=np.diag(c.marginal(s)))
-        for t, law in enumerate(laws, start=s):
-            joint[s, t] = law[np.ix_(order, order)]
-            joint[t, s] = joint[s, t].T
-
-    # (c3): occupations against single-time marginals.
-    occ = core._cell_masses(q, np.array([core.state_at(q, t).amplitudes for t in q.times]))
-    c3_max = float(np.abs(occ - [np.diag(joint[t, t]) for t in q.times]).max())
+    # (c3): occupations against single-time marginals, label by label.
+    occ = np.array([q.occupations(t) for t in q.times])
+    twin_index = [c.labels.index(label) for label in q.labels]
+    c3_max = float(np.abs(occ - np.array([c.occupations(t)[twin_index] for t in q.times])).max())
 
     # (c5)/(c6): pairs that both sides judge mutually typical (inside the
-    # regime), over all singleton and full regions at every time. Each side
-    # is one table over those s-sets, time-major, and the count reads the
-    # upper triangle of the two verdict masks.
+    # regime), over all singleton and full regions at every time, time-major.
     regions = [frozenset({label}) for label in q.labels] + [frozenset(q.labels)]
-    rows = np.vstack([np.eye(len(q.labels)), np.ones(len(q.labels))])  # one per region
-    mu = np.concatenate([np.diag(rows @ joint[t, t] @ rows.T) for t in q.times])
-    # across[(s, a), (t, b)] = P(X_s in region a, X_t not in region b)
-    across = np.block([[rows @ joint[s, t] @ (1.0 - rows).T for t in q.times] for s in q.times])
     ssets = [SSet(t, r) for t in q.times for r in regions]
-    typical_q = typicality.pair_masses(q, ssets, ssets).typical(REGIME_THRESHOLD)
-    typical_mu = typicality.mu_pair_masses(mu, across + across.T).typical(REGIME_THRESHOLD)
+    typical_q = q.pair_table(ssets, ssets).typical(REGIME_THRESHOLD)
+    typical_mu = c.pair_table(ssets, ssets).typical(REGIME_THRESHOLD)
     in_regime = int(np.count_nonzero(np.triu(typical_q & typical_mu, 1)))
 
     # (c7): additivity of mu, nonadditivity witness for the chained norm.
@@ -258,7 +265,7 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
     for t1 in q.times[:-1]:
         for t2, chained in enumerate(core.branch_sweep(q, t1), start=t1 + 1):
             # Summing P(X_t1 = i, X_t2 = j) over i gives back P(X_t2 = j).
-            if np.any(np.abs(joint[t1, t2].sum(axis=0) - np.diag(joint[t2, t2])) > 1e-12):
+            if np.any(np.abs(c._laws[t1, t2].sum(axis=0) - np.diag(c._laws[t2, t2])) > 1e-12):
                 mu_additive = False
             chained_sums[t1, t2] = chained.sum(axis=0)
     defects = {(t1, t2): np.abs(occ[t2] - sums) for (t1, t2), sums in chained_sums.items()}
@@ -295,7 +302,9 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
 
 def process_from_dict(data: Mapping) -> StochasticProcessSpec:
     try:
-        states = [str(s) for s in data["states"]]
+        states = data["states"]
+        if not (isinstance(states, list) and all(isinstance(s, str) for s in states)):
+            raise TypeError("states must be an array of strings")
         # ValueError: ragged arrays; OverflowError: an integer beyond float range
         initial = np.asarray(data["initial"], dtype=float)
         kernels = [np.asarray(k, dtype=float) for k in data["kernels"]]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,11 +23,6 @@ DEGENERATE_NORM_TOL = 1e-14
 CHAIN_TOL = 1e-9
 # Slack allowed on the measure axioms of a stochastic pair's three values.
 MU_TOL = 1e-12
-# Complex entries in one block of pair differences, so a table's working
-# memory does not grow with its size. At 64 KB a block stays below the size
-# for which the C allocator maps fresh pages; blocks of 2**16 entries raised
-# the audit benchmark's peak RSS by about 0.5 MB.
-PAIR_BLOCK_ENTRIES = 2**12
 
 
 class Verdict(str, Enum):
@@ -126,40 +121,6 @@ class PairMasses(NamedTuple):
         )
 
 
-def pair_masses(
-    structure: QuantumStructure, rows: Sequence[SSet], cols: Sequence[SSet]
-) -> PairMasses:
-    """The squared masses of every (row, column) pair of s-sets.
-
-    The Heisenberg projections ``v_i`` of ``rows`` and ``w_j`` of ``cols``
-    come from ``core.project_initial``. Their differences are formed a block
-    of rows at a time, at most ``PAIR_BLOCK_ENTRIES`` complex entries each
-    (one row if a row alone is larger), and each ``||v_i - w_j||^2`` is one
-    sum over the real and imaginary parts of one difference. That sum does
-    not depend on the block, so every entry equals the one-pair table of its
-    two s-sets bit for bit, and since ``(-x)^2 = x^2`` a table of a list
-    against itself is exactly symmetric.
-    """
-    row_vecs = [core.project_initial(structure, sset) for sset in rows]
-    col_vecs = [core.project_initial(structure, sset) for sset in cols]
-    v, w = (
-        np.array([x.amplitudes for x in vecs], dtype=complex).reshape(len(vecs), structure.dim)
-        for vecs in (row_vecs, col_vecs)
-    )
-    diff_sq = np.empty((len(v), len(w)))
-    step = max(1, PAIR_BLOCK_ENTRIES // max(1, w.size))
-    for start in range(0, len(v), step):
-        diff = (v[start:start + step, None, :] - w[None, :, :]).view(float)
-        np.square(diff, out=diff)
-        diff.sum(axis=-1, out=diff_sq[start:start + step])
-    diff_sq.setflags(write=False)
-    return PairMasses(
-        diff_sq,
-        core._frozen([x.norm_sq for x in row_vecs], "row_norm_sq", float),
-        core._frozen([x.norm_sq for x in col_vecs], "col_norm_sq", float),
-    )
-
-
 def mutual_typicality(
     structure: QuantumStructure,
     s1: SSet,
@@ -167,8 +128,8 @@ def mutual_typicality(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> TypicalityReport:
     """Quantum mutual typicality of two s-sets, verdict at ``threshold``:
-    the one-pair case of ``pair_masses``."""
-    return pair_masses(structure, [s1], [s2]).report(0, 0, threshold)
+    the one-pair case of ``QuantumStructure.pair_table``."""
+    return structure.pair_table([s1], [s2]).report(0, 0, threshold)
 
 
 def mutual_typicality_measure_mu(
@@ -179,25 +140,23 @@ def mutual_typicality_measure_mu(
 ) -> TypicalityReport:
     """Probabilistic mutual typicality from measures of S1, S2 and S1 xor S2:
     the one-pair case of ``mu_pair_masses``."""
-    table = mu_pair_masses([mu1, mu2], [[0.0, mu_symm_diff], [mu_symm_diff, 0.0]])
-    return table.report(0, 1, threshold)
+    return mu_pair_masses([mu1], [mu2], [[mu_symm_diff]]).report(0, 0, threshold)
 
 
-def mu_pair_masses(mu, mu_xor) -> PairMasses:
-    """Measures of every pair ``i < j`` of one list of sets, checked as
-    measures: ``mu[i]`` is the measure of set ``i`` and ``mu_xor[i, j]`` that
-    of the symmetric difference of sets ``i`` and ``j``.
+def mu_pair_masses(mu_rows, mu_cols, mu_xor) -> PairMasses:
+    """Measures of every pair of a row set and a column set, checked as
+    measures: ``mu_rows[i]`` and ``mu_cols[j]`` are the measures of the two
+    sets and ``mu_xor[i, j]`` that of their symmetric difference.
 
     Each of the three values of a pair must lie in ``[0, 1 + MU_TOL]`` and
     satisfy ``|mu_i - mu_j| <= mu_xor <= mu_i + mu_j`` within ``MU_TOL``.
-    The first pair in ``itertools.combinations`` order that fails raises
-    ``ValidationError`` naming its values; entries on or below the diagonal
-    are neither checked nor meant to be read. The table's rows and columns
-    are both ``mu``, so ``report(i, j)`` judges ``mu_xor[i, j]`` against
-    ``max(mu[i], mu[j])``.
+    Every entry is checked; the first that fails, in row-major order, raises
+    ``ValidationError`` naming its values and the first check it fails, in
+    the order above.
     """
-    mu, xor = core._frozen(mu, "mu", float), core._frozen(mu_xor, "mu_xor", float)
-    mu1, mu2 = mu[:, None], mu[None, :]
+    rows, cols = core._frozen(mu_rows, "mu_rows", float), core._frozen(mu_cols, "mu_cols", float)
+    xor = core._frozen(mu_xor, "mu_xor", float).reshape(len(rows), len(cols))
+    mu1, mu2 = rows[:, None], cols[None, :]
     with np.errstate(invalid="ignore"):  # inf - inf fails the range checks first
         checks = (  # (holds, message), in the order a single pair is checked
             ((0.0 <= mu1) & (mu1 <= 1.0 + MU_TOL), "mu1={a} outside [0, 1]"),
@@ -207,14 +166,14 @@ def mu_pair_masses(mu, mu_xor) -> PairMasses:
             (~(xor > mu1 + mu2 + MU_TOL), "inconsistent measures: {x} > {a} + {b}"),
         )
     holds = [np.broadcast_to(ok, xor.shape) for ok, _ in checks]
-    bad = np.triu(~np.logical_and.reduce(holds), 1)
+    bad = ~np.logical_and.reduce(holds)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         message = next(msg for ok, (_, msg) in zip(holds, checks) if not ok[i, j])
         raise ValidationError(
-            message.format(a=float(mu[i]), b=float(mu[j]), x=float(xor[i, j]))
+            message.format(a=float(rows[i]), b=float(cols[j]), x=float(xor[i, j]))
         )
-    return PairMasses(xor, mu, mu)
+    return PairMasses(xor, rows, cols)
 
 
 def exclusion_measure(structure: QuantumStructure, sset: SSet) -> float:

@@ -554,6 +554,21 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "states", ["UD", {"U": 0, "D": 1}, [0, 1]], ids=["string", "object", "numbers"]
+    )
+    def test_malformed_twin_states_are_named(self, capsys, exported, tmp_path, states):
+        # Each was once read as two labels; the schema asks for an array of strings.
+        data = json.loads(open(exported).read())
+        if states == [0, 1]:  # numeric cell labels, so that only the type is wrong
+            data["cells"] = {"0": data["cells"]["U"], "1": data["cells"]["D"]}
+        data["stochastic"]["states"] = states
+        bad = tmp_path / "bad_states.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "audit", "--scenario-file", str(bad))
+        assert (code, out) == (2, "")
+        assert "malformed stochastic section: states must be an array of strings" in err
+
     def test_nan_kernel_is_named(self, capsys, exported, tmp_path):
         data = json.loads(open(exported).read())
         data["stochastic"]["kernels"][1][0][0] = float("nan")

@@ -21,6 +21,8 @@ from qtypicality import (
     QuantumStructure,
     Verdict,
     build_unruh,
+    matched_markov_chain,
+    mu_typicality,
     mutual_typicality,
     obstacle_variant,
 )
@@ -236,6 +238,68 @@ class TestLinksMatchThePairLoop:
         links, paths = reference_links_and_paths(structure, graph, 0.3)
         assert list(graph.links) == links
         assert list(graph.paths) == paths
+
+
+def link_names(graph):
+    return {frozenset((graph.nodes[a].name, graph.nodes[b].name)) for a, b, _ in graph.links}
+
+
+def mirrored(names):
+    """The names with the arms swapped: the D1 obstacle mirrors U1."""
+    swap = str.maketrans("UD", "DU")
+    return {type(n)(x.translate(swap) for x in n) for n in names}
+
+
+class TestGraphOnTheTwin:
+    """``build_graph`` on a structure and on its matched Markov twin, with the
+    same partition schedule and thresholds: the links that only the
+    typicality rule makes."""
+
+    def graphs(self, model):
+        schedule = model.partition_schedule()
+        twin = matched_markov_chain(model.structure)
+        return build_graph(model.structure, schedule), build_graph(twin, schedule)
+
+    def test_unruh_twin_has_no_which_way_links(self):
+        quantum, twin = self.graphs(build_unruh())
+        assert link_names(quantum) == {frozenset(("U@1", "D@3")), frozenset(("D@1", "U@3"))}
+        assert path_names(quantum) == FIG3_PATHS
+        assert link_names(twin) == set()
+        assert {n.name for n in twin.nodes if n.excluded} == {"D@2"}
+        assert path_names(twin) == FIG5_PATHS
+
+    @pytest.mark.parametrize("arm", ["U1", "D1"])
+    def test_obstacle_twin_keeps_one_absorber_link(self, arm):
+        quantum, twin = self.graphs(obstacle_variant(arm))
+        fix = mirrored if arm == "D1" else set
+        assert link_names(quantum) == fix({
+            frozenset(("BLOCK@1", "BLOCK@2")), frozenset(("BLOCK@1", "BLOCK@3")),
+            frozenset(("BLOCK@2", "BLOCK@3")), frozenset(("D@1", "U@3")),
+        })
+        assert path_names(quantum) == fix({
+            ("BLOCK@1", "BLOCK@2", "BLOCK@3"), ("D@1", "D@2", "U@3"), ("D@1", "U@2", "U@3"),
+        })
+        assert link_names(twin) == {frozenset(("BLOCK@1", "BLOCK@2"))}
+        # The tiled fallback at step 2 lets the absorbed branch leave BLOCK.
+        assert path_names(twin) == fix({
+            ("BLOCK@1", "BLOCK@2", "BLOCK@3"), ("BLOCK@1", "BLOCK@2", "U@3"),
+            ("D@1", "D@2", "BLOCK@3"), ("D@1", "D@2", "U@3"),
+            ("D@1", "U@2", "BLOCK@3"), ("D@1", "U@2", "U@3"),
+        })
+
+    def test_twin_links_are_the_mu_verdicts(self):
+        model = obstacle_variant("U1")
+        twin = matched_markov_chain(model.structure)
+        graph = build_graph(twin, model.partition_schedule())
+        live = [n for n in graph.nodes if not n.excluded]
+        expected = {
+            frozenset((a.name, b.name))
+            for a, b in itertools.combinations(live, 2)
+            if a.time != b.time
+            and mu_typicality(twin, SSet(a.time, a.region), SSet(b.time, b.region)).verdict
+            is Verdict.MUTUALLY_TYPICAL
+        }
+        assert link_names(graph) == expected
 
 
 @st.composite

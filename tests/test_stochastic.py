@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtypicality import (
     QuantumStructure,
@@ -182,6 +185,84 @@ class TestSymmetricDifference:
         report = mu_typicality(identity_chain, SSet(0, {"U"}), SSet(2, {"U"}))
         assert report.m_big == 0.0
         assert report.norm1_sq == pytest.approx(0.5)
+
+
+LABELS = ("a", "b", "c", "d")
+
+
+@st.composite
+def twin_tables(draw):
+    """A random chain, its states a permutation of the labels, with zero
+    entries and absorbing states; row and column s-set lists with repeated
+    times, empty, singleton and full regions, and empty sides."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, n_steps = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    labels = LABELS[:n]
+
+    def law():
+        p = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
+        return p / p.sum() if p.any() else np.eye(n)[rng.integers(n)]
+
+    chain = StochasticProcessSpec(
+        draw(st.permutations(labels)), law(), [[law() for _ in range(n)] for _ in range(n_steps)]
+    )
+    region = st.one_of(
+        st.just(frozenset()), st.just(frozenset(labels)),
+        st.sampled_from(labels).map(lambda label: frozenset({label})),
+        st.frozensets(st.sampled_from(labels)),
+    )
+    ssets = st.lists(st.builds(SSet, st.integers(0, n_steps), region), max_size=5)
+    return chain, draw(ssets), draw(ssets), draw(st.floats(0.01, 0.99))
+
+
+def report_bits(report):
+    return tuple(repr(v) for v in dataclasses.astuple(report))
+
+
+class TestTwinPairTable:
+    """The twin's ``pair_table`` against ``cylinder_measure`` sums, and its
+    one-pair helpers against its entries."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(twin_tables())
+    def test_table_equals_cylinder_sums(self, problem):
+        chain, rows, cols, threshold = problem
+        table = chain.pair_table(rows, cols)
+        assert table.diff_sq.shape == (len(rows), len(cols))
+        everything = frozenset(chain.labels)
+
+        def outside(x):
+            return SSet(x.time, everything - x.region)
+
+        for masses, ssets in ((table.row_norm_sq, rows), (table.col_norm_sq, cols)):
+            for mass, x in zip(masses.tolist(), ssets):
+                assert mass == pytest.approx(cylinder_measure(chain, [x]), abs=1e-12)
+                assert mass == mu_sset(chain, x)
+        for (i, r), (j, c) in itertools.product(enumerate(rows), enumerate(cols)):
+            xor = cylinder_measure(chain, [r, outside(c)]) + cylinder_measure(chain, [outside(r), c])
+            assert table.diff_sq[i, j] == pytest.approx(xor, abs=1e-12)
+            assert table.diff_sq[i, j] == mu_symmetric_difference(chain, r, c)
+            one = mu_typicality(chain, r, c, threshold)
+            assert report_bits(one) == report_bits(table.report(i, j, threshold))
+
+    @settings(max_examples=50, deadline=None)
+    @given(twin_tables())
+    def test_table_of_a_list_against_itself_is_symmetric(self, problem):
+        chain, rows, _, _ = problem
+        diff_sq = chain.pair_table(rows, rows).diff_sq
+        assert np.array_equal(diff_sq, diff_sq.T)
+        assert not np.diagonal(diff_sq).any()
+
+    def test_occupations_are_the_marginals(self, mixing_chain):
+        for t in mixing_chain.times:
+            assert mixing_chain.occupations(t).tolist() == mixing_chain.marginal(t).tolist()
+        assert occupations(mixing_chain, 1) == {"U": 0.5, "D": 0.5}
+
+    def test_laws_are_cached_read_only(self, mixing_chain):
+        laws = mixing_chain._laws
+        assert laws is mixing_chain._laws
+        assert laws.shape == (3, 3, 2, 2) and not laws.flags.writeable
+        np.testing.assert_array_equal(laws[2, 0], laws[0, 2].T)
 
 
 class TestMatchedChain:

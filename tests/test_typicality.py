@@ -18,7 +18,7 @@ from qtypicality import (
     mutual_typicality_measure_mu,
 )
 from qtypicality import core, typicality
-from qtypicality.typicality import PairMasses, mu_pair_masses, pair_masses, report_from_masses
+from qtypicality.typicality import PairMasses, mu_pair_masses, report_from_masses
 
 from conftest import heisenberg_operator, random_region, random_structure
 
@@ -98,14 +98,17 @@ def all_ssets(structure):
 
 
 class TestPairMasses:
+    """``QuantumStructure.pair_table`` against the one-pair reports and the
+    dense projections."""
+
     def test_entries_equal_the_one_pair_reports_across_blocks(self, rng):
         structure = random_structure(rng, dim=64, n_steps=4, n_cells=16)
         ssets = all_ssets(structure)
         rows, cols = ssets[::2], ssets[1::3]
         # Several blocks of rows, the last one short.
-        block_rows = typicality.PAIR_BLOCK_ENTRIES // (len(cols) * structure.dim)
+        block_rows = core.PAIR_BLOCK_ENTRIES // (len(cols) * structure.dim)
         assert 1 < block_rows < len(rows) and len(rows) % block_rows
-        table = pair_masses(structure, rows, cols)
+        table = structure.pair_table(rows, cols)
         assert (len(table.diff_sq), len(table.diff_sq[0])) == (len(rows), len(cols))
         for i, j in itertools.product(range(len(rows)), range(len(cols))):
             one = mutual_typicality(structure, rows[i], cols[j], 0.3)
@@ -114,7 +117,7 @@ class TestPairMasses:
     def test_norms_are_the_projections_norms(self, rng):
         structure = random_structure(rng, dim=16, n_cells=5)
         ssets = all_ssets(structure)
-        table = pair_masses(structure, ssets, ssets[:3])
+        table = structure.pair_table(ssets, ssets[:3])
         expected = [core.project_initial(structure, s).norm_sq for s in ssets]
         assert table.row_norm_sq.tolist() == expected
         assert table.col_norm_sq.tolist() == expected[:3]
@@ -122,7 +125,7 @@ class TestPairMasses:
     def test_self_table_is_symmetric_with_zero_diagonal(self, rng):
         structure = random_structure(rng, dim=64, n_steps=4, n_cells=16)
         ssets = all_ssets(structure)
-        diff_sq = pair_masses(structure, ssets, ssets).diff_sq
+        diff_sq = structure.pair_table(ssets, ssets).diff_sq
         for i, j in itertools.product(range(len(ssets)), repeat=2):
             assert diff_sq[i][j] == diff_sq[j][i]
         assert all(diff_sq[i][i] == 0.0 for i in range(len(ssets)))
@@ -130,7 +133,7 @@ class TestPairMasses:
     def test_measure_matches_the_dense_difference(self, rng):
         structure = random_structure(rng, dim=16, n_cells=5)
         ssets = all_ssets(structure)
-        table = pair_masses(structure, ssets, ssets)
+        table = structure.pair_table(ssets, ssets)
         psi0 = structure.psi0
         vecs = [heisenberg_operator(structure, s) @ psi0 for s in ssets]
         for i, j in itertools.product(range(len(ssets)), repeat=2):
@@ -141,7 +144,7 @@ class TestPairMasses:
         # D2 is interference-dead: its projection vanishes at every time.
         rows = [SSet(2, {"D"}), SSet(1, {"U"})]
         cols = [SSet(2, {"D"}), SSet(3, {"D"})]
-        table = pair_masses(unruh, rows, cols)
+        table = unruh.pair_table(rows, cols)
         assert table.row_norm_sq[0] < typicality.DEGENERATE_NORM_TOL
         assert table.report(0, 0, 0.08).verdict is Verdict.DEGENERATE
         assert table.report(0, 1, 0.08).verdict is Verdict.NOT_TYPICAL
@@ -155,7 +158,7 @@ class TestPairMasses:
         u1 = SSet(1, {"U"})
         norm = core.project_initial(unruh, u1).norm_sq
         for rows, cols, shape in (([], [u1], (0, 1)), ([u1], [], (1, 0))):
-            table = pair_masses(unruh, rows, cols)
+            table = unruh.pair_table(rows, cols)
             assert table.diff_sq.shape == table.m_big.shape == shape
             assert table.typical(0.08).shape == shape
             assert table.row_norm_sq.tolist() == [norm] * len(rows)
@@ -235,10 +238,10 @@ class TestTableVerdicts:
             table.typical(1.0)
 
     def test_arrays_are_read_only(self, unruh):
-        table = pair_masses(unruh, [SSet(1, {"U"})], [SSet(3, {"D"})])
+        table = unruh.pair_table([SSet(1, {"U"})], [SSet(3, {"D"})])
         for arr in table:
             assert not arr.flags.writeable
-        table = mu_pair_masses([0.5, 0.5], [[0.0, 0.0], [0.0, 0.0]])
+        table = mu_pair_masses([0.5, 0.5], [0.5, 0.5], [[0.0, 0.0], [0.0, 0.0]])
         for arr in table:
             assert not arr.flags.writeable
 
@@ -301,10 +304,10 @@ class TestMuTable:
         if expected is not None:
             assert "np." not in expected
             with pytest.raises(ValidationError) as err:
-                mu_pair_masses(mu, xor)
+                mu_pair_masses(mu, mu, xor)
             assert str(err.value) == expected
             return
-        table = mu_pair_masses(mu, xor)
+        table = mu_pair_masses(mu, mu, xor)
         typical = table.typical(threshold)
         for i, j in pairs:
             one = report_from_masses(xor[i][j], mu[i], mu[j], threshold)
@@ -326,10 +329,18 @@ class TestMuTable:
                     mutual_typicality_measure_mu(mu[i], mu[j], xor[i][j], threshold)
                 assert str(err.value) == expected
 
-    def test_only_pairs_above_the_diagonal_are_read(self):
-        bad = math.nan
-        table = mu_pair_masses([0.5, 0.25], [[bad, 0.25], [bad, bad]])
-        assert table.report(0, 1, 0.6).m_big == 0.5
+    def test_every_entry_is_checked_in_row_major_order(self):
+        # A rectangular table: rows and columns are different sets.
+        rows, cols = [0.5, 0.25], [0.5, 0.75]
+        table = mu_pair_masses(rows, cols, [[0.0, 0.25], [0.25, 0.5]])
+        assert table.diff_sq.shape == (2, 2)
+        assert table.report(1, 1, 0.9).m_big == 0.5 / 0.75
+        # (1, 0) and (1, 1) both fail; (1, 0) comes first.
+        with pytest.raises(ValidationError, match=r"^inconsistent measures: \|0\.25 - 0\.5\| > 0\.2$"):
+            mu_pair_masses(rows, cols, [[0.0, 0.25], [0.2, 1.5]])
+        # Entries on and below the diagonal are checked too.
+        with pytest.raises(ValidationError, match=r"^mu_symm_diff=nan outside"):
+            mu_pair_masses(rows, rows, [[0.0, 0.25], [math.nan, 0.0]])
 
 
 class TestExclusionMeasure:
