@@ -435,7 +435,9 @@ def branch_sweep(structure: QuantumStructure, time: int):
 
 
 def occupations(process: CellProcess, time: int) -> dict:
-    """Each cell's mass at one time index, by label, for either process."""
+    """Each cell's mass at one time index, by label, for either process: the
+    labelled form of the array ``process.occupations(time)``, for reports and
+    for callers that look cells up by label, such as a graph node."""
     return dict(zip(process.labels, process.occupations(time).tolist()))
 
 

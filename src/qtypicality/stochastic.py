@@ -9,7 +9,6 @@ squared norm lacks; the audit quantifies both sides.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -60,6 +59,7 @@ class StochasticProcessSpec(core.CellProcess):
             if np.any(kernel < 0.0) or np.any(np.abs(kernel.sum(axis=1) - 1.0) > ROW_SUM_TOL):
                 raise ValidationError(f"kernel {t} is not row-stochastic")
         super().__init__(n, {s: [i] for i, s in enumerate(states)}, len(self.kernels))
+        self._laws: dict = {}  # s -> read-only stack of law(s, t), t = s..T
 
     @property
     def states(self) -> tuple:
@@ -74,39 +74,56 @@ class StochasticProcessSpec(core.CellProcess):
 
     occupations = marginal  # the single-time law, in label order
 
-    @functools.cached_property
-    def _laws(self) -> np.ndarray:
-        """Read-only ``laws[s, t, i, j] = P(X_s = i, X_t = j)``: ``diag(marginal(s))``
-        stepped through the kernels to ``t``, and its transpose for ``s > t``."""
-        laws = np.empty((self.n_steps + 1,) * 2 + (self.dim,) * 2)
-        for s in self.times:
+    def law(self, s: int, t: int) -> np.ndarray:
+        """Read-only ``P(X_s = i, X_t = j)``. The laws from one time ``s`` on
+        are built together on first use, by stepping ``diag(marginal(s))``
+        through the kernels, and kept; ``law(t, s)`` is ``law(s, t).T``."""
+        s, t = self.check_time(s), self.check_time(t)
+        if s > t:
+            return self.law(t, s).T
+        if s not in self._laws:
             first = np.diag(self.marginal(s))  # P(X_s = i, X_s = j)
-            steps = itertools.accumulate(self.kernels[s:], np.matmul, initial=first)
-            for t, law in enumerate(steps, start=s):
-                laws[s, t], laws[t, s] = law, law.T
-        laws.setflags(write=False)
-        return laws
+            laws = itertools.accumulate(self.kernels[s:], np.matmul, initial=first)
+            self._laws[s] = core._frozen(list(laws), "laws", float)
+        return self._laws[s][t - s]
 
     def pair_table(self, rows: Sequence[SSet], cols: Sequence[SSet]) -> typicality.PairMasses:
         """Region masses, and for a row ``(s, A)`` and column ``(t, B)`` the
         mass ``P(X_s in A, X_t not in B) + P(X_s not in A, X_t in B)``, checked
-        by ``typicality.mu_pair_masses``. Each mass is one sum over its own law
-        entries, so a one-pair table holds the same bits, and a table of a
-        list against itself is exactly symmetric."""
+        by ``typicality.mu_pair_masses``. Each term is summed over one time's
+        cells and then the other's, each sum one reduce over its own products,
+        a block of rows at a time (at most ``core.PAIR_BLOCK_ENTRIES`` products,
+        or one row). So a one-pair table holds the same bits, and a list's
+        table against itself is exactly symmetric."""
 
         def side(ssets):  # the times, the cells as 0/1 rows, and the region masses
-            times = np.array([self.check_sset(x).time for x in ssets], dtype=np.intp)
-            masks = [self.region_mask(x.region) for x in ssets]
-            cells = np.array(masks, dtype=float).reshape(-1, self.dim)
-            marginals = self._laws[times, times].diagonal(axis1=1, axis2=2)
+            times = [self.check_sset(x).time for x in ssets]
+            cells = np.array([self.region_mask(x.region) for x in ssets], dtype=float)
+            cells = cells.reshape(-1, self.dim)
+            marginal = {t: self.marginal(t) for t in set(times)}
+            marginals = np.reshape([marginal[t] for t in times], cells.shape)
             return times, cells, np.add.reduce(cells * marginals, axis=-1)
 
         def inside_outside(s, a, t, b):  # P(X_s in A, X_t not in B), rows by columns
-            terms = a[:, None, :, None] * self._laws[s[:, None], t] * (1.0 - b)[:, None, :]
-            return np.add.reduce(terms.reshape(len(s), len(t), self.dim**2), axis=-1)
+            row_times, col_times = sorted(set(s)), sorted(set(t))
+            # laws[p, k, j, i] = P(X_u = j, X_v = i), v the p-th row time, u the k-th column time
+            laws = np.array([[self.law(u, v) for u in col_times] for v in row_times])
+            laws = laws.reshape(len(row_times), len(col_times), self.dim, self.dim)
+            p, k = np.searchsorted(row_times, s), np.searchsorted(col_times, t)
+            out = np.empty((len(s), len(t)))
+            per_row = max(len(col_times) * self.dim**2, len(t) * self.dim, 1)
+            step = max(1, core.PAIR_BLOCK_ENTRIES // per_row)
+            for start in range(0, len(s), step):
+                block = slice(start, start + step)
+                into = np.add.reduce(laws[p[block]] * a[block, None, None, :], axis=-1)
+                out[block] = np.add.reduce(into[:, k] * (1.0 - b), axis=-1)
+            return out
 
-        (s, a, mu_rows), (t, b, mu_cols) = side(rows), side(cols)
-        xor = inside_outside(s, a, t, b) + inside_outside(t, b, s, a).T
+        # A list against itself is one side, and one term the other's transpose.
+        s, a, mu_rows = side(rows)
+        t, b, mu_cols = (s, a, mu_rows) if cols is rows else side(cols)
+        inside = inside_outside(s, a, t, b)
+        xor = inside + (inside if cols is rows else inside_outside(t, b, s, a)).T
         return typicality.mu_pair_masses(mu_rows, mu_cols, xor)
 
 
@@ -265,7 +282,7 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
     for t1 in q.times[:-1]:
         for t2, chained in enumerate(core.branch_sweep(q, t1), start=t1 + 1):
             # Summing P(X_t1 = i, X_t2 = j) over i gives back P(X_t2 = j).
-            if np.any(np.abs(c._laws[t1, t2].sum(axis=0) - np.diag(c._laws[t2, t2])) > 1e-12):
+            if np.any(np.abs(c.law(t1, t2).sum(axis=0) - c.law(t2, t2).diagonal()) > 1e-12):
                 mu_additive = False
             chained_sums[t1, t2] = chained.sum(axis=0)
     defects = {(t1, t2): np.abs(occ[t2] - sums) for (t1, t2), sums in chained_sums.items()}

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from qtypicality import (
     process_from_dict,
     process_to_dict,
 )
+from qtypicality import core
 from qtypicality import correspondence_audit as _correspondence_audit
 from qtypicality import obstacle_variant
 
@@ -253,16 +256,74 @@ class TestTwinPairTable:
         assert np.array_equal(diff_sq, diff_sq.T)
         assert not np.diagonal(diff_sq).any()
 
+    @staticmethod
+    def random_chain(seed, n, n_steps):
+        """A chain of ``n`` states with dense random kernels, and the audit's
+        s-sets: every singleton and the full region at every time."""
+        rng = np.random.default_rng(seed)
+        labels = [f"c{i}" for i in range(n)]
+        kernels = [rng.dirichlet(np.ones(n), size=n) for _ in range(n_steps)]
+        chain = StochasticProcessSpec(labels, rng.dirichlet(np.ones(n)), kernels)
+        regions = [frozenset({label}) for label in labels] + [frozenset(labels)]
+        return chain, [SSet(t, r) for t in chain.times for r in regions]
+
+    def test_entries_equal_the_one_pair_reports_across_blocks(self):
+        chain, ssets = self.random_chain(3, n=16, n_steps=4)
+        rows, cols = ssets[::2], ssets[1::3]
+        # Several blocks of rows, the last one short.
+        block_rows = core.PAIR_BLOCK_ENTRIES // (len(chain.times) * chain.dim**2)
+        assert 1 < block_rows < len(rows) and len(rows) % block_rows
+        table = chain.pair_table(rows, cols)
+        for (i, r), (j, c) in itertools.product(enumerate(rows), enumerate(cols)):
+            assert report_bits(table.report(i, j, 0.3)) == report_bits(mu_typicality(chain, r, c, 0.3))
+
+    def test_working_memory_does_not_grow_with_the_table(self):
+        """A 363 x 363 table of a 32-state chain: one block of law products
+        per row, where all of them at once would take about 1 GB."""
+        chain, ssets = self.random_chain(5, n=32, n_steps=10)
+        tracemalloc.start()
+        try:
+            chain.pair_table(ssets, ssets)
+            chain.pair_table(ssets, ssets[::-1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_occupations_are_the_marginals(self, mixing_chain):
         for t in mixing_chain.times:
             assert mixing_chain.occupations(t).tolist() == mixing_chain.marginal(t).tolist()
         assert occupations(mixing_chain, 1) == {"U": 0.5, "D": 0.5}
 
     def test_laws_are_cached_read_only(self, mixing_chain):
-        laws = mixing_chain._laws
-        assert laws is mixing_chain._laws
-        assert laws.shape == (3, 3, 2, 2) and not laws.flags.writeable
-        np.testing.assert_array_equal(laws[2, 0], laws[0, 2].T)
+        law = mixing_chain.law(0, 2)
+        assert np.shares_memory(law, mixing_chain.law(0, 2))
+        assert law.shape == (2, 2) and not law.flags.writeable
+        assert not mixing_chain.law(2, 0).flags.writeable
+        np.testing.assert_array_equal(mixing_chain.law(2, 0), law.T)
+
+    def test_queries_build_only_the_laws_they_read(self, mixing_chain):
+        """Region masses read the marginals alone; a pair builds the laws
+        from its earlier time only."""
+        mu_sset(mixing_chain, SSet(2, {"U"}))
+        mixing_chain.pair_table([SSet(1, {"U"}), SSet(2, {"D"})], [])
+        assert mixing_chain._laws == {}
+        mu_symmetric_difference(mixing_chain, SSet(2, {"U"}), SSet(1, {"D"}))
+        assert list(mixing_chain._laws) == [1] and len(mixing_chain._laws[1]) == 2
+
+    @settings(max_examples=50, deadline=None)
+    @given(twin_tables(), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=8))
+    def test_laws_do_not_depend_on_request_order(self, problem, warm):
+        """Whatever was requested before, a law has the bits of
+        ``diag(marginal(s))`` times the kernels from ``s`` to ``t``."""
+        chain = problem[0]
+        for s, t in warm:
+            if max(s, t) <= chain.n_steps:
+                chain.law(s, t)
+        for s, t in itertools.product(chain.times, repeat=2):
+            lo, hi = min(s, t), max(s, t)
+            law = functools.reduce(np.matmul, chain.kernels[lo:hi], np.diag(chain.marginal(lo)))
+            assert chain.law(s, t).tobytes() == (law if s <= t else law.T).tobytes()
 
 
 class TestMatchedChain:
