@@ -7,11 +7,17 @@ that plays the role of a projection-valued measure on configuration space.
 The cell half (the checked cell table, labels, time range and region masks)
 is the base ``CellProcess``, which the Markov twin in ``stochastic`` shares.
 
+The cell table, ``CellTable``, is compressed sparse rows: the labels, one
+index array sorted within each cell, and each cell's offsets in it. It is a
+read-only mapping of label to index array, a view made on access. It builds
+its label -> position dict on the first lookup by label, and its cells
+grouped by size (for the per-cell reduction ``_cell_masses``) on first use.
+A table of one index per label (the measurement chain's, the Markov twin's)
+holds no per-cell object.
+
 All inputs are copied and frozen at construction. Each process keeps
 private caches, filled lazily and dropped with it: the base caches one
-boolean mask per region and, for the per-cell reduction ``_cell_masses``,
-the cell table grouped by cell size (label columns and a ``(cells, size)``
-index block per size); a structure adds the trajectory ``Psi(t)`` and the
+boolean mask per region; a structure adds the trajectory ``Psi(t)`` and the
 Heisenberg-projected initial vectors served by ``project_initial``, the twin
 its two-time laws. Cached arrays are read-only, so no caller can change them.
 Every cache entry is a pure function of its key, so two threads filling one
@@ -19,7 +25,7 @@ entry store equal values and a process stays safe to share between threads.
 """
 from __future__ import annotations
 
-import itertools
+import collections.abc
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -112,35 +118,113 @@ def _as_int(value, what: str) -> int:
     return int(value)
 
 
-def _cell_table(cells: Mapping[str, Iterable[int]], dim: int) -> dict:
-    """Sorted, read-only index arrays per label, checked in one pass to
-    partition ``range(dim)``. An error names the offending cell."""
-    members = {str(label): list(idx) for label, idx in cells.items()}
-    labels = list(members)
-    sizes = [len(idx) for idx in members.values()]
-    owner = np.repeat(np.arange(len(labels)), sizes)
-    flat = [i for idx in members.values() for i in idx]
-    # isinstance depends on the type alone, so one index of each type decides;
-    # the check comes first because np.array([1, True]) is a valid int array.
-    try:
-        valid = all(map(_is_index, dict(zip(map(type, flat), flat)).values()))
-        indices = np.array(flat, dtype=np.intp) if valid else None
-    except OverflowError:
-        indices = None
-    if indices is None or (indices.size and not 0 <= indices.min() <= indices.max() < dim):
-        bad = next(k for k, i in enumerate(flat) if not (_is_index(i) and 0 <= i < dim))
-        kind = "an out-of-range" if _is_index(flat[bad]) else "a non-integer"
-        raise ValidationError(f"cell {labels[owner[bad]]!r} has {kind} index {flat[bad]!r}")
-    flat = indices[np.lexsort((indices, owner))]  # sorts each cell, keeps cells in place
-    counts = np.bincount(flat, minlength=dim)
-    if counts.max() > 1:
-        again = np.flatnonzero(flat == np.argmax(counts))[1]
-        raise ValidationError(f"cell {labels[owner[again]]!r} claims index {flat[again]} twice")
-    if counts.min() == 0:
-        raise ValidationError(f"cells do not cover basis index {np.argmin(counts)}")
-    flat.setflags(write=False)
-    bounds = list(itertools.accumulate(sizes, initial=0))
-    return {label: flat[lo:hi] for label, lo, hi in zip(labels, bounds, bounds[1:])}
+class CellTable(collections.abc.Mapping):
+    """A labeled partition of ``range(dim)``: the ``labels``, one read-only
+    ``intp`` array ``flat`` of basis indices, sorted within each cell, and
+    ``bounds``, cell ``k`` being ``flat[bounds[k]:bounds[k + 1]]``. The
+    constructor checks a mapping of label to indices, and an error names the
+    first offending cell."""
+
+    def __init__(self, cells: Mapping[str, Iterable[int]], dim: int):
+        labels = tuple(map(str, cells))
+        if len(set(labels)) < len(labels):
+            seen: set = set()
+            again = next(label for label in labels if label in seen or seen.add(label))
+            raise ValidationError(f"duplicate cell label {again!r}")
+        flat, ends = [], []  # every index in cell order, and where each cell ends
+        for idx in cells.values():
+            flat.extend(idx)
+            ends.append(len(flat))
+        # isinstance depends on the type alone, so one index of each type decides;
+        # the check comes first because np.array([1, True]) is a valid int array.
+        try:
+            valid = all(map(_is_index, dict(zip(map(type, flat), flat)).values()))
+            indices = np.array(flat, dtype=np.intp) if valid else None
+        except OverflowError:
+            indices = None
+        if indices is None or (indices.size and not 0 <= indices.min() <= indices.max() < dim):
+            bad = next(k for k, i in enumerate(flat) if not (_is_index(i) and 0 <= i < dim))
+            kind = "an out-of-range" if _is_index(flat[bad]) else "a non-integer"
+            cell = labels[np.searchsorted(ends, bad, side="right")]
+            raise ValidationError(f"cell {cell!r} has {kind} index {flat[bad]!r}")
+        bounds = np.array([0] + ends, dtype=np.intp)
+        owner = np.repeat(np.arange(len(labels)), bounds[1:] - bounds[:-1])
+        indices = indices[np.lexsort((indices, owner))]  # sorts each cell, keeps cells in place
+        counts = np.bincount(indices, minlength=dim)
+        if counts.max() > 1:
+            again = np.flatnonzero(indices == np.argmax(counts))[1]
+            cell = labels[owner[again]]
+            raise ValidationError(f"cell {cell!r} claims index {indices[again]} twice")
+        if counts.min() == 0:
+            raise ValidationError(f"cells do not cover basis index {np.argmin(counts)}")
+        owners = np.empty(dim, dtype=np.intp)
+        owners[indices] = owner
+        self._fill(labels, indices, bounds, owners)
+
+    @classmethod
+    def singletons(cls, labels: Sequence[str]) -> "CellTable":
+        """The table whose cell ``i`` is ``[i]``, for distinct ``str`` labels
+        (not checked)."""
+        table = cls.__new__(cls)
+        flat = np.arange(len(labels), dtype=np.intp)
+        table._fill(tuple(labels), flat, np.arange(len(labels) + 1, dtype=np.intp), flat)
+        table._blocks = ((flat, flat[:, None]),)
+        return table
+
+    def _fill(self, labels: tuple, flat, bounds, owners) -> None:
+        for arr in (flat, bounds, owners):
+            arr.setflags(write=False)
+        self.labels, self.flat, self.bounds = labels, flat, bounds
+        self._owners = owners  # the position of each basis index's cell
+        self._by_label = None  # label -> position in ``labels``, on first lookup
+        self._blocks = None  # ((positions, index block) per cell size), on first use
+
+    @property
+    def dim(self) -> int:
+        return self.flat.size
+
+    def _index(self) -> dict:
+        index = self._by_label
+        if index is None:
+            index = self._by_label = dict(zip(self.labels, range(len(self.labels))))
+        return index
+
+    def mask(self, region: frozenset) -> np.ndarray:
+        """Boolean mask of the basis indices in ``region``'s cells."""
+        index = self._index()
+        unknown = region.difference(index)
+        if unknown:
+            raise SchemaError(f"unknown cell label {min(unknown)!r}")
+        chosen = np.zeros(len(index), dtype=bool)
+        chosen[np.fromiter(map(index.__getitem__, region), np.intp, len(region))] = True
+        return chosen[self._owners]
+
+    def size_blocks(self) -> tuple:
+        """The cells grouped by size: one ``(columns, block)`` pair per size,
+        ``columns`` the positions of that size's cells and ``block`` their
+        ``(cells, size)`` array of indices."""
+        blocks = self._blocks
+        if blocks is None:
+            flat, bounds = self.flat, self.bounds.tolist()
+            by_size: dict = {}  # a plain dict: np.unique would import numpy.ma
+            for col, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                by_size.setdefault(hi - lo, []).append(col)
+            blocks = self._blocks = tuple(
+                (_frozen(cols, "cell columns", np.intp),
+                 _frozen([flat[bounds[c]:bounds[c + 1]] for c in cols], "cell block", np.intp))
+                for cols in by_size.values()
+            )
+        return blocks
+
+    def __getitem__(self, label) -> np.ndarray:
+        k = self._index()[label]
+        return self.flat[self.bounds[k]:self.bounds[k + 1]]
+
+    def __iter__(self):
+        return iter(self.labels)
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -170,17 +254,20 @@ class ProjectedVector:
 class CellProcess:
     """A labeled partition of ``range(dim)`` observed at time indices
     ``0..n_steps``: the cell space that a quantum structure and its Markov
-    twin share. The region masks are cached here, one per region. Both
+    twin share. ``cells`` is a ``CellTable``, given or built from a mapping.
+    The region masks are cached here, one per region. Both
     processes have ``occupations(t)``, the cell masses in label order, and
     ``pair_table(rows, cols)``, a ``typicality.PairMasses`` of s-set pairs."""
 
-    def __init__(self, dim: int, cells: Mapping[str, Iterable[int]], n_steps: int):
+    def __init__(self, dim: int, cells: Mapping[str, Iterable[int]] | CellTable, n_steps: int):
+        if not isinstance(cells, CellTable):
+            cells = CellTable(cells, dim)
+        elif cells.dim != dim:
+            raise ValidationError(f"cell table spans {cells.dim} indices, not {dim}")
         self.dim = dim
-        self.cells = _cell_table(cells, dim)
-        self._labels = tuple(self.cells)
+        self.cells = cells
         self.n_steps = n_steps
         self._masks: dict = {}  # frozenset region -> boolean mask
-        self._blocks = None  # ((label columns, index block) per cell size), on first use
 
     # -- time bookkeeping ---------------------------------------------------
 
@@ -198,7 +285,7 @@ class CellProcess:
 
     @property
     def labels(self) -> tuple:
-        return self._labels
+        return self.cells.labels
 
     def region_mask(self, region: Iterable[str]) -> np.ndarray:
         """Read-only boolean mask of the basis indices in ``region``'s cells."""
@@ -206,33 +293,10 @@ class CellProcess:
         mask = self._masks.get(region)
         if mask is not None:
             return mask
-        unknown = region.difference(self.cells)
-        if unknown:
-            raise SchemaError(f"unknown cell label {min(unknown)!r}")
-        mask = np.zeros(self.dim, dtype=bool)
-        if region:
-            mask[np.concatenate([self.cells[label] for label in region])] = True
+        mask = self.cells.mask(region)
         mask.setflags(write=False)
         self._masks[region] = mask
         return mask
-
-    def _size_blocks(self) -> tuple:
-        """The cell table grouped by cell size: one ``(columns, block)`` pair
-        per size, ``columns`` the label positions of that size's cells and
-        ``block`` their ``(cells, size)`` array of sorted basis indices."""
-        blocks = self._blocks
-        if blocks is None:
-            cells = list(self.cells.values())
-            by_size: dict = {}  # a plain dict: np.unique would import numpy.ma
-            for col, idx in enumerate(cells):
-                by_size.setdefault(len(idx), []).append(col)
-            blocks = tuple(
-                (_frozen(cols, "cell columns", np.intp),
-                 _frozen([cells[c] for c in cols], "cell block", np.intp))
-                for cols in by_size.values()
-            )
-            self._blocks = blocks
-        return blocks
 
     def check_sset(self, sset: SSet) -> SSet:
         self.check_time(sset.time)
@@ -409,7 +473,7 @@ def _cell_masses(process: CellProcess, vecs: np.ndarray) -> np.ndarray:
     """
     weights = np.abs(vecs) ** 2
     out = np.empty(weights.shape[:-1] + (len(process.labels),))
-    for cols, block in process._size_blocks():
+    for cols, block in process.cells.size_blocks():
         out[..., cols] = np.add.reduce(np.take(weights, block, axis=-1), axis=-1)
     return out
 
@@ -449,12 +513,23 @@ def occupations(process: CellProcess, time: int) -> dict:
 # module.
 
 
-def _complex_in(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+def _numbers_in(data, what: str) -> np.ndarray:
+    """``data`` as a float array. A string, null or boolean entry gives numpy's
+    array no numeric type, which raises ``SchemaError``; only an object array
+    (null, or an integer beyond int64) is checked entry by entry."""
+    arr = np.asarray(data)
+    if arr.dtype.kind == "O" and all(type(x) in (int, float) for x in arr.flat):
+        arr = arr.astype(float)
+    if arr.dtype.kind not in "iuf":
+        raise SchemaError(f"{what} has non-numeric entries")
+    return arr.astype(float, order="C", copy=False)
+
+
+def _complex_in(data, what: str) -> np.ndarray:
+    arr = _numbers_in(data, what)
     if arr.ndim == 0 or arr.shape[-1] != 2:
         raise SchemaError("complex entries must be [re, im] pairs")
-    with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j, which the checks reject
-        return arr[..., 0] + 1j * arr[..., 1]
+    return arr.view(complex)[..., 0]  # each [re, im] pair read in place as one complex
 
 
 def _complex_out(arr: np.ndarray):
@@ -464,8 +539,10 @@ def _complex_out(arr: np.ndarray):
 def structure_from_dict(data: Mapping) -> QuantumStructure:
     try:
         dim = data["dim"]
-        psi0 = _complex_in(data["psi0"])
-        schedule = [_complex_in(m) for m in data["schedule"]]
+        psi0 = _complex_in(data["psi0"], "psi0")
+        schedule = [
+            _complex_in(m, f"schedule matrix {k}") for k, m in enumerate(data["schedule"])
+        ]
         cells = {str(k): list(v) for k, v in data["cells"].items()}
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed scenario: {exc}") from exc

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FactorUnitary, QuantumStructure, _as_int
+from .core import CellTable, FactorUnitary, QuantumStructure, _as_int
 from .errors import ResourceLimitError, ValidationError
 
 ENUMERATION_LIMIT = 2**20
@@ -275,10 +275,12 @@ def build_measurement_chain(spec: ExperimentSpec) -> QuantumStructure:
     The basis indexes outcome sequences (most significant digit first);
     device states are absorbed into the basis labels, which keeps the
     outcome-sequence supports exactly disjoint. Cell labels are
-    comma-separated outcome digits, and the occupation of a sequence cell
-    at the final time is the product of its outcome probabilities.
+    comma-separated outcome digits, one basis index each (a
+    ``CellTable.singletons`` table, with no per-cell object), and the
+    occupation of a sequence cell at the final time is the product of its
+    outcome probabilities.
     """
-    cells = {label: [idx] for idx, label in enumerate(_labels(spec))}
+    cells = CellTable.singletons(tuple(_labels(spec)))
     split = _splitting_unitary(spec.probs)
     schedule = [
         FactorUnitary(split, index=i, num_factors=spec.N) for i in range(spec.N)

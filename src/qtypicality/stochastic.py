@@ -9,6 +9,7 @@ squared norm lacks; the audit quantifies both sides.
 """
 from __future__ import annotations
 
+import collections.abc
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -28,8 +29,8 @@ NONADDITIVITY_WITNESS = 0.1
 class StochasticProcessSpec(core.CellProcess):
     """States, initial distribution, and one row-stochastic kernel per step.
 
-    The arrays are read-only after validation. The states are the cell
-    labels, state ``i`` the cell ``[i]``.
+    The arrays are read-only after validation. The states, a sequence of
+    distinct strings, are the cell labels, state ``i`` the cell ``[i]``.
     """
 
     def __init__(
@@ -38,8 +39,12 @@ class StochasticProcessSpec(core.CellProcess):
         initial: Sequence[float],
         kernels: Sequence,
     ):
-        # A dict would merge duplicate labels, so they are rejected first.
-        states = [str(s) for s in states]
+        # The states are the labels of a one-index-per-label cell table, which
+        # does not check them: they must be distinct strings.
+        if (isinstance(states, str) or not isinstance(states, collections.abc.Sequence)
+                or not all(isinstance(s, str) for s in states)):
+            raise ValidationError("states must be a sequence of strings")
+        states = tuple(states)
         n = len(states)
         if len(set(states)) != n:
             raise ValidationError("duplicate state labels")
@@ -58,7 +63,7 @@ class StochasticProcessSpec(core.CellProcess):
                 raise ValidationError(f"kernel {t} has non-finite entries")
             if np.any(kernel < 0.0) or np.any(np.abs(kernel.sum(axis=1) - 1.0) > ROW_SUM_TOL):
                 raise ValidationError(f"kernel {t} is not row-stochastic")
-        super().__init__(n, {s: [i] for i, s in enumerate(states)}, len(self.kernels))
+        super().__init__(n, core.CellTable.singletons(states), len(self.kernels))
         self._laws: dict = {}  # s -> read-only stack of law(s, t), t = s..T
 
     @property
@@ -323,8 +328,8 @@ def process_from_dict(data: Mapping) -> StochasticProcessSpec:
         if not (isinstance(states, list) and all(isinstance(s, str) for s in states)):
             raise TypeError("states must be an array of strings")
         # ValueError: ragged arrays; OverflowError: an integer beyond float range
-        initial = np.asarray(data["initial"], dtype=float)
-        kernels = [np.asarray(k, dtype=float) for k in data["kernels"]]
+        initial = core._numbers_in(data["initial"], "initial")
+        kernels = [core._numbers_in(k, f"kernel {t}") for t, k in enumerate(data["kernels"])]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed stochastic section: {exc}") from exc
     return StochasticProcessSpec(states, initial, kernels)

@@ -555,6 +555,31 @@ class TestExitCodes:
         assert err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda d: d.__setitem__("psi0", [[str(x) for x in z] for z in d["psi0"]]), "psi0"),
+            (lambda d: d["psi0"][1].__setitem__(0, None), "psi0"),
+            (lambda d: d.__setitem__("psi0", [[bool(x) for x in z] for z in d["psi0"]]), "psi0"),
+            (lambda d: d["schedule"][2][0][1].__setitem__(1, "0.5"), "schedule matrix 2"),
+            (lambda d: d["stochastic"].__setitem__(
+                "initial", [str(x) for x in d["stochastic"]["initial"]]), "initial"),
+            (lambda d: d["stochastic"]["kernels"][1][0].__setitem__(0, "1"), "kernel 1"),
+            (lambda d: d["stochastic"]["kernels"][0][1].__setitem__(1, None), "kernel 0"),
+        ],
+        ids=["psi0-strings", "psi0-null", "psi0-booleans", "schedule-string",
+             "initial-strings", "kernel-string", "kernel-null"],
+    )
+    def test_non_numbers_are_named(self, capsys, exported, tmp_path, edit, field):
+        # numpy reads "0.5" as 0.5 and null as NaN; the schema asks for numbers.
+        data = json.loads(open(exported).read())
+        edit(data)
+        bad = tmp_path / "strings.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "audit", "--scenario-file", str(bad))
+        assert (code, out) == (2, "")
+        assert f" {field} has non-numeric entries" in err
+
+    @pytest.mark.parametrize(
         "states", ["UD", {"U": 0, "D": 1}, [0, 1]], ids=["string", "object", "numbers"]
     )
     def test_malformed_twin_states_are_named(self, capsys, exported, tmp_path, states):

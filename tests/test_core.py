@@ -240,6 +240,11 @@ class TestConstructionValidation:
         with pytest.raises(ValidationError, match="cover basis index 1"):
             build({"U": [0], "D": [2]})
 
+    def test_labels_equal_after_str_are_rejected(self):
+        # They were once merged into one cell, which then left index 0 uncovered.
+        with pytest.raises(ValidationError, match=r"^duplicate cell label '1'$"):
+            QuantumStructure(2, [1, 0], [], {1: [0], "1": [1]})
+
     @pytest.mark.parametrize("index", [1.7, 1.0, True, np.float64(1.0), "1"])
     def test_non_integer_cell_index_rejected(self, index):
         with pytest.raises(ValidationError, match="'D' has a non-integer index"):

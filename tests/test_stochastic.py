@@ -79,6 +79,15 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             StochasticProcessSpec(states, initial, [np.eye(3)])
 
+    @pytest.mark.parametrize(
+        "states", ["UD", {"U": 0, "D": 1}, [0, 1], ("U", 1), iter(["U", "D"])],
+        ids=["string", "mapping", "numbers", "mixed", "iterator"],
+    )
+    def test_states_must_be_a_sequence_of_strings(self, states):
+        # A string or a mapping once gave two states, and numbers became labels.
+        with pytest.raises(ValidationError, match="^states must be a sequence of strings$"):
+            StochasticProcessSpec(states, [0.5, 0.5], [])
+
     def test_bad_initial(self):
         with pytest.raises(ValidationError):
             StochasticProcessSpec(["U", "D"], [0.7, 0.7], [IDENTITY2])
