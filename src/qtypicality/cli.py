@@ -109,14 +109,34 @@ def _json_value(value, newline: str) -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+def _json_scalar(values, kinds: set):
+    """The text function of ``values``' one scalar type, given the set of
+    their types, or None."""
+    scalar = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    if scalar is float.__repr__ and not all(map(math.isfinite, values)):
+        scalar = _json_float  # raises at the first non-finite value
+    return scalar
+
+
 def _json_array(items, newline: str) -> str:
     if not items:
         return "[]"
     inner = newline + "  "
     kinds = set(map(type, items))
-    scalar = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-    if scalar is float.__repr__ and not all(map(math.isfinite, items)):
-        scalar = _json_float  # raises at the first non-finite item
+    if kinds == {list}:
+        # A table of list rows of one non-zero width whose cells share one
+        # scalar type is one template filled with its cells in row-major order.
+        widths = set(map(len, items))
+        cells = list(itertools.chain.from_iterable(items))
+        scalar = _json_scalar(cells, set(map(type, cells))) if len(widths) == 1 and cells else None
+        if scalar is not None:
+            cell = inner + "  "
+            row = "[" + cell + ("," + cell).join(["%s"] * widths.pop()) + inner + "]"
+            table = "[" + inner + ("," + inner).join([row] * len(items)) + newline + "]"
+            if scalar is not int.__repr__ and scalar is not float.__repr__:
+                cells = map(scalar, cells)  # "%s" gives an int's or a float's repr itself
+            return table % tuple(cells)
+    scalar = _json_scalar(items, kinds)
     if scalar is None:
         texts = [_json_value(item, inner) for item in items]
     else:

@@ -18,10 +18,24 @@ holds no per-cell object.
 All inputs are copied and frozen at construction. Each process keeps
 private caches, filled lazily and dropped with it: the base caches one
 boolean mask per region; a structure adds the trajectory ``Psi(t)`` and the
-Heisenberg-projected initial vectors served by ``project_initial``, the twin
+Heisenberg-projected initial vectors served by ``project_initials``, the twin
 its two-time laws. Cached arrays are read-only, so no caller can change them.
 Every cache entry is a pure function of its key, so two threads filling one
 entry store equal values and a process stays safe to share between threads.
+
+A schedule step applies to one vector or to a ``(..., dim)`` stack of them,
+and a stack takes one step call per step: the projections that
+``project_initials`` adds to its cache (one stack per time) and the
+branches of ``branch_sweep``. The rule is that each row of a stack gets the
+bits it would get alone. A one-factor step therefore runs one
+matrix-vector product per row, ``np.matmul(m, V[..., None])`` forward and
+``np.matmul(V.conj()[..., None, :], m)`` conjugated for the adjoint; numpy
+loops over the rows and calls the same BLAS routine as for one vector. The
+stacked matrix product ``V @ m.T`` is not used: BLAS blocks and orders its
+sums by the shape of the whole product, so a row's last bits would depend
+on the stack it came in (with OpenBLAS 0.3.31, rows of a 4-row stack move
+in their last bits at every d >= 2), and reports would no longer match a
+one-vector computation. A multi-factor step applies row by row.
 """
 from __future__ import annotations
 
@@ -71,14 +85,24 @@ class FactorUnitary:
     def dim(self) -> int:
         return self.base ** self.num_factors
 
-    def apply(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    def apply(self, vecs: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """The step (or its adjoint) applied to one vector or to each row of a
+        ``(..., dim)`` stack; every row gets the bits it gets alone."""
         m = self.matrix
         if self.num_factors == 1:
-            # (v* U)* equals U^dagger v without materializing the adjoint.
-            return (vec.conj() @ m).conj() if adjoint else m @ vec
+            # One matrix-vector product per row; (v* U)* equals U^dagger v
+            # without materializing the adjoint.
+            if adjoint:
+                return np.matmul(vecs.conj()[..., None, :], m)[..., 0, :].conj()
+            return np.matmul(m, vecs[..., None])[..., 0]
+        if vecs.ndim > 1:
+            out = np.empty(vecs.shape, dtype=complex)
+            for row, vec in zip(out.reshape(-1, self.dim), vecs.reshape(-1, self.dim)):
+                row[...] = self.apply(vec, adjoint)
+            return out
         if adjoint:
             m = m.conj().T
-        t = vec.reshape((self.base,) * self.num_factors)
+        t = vecs.reshape((self.base,) * self.num_factors)
         t = np.moveaxis(np.tensordot(m, t, axes=(1, self.index)), 0, self.index)
         return np.ascontiguousarray(t).reshape(-1)
 
@@ -98,8 +122,8 @@ def _frozen(arr, what: str, dtype=complex) -> np.ndarray:
     return out
 
 
-def _apply_step(step: FactorUnitary, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    return step.apply(vec, adjoint=adjoint)
+def _apply_step(step: FactorUnitary, vecs: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    return step.apply(vecs, adjoint=adjoint)
 
 
 def _is_index(i) -> bool:
@@ -341,16 +365,17 @@ class QuantumStructure(CellProcess):
         return _cell_masses(self, state_at(self, time).amplitudes)
 
     def pair_table(self, rows: Sequence[SSet], cols: Sequence[SSet]):
-        """``||v_i - w_j||^2`` and the squared norms of the ``project_initial``
-        vectors ``v_i`` of ``rows`` and ``w_j`` of ``cols``, formed a block of
-        rows at a time (at most ``PAIR_BLOCK_ENTRIES`` complex entries, or one
-        row). Each entry is one sum over one difference, so it equals its
-        one-pair table bit for bit, and a list's table against itself is
-        exactly symmetric."""
+        """``||v_i - w_j||^2`` and the squared norms of the projections ``v_i``
+        of ``rows`` and ``w_j`` of ``cols``, from one ``project_initials``
+        call over both lists. The differences are formed a block of rows at
+        a time (at most ``PAIR_BLOCK_ENTRIES`` complex entries, or one row).
+        Each entry is one sum over one difference, so it equals its one-pair
+        table bit for bit, and a list's table against itself is exactly
+        symmetric."""
         from .typicality import PairMasses  # typicality imports this module
 
-        row_vecs = [project_initial(self, sset) for sset in rows]
-        col_vecs = [project_initial(self, sset) for sset in cols]
+        projected = project_initials(self, [*rows, *cols])
+        row_vecs, col_vecs = projected[:len(rows)], projected[len(rows):]
         v, w = (
             np.array([x.amplitudes for x in vecs], dtype=complex).reshape(len(vecs), self.dim)
             for vecs in (row_vecs, col_vecs)
@@ -369,18 +394,23 @@ class QuantumStructure(CellProcess):
         )
 
 
+def _evolve(structure: QuantumStructure, vecs: np.ndarray, t0: int, t1: int) -> np.ndarray:
+    """A vector or ``(..., dim)`` stack at checked time ``t0`` carried to
+    ``t1``: forward steps, or adjoints going backward, one call per step."""
+    if t1 >= t0:
+        for k in range(t0, t1):
+            vecs = _apply_step(structure.schedule[k], vecs)
+    else:
+        for k in range(t0 - 1, t1 - 1, -1):
+            vecs = _apply_step(structure.schedule[k], vecs, adjoint=True)
+    return vecs
+
+
 def evolve(structure: QuantumStructure, state: ProjectedVector, to_time: int) -> ProjectedVector:
     """Apply forward schedule steps (or adjoints, going backward) to ``state``."""
     t0 = structure.check_time(state.at_time)
     t1 = structure.check_time(to_time)
-    vec = state.amplitudes
-    if t1 >= t0:
-        for k in range(t0, t1):
-            vec = _apply_step(structure.schedule[k], vec)
-    else:
-        for k in range(t0 - 1, t1 - 1, -1):
-            vec = _apply_step(structure.schedule[k], vec, adjoint=True)
-    return ProjectedVector(vec, t1)
+    return ProjectedVector(_evolve(structure, state.amplitudes, t0, t1), t1)
 
 
 def state_at(structure: QuantumStructure, time: int) -> ProjectedVector:
@@ -420,20 +450,36 @@ def heisenberg_project(
     return evolve(structure, ProjectedVector(masked, sset.time), ref)
 
 
-def project_initial(structure: QuantumStructure, sset: SSet) -> ProjectedVector:
-    """The cached Heisenberg projection U^dagger(t) E(region) U(t) psi0.
+def project_initials(structure: QuantumStructure, ssets: Sequence[SSet]) -> list:
+    """The cached Heisenberg projections U^dagger(t) E(region) U(t) psi0 of
+    ``ssets``, in their order; a repeated s-set gives the same object.
 
-    Expressed at time 0 and computed once per (time, region) of a structure;
-    bit for bit equal to ``heisenberg_project(structure, sset, psi0 at 0)``.
-    The amplitudes are read-only.
+    Each is expressed at time 0 and computed once per (time, region) of a
+    structure. The s-sets not yet cached are checked in order, then grouped
+    by time: one time's ``Psi(t) * masks`` stack is carried back to 0 with
+    one step call per step, and each row is cached under its key. A row is
+    bit for bit ``heisenberg_project(structure, sset, psi0 at 0)``. The
+    amplitudes are read-only.
     """
-    key = (sset.time, sset.region)
-    out = structure._projections.get(key)
-    if out is None:
-        out = heisenberg_project(structure, sset, state_at(structure, sset.time), at_time=0)
-        out.amplitudes.setflags(write=False)
-        structure._projections[key] = out
-    return out
+    cache = structure._projections
+    missing: dict = {}  # time -> the regions not yet cached, in first-seen order
+    for sset in ssets:
+        if (sset.time, sset.region) not in cache:
+            structure.check_sset(sset)
+            missing.setdefault(sset.time, {})[sset.region] = None
+    for time, regions in missing.items():
+        masks = np.array([structure.region_mask(region) for region in regions])
+        stack = _evolve(structure, state_at(structure, time).amplitudes * masks, time, 0)
+        stack.setflags(write=False)
+        for region, row in zip(regions, stack):
+            cache[time, region] = ProjectedVector(row, 0)
+    return [cache[sset.time, sset.region] for sset in ssets]
+
+
+def project_initial(structure: QuantumStructure, sset: SSet) -> ProjectedVector:
+    """The cached Heisenberg projection of one s-set: ``project_initials`` of
+    ``[sset]``."""
+    return project_initials(structure, [sset])[0]
 
 
 def chain_project(
@@ -483,17 +529,17 @@ def branch_sweep(structure: QuantumStructure, time: int):
 
     Yields, for each later time ``t2``, one read-only ``cells x cells``
     array ``m[i, j] = ||E(j) U(t2, t) E(i) Psi(t)||^2`` in label order.
-    Each branch takes the steps of ``chain_project`` one at a time, and the
-    stacked branches are reduced by one ``_cell_masses`` call, so row ``i``
-    equals ``_cell_masses`` of ``chain_project(structure, [SSet(t,
-    {label_i})], at_time=t2)`` bit for bit.
+    The branches are one ``(cells, dim)`` stack that takes one step call per
+    step and one ``_cell_masses`` call per time, so row ``i`` equals
+    ``_cell_masses`` of ``chain_project(structure, [SSet(t, {label_i})],
+    at_time=t2)`` bit for bit.
     """
     time = structure.check_time(time)
     psi = state_at(structure, time).amplitudes
-    branches = [psi * structure.region_mask((label,)) for label in structure.labels]
+    branches = psi * np.array([structure.region_mask((label,)) for label in structure.labels])
     for t2 in range(time + 1, structure.n_steps + 1):
-        branches = [evolve(structure, ProjectedVector(b, t2 - 1), t2).amplitudes for b in branches]
-        masses = _cell_masses(structure, np.array(branches))
+        branches = _evolve(structure, branches, t2 - 1, t2)
+        masses = _cell_masses(structure, branches)
         masses.setflags(write=False)
         yield masses
 

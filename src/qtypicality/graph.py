@@ -86,6 +86,8 @@ class TrajectoryGraph:
 
     def to_dict(self) -> dict:
         names = [n.name for n in self.nodes]
+        # The paths' columns of names, zipped back into rows: no loop per path.
+        columns = (map(names.__getitem__, column) for column in zip(*self.paths))
         return {
             "nodes": [
                 {
@@ -99,8 +101,8 @@ class TrajectoryGraph:
             "links": [
                 {"a": a, "b": b, "m_big": m} for a, b, m in self.links
             ],
-            "paths": [list(p) for p in self.paths],
-            "path_names": [[names[i] for i in p] for p in self.paths],
+            "paths": list(map(list, self.paths)),
+            "path_names": list(map(list, zip(*columns))),
         }
 
     def edge_rows(self):
@@ -188,7 +190,7 @@ def _admissible_paths(candidates: Sequence[Sequence[int]], links: Iterable[tuple
     Each link ``(a, b)`` joins two candidates, ``a`` in an earlier slice
     than ``b``. Prefixes grow one slice at a time; a link is checked when
     the slice of ``b`` is added, and a prefix that breaks a link is never
-    extended.
+    extended. A slice with no due link extends every prefix.
     """
     slice_of = {node: k for k, nodes in enumerate(candidates) for node in nodes}
     due: list = [[] for _ in candidates]  # per slice: (slice of a, a, b)
@@ -196,12 +198,15 @@ def _admissible_paths(candidates: Sequence[Sequence[int]], links: Iterable[tuple
         due[slice_of[b]].append((slice_of[a], a, b))
     prefixes = [()]
     for cands, checks in zip(candidates, due):
-        prefixes = [
-            prefix + (c,)
-            for prefix in prefixes
-            for c in cands
-            if all((prefix[k] == a) == (b == c) for k, a, b in checks)
-        ]
+        if checks:
+            prefixes = [
+                prefix + (c,)
+                for prefix in prefixes
+                for c in cands
+                if all((prefix[k] == a) == (b == c) for k, a, b in checks)
+            ]
+        else:
+            prefixes = [prefix + (c,) for prefix in prefixes for c in cands]
     return prefixes
 
 

@@ -873,9 +873,57 @@ json_scalars = st.one_of(
     finite.map(np.float64),
     st.sampled_from(list(Kind)),
 )
+# Control characters, quotes, backslashes and non-ASCII: every escape the encoder writes.
+escaped_text = st.text(
+    alphabet=st.characters(max_codepoint=0x1F) | st.sampled_from('"\\/\u2028\u00e9\U0001f600')
+)
+# Cells of one scalar type, for tables of equal-width list rows.
+table_cells = [
+    st.integers() | st.sampled_from(BIG_INTS),
+    finite | st.sampled_from(SPECIAL_FLOATS),
+    st.text(max_size=4) | escaped_text,
+    st.booleans(),
+    st.none(),
+]
+
+
+def tables(cells):
+    """One or more list rows of one width (1 to 4), all cells from ``cells``:
+    the one-template path."""
+    return st.integers(1, 4).flatmap(
+        lambda width: st.lists(st.lists(cells, min_size=width, max_size=width),
+                               min_size=1, max_size=6)
+    )
+
+
+class Row(list):
+    pass
+
+
+NEAR_MISSES = {
+    "ragged": lambda row: row + row[:1],
+    "tuple": tuple,
+    "empty": lambda row: [],
+    "mixed": lambda row: row[:-1] + [0.5 if type(row[-1]) is int else 1],
+    "subclass": Row,
+}
+
+
+@st.composite
+def near_miss_tables(draw):
+    """A table with one more row, a changed copy of one of its rows, that
+    takes it off the one-template path."""
+    rows = draw(st.one_of(*map(tables, table_cells)))
+    k = draw(st.integers(0, len(rows) - 1))
+    rows.insert(k, NEAR_MISSES[draw(st.sampled_from(sorted(NEAR_MISSES)))](rows[k]))
+    return rows
+
+
 json_values = st.recursive(
     json_scalars,
     lambda children: st.one_of(
+        *map(tables, table_cells),
+        near_miss_tables(),
         st.lists(children, max_size=6),
         st.lists(children, max_size=6).map(tuple),
         st.dictionaries(st.text(max_size=4), children, max_size=6),
@@ -904,6 +952,29 @@ class TestReportEncoder:
     )
     def test_edge_cases_equal_the_stdlib_encoder(self, data):
         assert _json(data) == stdlib_json(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [[[2**200, -1], [0, 2**64]], [[-0.0, 5e-324], [1e308, 0.1]], [['"\\', "\x00\u2028"]],
+         [[True, False]] * 3, [[None]] * 2, [[[1, 2]], [[3, 4]]],
+         [[1, 2], [3]], [[1, 2], (3, 4)], [[], []], [[1], []], [[1, 2.0], [3, 4.0]],
+         [[1, 2], [3.5, 4.5]], [[1, True]], [[0, 1], [True, False]], [Row([1, 2]), [3, 4]],
+         [Row([1, 2]), Row([3, 4])], [[Kind.BORN, "Born"]], [[np.float64(1.5), 2.5]]],
+    )
+    def test_tables_and_near_misses_equal_the_stdlib_encoder(self, data):
+        assert _json(data) == stdlib_json(data)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_table_cell_raises_as_the_generic_path(self, bad):
+        # Row-major order: the first non-finite cell is named, as when each
+        # row (here a tuple, so not a table) is encoded on its own.
+        table = [[0.5, 1.5], [2.5, bad], [-bad, 3.5]]
+        with pytest.raises(ValueError) as raised:
+            _json(table)
+        with pytest.raises(ValueError) as generic:
+            _json(list(map(tuple, table)))
+        assert str(raised.value) == str(generic.value)
+        assert str(raised.value).endswith(repr(bad))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
     @pytest.mark.parametrize(

@@ -38,7 +38,14 @@ from qtypicality import (
     state_at,
 )
 from qtypicality import core, stochastic
-from qtypicality.core import ProjectedVector, _cell_masses, branch_sweep, project_initial
+from qtypicality.core import (
+    FactorUnitary,
+    ProjectedVector,
+    _cell_masses,
+    branch_sweep,
+    project_initial,
+    project_initials,
+)
 from qtypicality.errors import ValidationError
 from qtypicality.stochastic import NONADDITIVITY_WITNESS, REGIME_THRESHOLD
 
@@ -298,6 +305,80 @@ class TestCachedEqualsUncached:
             assert value == pytest.approx(
                 dense_cylinder(warm, [(s.time, s.region) for s in family]), abs=1e-15
             )
+
+
+def complex_normal(rng, shape):
+    """Complex entries spread over many magnitudes, so rounding shows."""
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.uniform(-4, 4)
+
+
+@st.composite
+def stacked_steps(draw):
+    """A dense step of dimension 1-64, or a factor step of 2-3 factors,
+    with a stack of 0-8 rows (or a two-axis stack) and a direction."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 64))
+        step = FactorUnitary(complex_normal(rng, (dim, dim)), 0, 1)
+    else:
+        base, num_factors = draw(st.integers(1, 4)), draw(st.integers(2, 3))
+        index = draw(st.integers(0, num_factors - 1))
+        step = FactorUnitary(complex_normal(rng, (base, base)), index, num_factors)
+    rows = draw(st.sampled_from([(n,) for n in range(9)] + [(2, 3), (0, 2)]))
+    return step, complex_normal(rng, rows + (step.dim,)), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacked_steps())
+def test_stacked_apply_equals_one_vector_apply_exactly(problem):
+    step, vecs, adjoint = problem
+    out = step.apply(vecs, adjoint)
+    assert out.shape == vecs.shape
+    m = step.matrix
+    for vec, row in zip(vecs.reshape(-1, step.dim), out.reshape(-1, step.dim)):
+        assert row.tobytes() == step.apply(vec.copy(), adjoint).tobytes()
+        if step.num_factors == 1:  # one plain matrix-vector product per row
+            plain = (vec.conj() @ m).conj() if adjoint else m @ vec
+            assert row.tobytes() == plain.tobytes()
+
+
+def factored_structure(seed):
+    """Three qubit factors, each step acting on one of them."""
+    rng = np.random.default_rng([seed, 2])
+    schedule = [FactorUnitary(random_unitary(rng, 2), k % 3, 3) for k in range(N_STEPS)]
+    return QuantumStructure(8, random_state(rng, 8), schedule, equal_cells(8, N_CELLS))
+
+
+@st.composite
+def projection_lists(draw):
+    """A fresh structure, s-sets to cache first, and a list of s-sets in any
+    order with repeats, over several times."""
+    make = draw(st.sampled_from([lambda s: haar_structure(s, 16), factored_structure]))
+    q = make(draw(st.integers(0, 3)))
+    regions = st.sets(st.sampled_from(q.labels), min_size=1).map(frozenset)
+    ssets = st.builds(SSet, st.sampled_from(q.times), regions)
+    return q, draw(st.lists(ssets, max_size=4)), draw(st.lists(ssets, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(projection_lists())
+def test_stacked_projections_equal_heisenberg_project_exactly(problem):
+    q, warm, ssets = problem
+    for sset in warm:
+        project_initial(q, sset)
+    got = project_initials(q, ssets)
+    assert len(got) == len(ssets)
+    psi0 = ProjectedVector(q.psi0, 0)
+    for sset, vec in zip(ssets, got):
+        assert vec.at_time == 0
+        assert not vec.amplitudes.flags.writeable
+        direct = heisenberg_project(q, sset, psi0)
+        assert vec.amplitudes.tobytes() == direct.amplitudes.tobytes()
+    for (a, va), (b, vb) in itertools.combinations(zip(ssets, got), 2):
+        assert (va is vb) == (a == b)
+    again = project_initials(q, ssets[::-1])
+    assert all(x is y for x, y in zip(again, got[::-1]))
+    assert project_initials(q, []) == []
 
 
 @st.composite

@@ -329,6 +329,12 @@ class TestAdmissiblePaths:
     @example(([[0, 1], [2, 3], [4, 5]], []))  # no links: the whole product
     @example(([[0, 1], [2, 3]], [(0, 2), (1, 2)]))  # every path pruned
     @example(([[0, 1], [], [4]], [(0, 4)]))  # a slice with no candidate
+    # Slices with and without due links: one link from the first slice to the
+    # third of four, then one from the second to the fourth.
+    @example(([[0, 1], [2, 3], [4, 5], [6, 7]], [(0, 4)]))
+    @example(([[0, 1], [2, 3], [4, 5], [6, 7]], [(2, 7)]))
+    @example(([[0, 1], [2], [3, 4], [5, 6]], [(1, 3), (2, 6)]))  # a slice with one candidate
+    @example(([[0, 1, 2], [3], [4, 5]], [(0, 5)]))
     def test_prefix_extension_equals_product_scan(self, problem):
         candidates, links = problem
         assert _admissible_paths(candidates, links) == product_oracle(candidates, links)
