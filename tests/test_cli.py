@@ -411,6 +411,17 @@ for argv in requests:
 """
 
 
+def test_orjson_waits_for_a_scenario_file(src_env):
+    """Only reading a scenario file imports orjson."""
+    script = (
+        "import sys, qtypicality.cli as cli\n"
+        "assert 'orjson' not in sys.modules\n"
+        "assert cli.main(['stat-bound', '--N', '10']) == 0\n"
+        "assert 'orjson' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", script], env=src_env, capture_output=True, check=True)
+
+
 def test_first_requests_import_no_numpy_submodule(tmp_path, src_env):
     """numpy.random (a generator), numpy.ma (np.unique) and the like cost
     milliseconds per process; only wavepacket needs one, numpy.fft."""
@@ -685,6 +696,29 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000 + "]" * 100_000,
+            "[" * 200_000 + "]" * 200_000,
+            # The escaped quote makes a count of quotes take the brackets for a string.
+            '{"a": "\\"", "b": ' + "[" * 200_000 + "]" * 200_000 + "}",
+        ],
+        ids=["100k", "200k", "after-escaped-quote"],
+    )
+    def test_deeply_nested_file_is_parse_error(self, tmp_path, src_env, text):
+        """The stdlib reader raises RecursionError on it, and orjson 3.8 crashes
+        the process from about 150,000 levels; run in a child so that a crash
+        fails only this test."""
+        deep = tmp_path / "deep.json"
+        deep.write_text(text)
+        done = subprocess.run(
+            [sys.executable, "-m", "qtypicality.cli", "audit", "--scenario-file", str(deep)],
+            env=src_env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: scenario file is nested too deeply to read\n"
 
     @pytest.mark.parametrize(
         "argv, name",

@@ -86,7 +86,9 @@ UNKNOWN_OPTIONS = ["--bogus", "--=x", "-q"]
 # wrong types and shapes, labels present and absent.
 REPLACEMENTS = st.one_of(
     # Copied, since a later mutation may change a drawn list in place.
+    # 2**63, 2**64 and -2**63 - 1 lie at and past the ends of a 64-bit integer.
     st.sampled_from([0, 1, -1, 2, 3, 0.5, 1.5, 1e308, -1e308, 5e-324, 10**400,
+                     2**63, 2**64, -2**63 - 1,
                      float("nan"), float("inf"), True, None, "", "U", "D", "X",
                      [], {}, [0.0, 0.0], [1.0, 0.0], [[1.0, 0.0]], [0, 1], {"U": [0]}])
     .map(copy.deepcopy),

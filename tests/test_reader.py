@@ -1,0 +1,209 @@
+"""The scenario-file reader: orjson where a byte scan shows that it parses a
+document as the stdlib reader does, the stdlib reader everywhere else.
+
+``reference_load`` is the reader as it was before the orjson path, kept as
+the oracle: ``load_scenario`` must give the same structure bit for bit and an
+equal raw dict, or raise the same exception with the same message.
+"""
+import json
+import math
+import struct
+from decimal import Decimal, localcontext
+
+import orjson
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qtypicality import SchemaError, core, load_scenario, structure_from_dict
+from test_fuzz import UNRUH, mutated_scenarios
+
+LAYOUTS = {
+    "compact": json.dumps,
+    "indented": lambda data: json.dumps(data, indent=2),
+    "crlf": lambda data: json.dumps(data, indent=2).replace("\n", "\r\n"),
+}
+
+
+def reference_load(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise SchemaError("scenario file must contain a JSON object")
+    return structure_from_dict(data), data
+
+
+def outcome(load, path):
+    """What ``load(path)`` gives, with floats compared by their bits: the
+    arrays' bytes, the labels and the raw dict's repr (which tells an int
+    from an equal float, and NaN from NaN), or the exception's type and
+    message."""
+    try:
+        structure, raw = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (
+        structure.psi0.tobytes(),
+        [step.matrix.tobytes() for step in structure.schedule],
+        structure.labels,
+        [idx.tobytes() for idx in structure.cells.values()],
+        repr(raw),
+    )
+
+
+def assert_same_outcome(path):
+    expected = outcome(reference_load, path)
+    assert outcome(load_scenario, path) == expected
+    return expected
+
+
+def write(path, text):
+    path.write_bytes(text.encode("utf-8"))  # no newline translation
+    return path
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader")
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_scenarios(), st.sampled_from(sorted(LAYOUTS)))
+def test_same_outcome_as_the_reference_reader(workdir, scenario, layout):
+    assert_same_outcome(write(workdir / "scenario.json", LAYOUTS[layout](scenario)))
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_an_export_takes_the_orjson_path(tmp_path, layout):
+    path = write(tmp_path / "unruh.json", LAYOUTS[layout](UNRUH))
+    assert core._orjson_readable(path.read_bytes())
+    load_scenario(path)
+    assert_same_outcome(path)
+
+
+def finite_doubles():
+    """Doubles from every bit pattern, and hypothesis's edge cases (zeros,
+    subnormals, the largest values)."""
+    from_bits = st.integers(0, 2**64 - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+    )
+    return st.one_of(from_bits, st.floats()).filter(math.isfinite)
+
+
+@st.composite
+def long_decimals(draw):
+    """A decimal number of 17 to 40 significant digits as ``d.ddd...e±x``:
+    either random digits, or the midpoint of two adjacent doubles rounded to
+    that many digits, where a reader that rounds wrongly shows it."""
+    digits = draw(st.integers(17, 40))
+    sign = draw(st.sampled_from(["", "-"]))
+    if draw(st.booleans()):
+        lead = draw(st.sampled_from("123456789"))
+        rest = draw(st.text("0123456789", min_size=digits - 1, max_size=digits - 1))
+        return f"{sign}{lead}.{rest}e{draw(st.integers(-330, 310))}"
+    low = abs(draw(finite_doubles().filter(lambda x: abs(x) < 1.7976931348623157e308)))
+    with localcontext() as ctx:
+        ctx.prec = 800  # enough for the exact midpoint of any two doubles
+        mid = (Decimal(low) + Decimal(math.nextafter(low, math.inf))) / 2
+        return f"{sign}{mid:.{digits - 1}e}"
+
+
+def assert_parses_like_float(text):
+    doc = f"[{text}]".encode()
+    assert core._orjson_readable(doc)
+    expected = float(text)
+    if math.isinf(expected):  # the stdlib reader reads it, as inf
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(doc)
+        return
+    (value,) = orjson.loads(doc)
+    assert type(value) is float
+    assert struct.pack("<d", value) == struct.pack("<d", expected), text
+
+
+@settings(max_examples=2000, deadline=None)
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(2.225073858507201e-308)  # the largest subnormal
+@example(2.2250738585072014e-308)  # the smallest normal
+@example(1e308)
+@example(-1e308)
+@example(1.7976931348623157e308)
+@given(finite_doubles())
+def test_float_reprs_parse_to_their_bits(value):
+    assert_parses_like_float(repr(value))
+
+
+@settings(max_examples=2000, deadline=None)
+@example("1." + "0" * 39 + "e-400")
+@example("9.999999999999999999999999999999999999999e308")
+@example("2.4703282292062327208828439643411068618e-324")  # half the smallest subnormal
+@given(long_decimals())
+def test_long_decimals_parse_as_float_does(text):
+    assert_parses_like_float(text)
+
+
+def test_brackets_inside_strings_do_not_count(tmp_path):
+    data = json.loads(json.dumps(UNRUH))
+    data["cells"] = {"[" * 100 + "{": data["cells"]["U"], "]]}": data["cells"]["D"]}
+    path = write(tmp_path / "labels.json", json.dumps(data))
+    assert core._orjson_readable(path.read_bytes())
+    assert assert_same_outcome(path)[2] == ("[" * 100 + "{", "]]}")
+
+
+def test_a_backslash_takes_the_reference_path(tmp_path):
+    data = json.loads(json.dumps(UNRUH))
+    data["cells"] = {'U"[[': data["cells"]["U"], "Dé": data["cells"]["D"]}
+    text = json.dumps(data)  # escapes the quote and the e-acute
+    path = write(tmp_path / "escaped.json", text)
+    assert "\\" in text and not core._orjson_readable(path.read_bytes())
+    assert assert_same_outcome(path)[2] == ('U"[[', "Dé")
+
+
+@pytest.mark.parametrize("depth, fast", [(core._ORJSON_MAX_DEPTH, True),
+                                         (core._ORJSON_MAX_DEPTH + 1, False)])
+def test_depth_limit(tmp_path, depth, fast):
+    inner = depth - 1  # the file's own object is one level
+    text = json.dumps(UNRUH)[:-1] + ', "extra": ' + "[" * inner + "]" * inner + "}"
+    path = write(tmp_path / "deep.json", text)
+    assert core._orjson_readable(path.read_bytes()) is fast
+    load_scenario(path)
+    assert_same_outcome(path)
+
+
+@pytest.mark.parametrize("value", [2**63 - 1, 2**63, 2**64, -2**63 - 1, 10**400])
+def test_long_integers_stay_integers(tmp_path, value):
+    text = json.dumps(UNRUH)[:-1] + f', "extra": [{value}, {{"n": {value}}}]}}'
+    path = write(tmp_path / "int.json", text)
+    assert core._orjson_readable(path.read_bytes()) is (len(str(abs(value))) < 19)
+    _, raw = load_scenario(path)
+    assert raw["extra"] == [value, {"n": value}]
+    assert all(type(n) is int for n in (raw["extra"][0], raw["extra"][1]["n"]))
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_error_positions_in_a_malformed_file_are_the_stdlib_readers(tmp_path, newline):
+    text = json.dumps(UNRUH, indent=2).replace('"dim"', "dim").replace("\n", newline)
+    path = write(tmp_path / "bad.json", text)
+    with pytest.raises(json.JSONDecodeError) as expected:
+        reference_load(path)
+    with pytest.raises(json.JSONDecodeError) as got:
+        load_scenario(path)
+    fields = ("msg", "lineno", "colno", "pos")
+    assert [getattr(got.value, f) for f in fields] == [getattr(expected.value, f) for f in fields]
+    assert expected.value.lineno > 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 3000 + "]" * 3000, "nested too deeply"),
+        (json.dumps(UNRUH)[:-1] + ', "extra": ' + "1" * 5000 + "}", "malformed scenario"),
+    ],
+)
+def test_what_the_stdlib_reader_cannot_read_is_a_schema_error(tmp_path, text, message):
+    """Too deep for the stdlib reader's recursion limit, or an integer past
+    the interpreter's digit limit: it raises RecursionError or ValueError."""
+    with pytest.raises(SchemaError, match=message):
+        load_scenario(write(tmp_path / "unreadable.json", text))
