@@ -4,8 +4,8 @@ A quantum structure bundles a Hilbert space of dimension ``dim``, a unit
 initial vector, a schedule of per-step unitaries (step ``k`` evolves time
 index ``k`` to ``k + 1``), and a labeled partition of the basis index set
 that plays the role of a projection-valued measure on configuration space.
-The cell half (the checked cell table, labels, time range and region masks)
-is the base ``CellProcess``, which the Markov twin in ``stochastic`` shares.
+The cell half (the checked cell table, labels, time range, region masks and
+two-time laws) is the base ``CellProcess``, which the Markov twin shares.
 
 The cell table, ``CellTable``, is compressed sparse rows: the labels, one
 index array sorted within each cell, and each cell's offsets in it. It is a
@@ -16,26 +16,23 @@ A table of one index per label (the measurement chain's, the Markov twin's)
 holds no per-cell object.
 
 All inputs are copied and frozen at construction. Each process keeps
-private caches, filled lazily and dropped with it: the base caches one
-boolean mask per region; a structure adds the trajectory ``Psi(t)`` and the
-Heisenberg-projected initial vectors served by ``project_initials``, the twin
-its two-time laws. Cached arrays are read-only, so no caller can change them.
-Every cache entry is a pure function of its key, so two threads filling one
-entry store equal values and a process stays safe to share between threads.
+private caches, filled lazily and dropped with it: the base one boolean mask
+per region and the two-time laws ``law(s, t)``, a structure also the
+trajectory ``Psi(t)`` and the projections served by ``project_initials``.
+Cached arrays are read-only, and every entry is a pure function of its key,
+so two threads filling one entry store equal values and a process is safe
+to share between threads.
 
-A schedule step applies to one vector or to a ``(..., dim)`` stack of them,
-and a stack takes one step call per step: the projections that
-``project_initials`` adds to its cache (one stack per time) and the
-branches of ``branch_sweep``. The rule is that each row of a stack gets the
-bits it would get alone. A one-factor step therefore runs one
-matrix-vector product per row, ``np.matmul(m, V[..., None])`` forward and
-``np.matmul(V.conj()[..., None, :], m)`` conjugated for the adjoint; numpy
-loops over the rows and calls the same BLAS routine as for one vector. The
-stacked matrix product ``V @ m.T`` is not used: BLAS blocks and orders its
-sums by the shape of the whole product, so a row's last bits would depend
-on the stack it came in (with OpenBLAS 0.3.31, rows of a 4-row stack move
-in their last bits at every d >= 2), and reports would no longer match a
-one-vector computation. A multi-factor step applies row by row.
+A schedule step applies to one vector or to a ``(..., dim)`` stack, one step
+call per stack: the projections that ``project_initials`` caches (one stack
+per time) and the branches that a structure's laws from one time carry
+forward. Each row of a stack gets the bits it would get alone: a one-factor
+step runs one matrix-vector product per row (numpy loops over the rows and
+calls the same BLAS routine as for one vector), never the stacked
+``V @ m.T``, whose BLAS sums are ordered by the shape of the whole product
+(with OpenBLAS 0.3.31, rows of a 4-row stack move in their last bits at
+every d >= 2), so that reports match a one-vector computation. A
+multi-factor step applies row by row.
 """
 from __future__ import annotations
 
@@ -280,9 +277,10 @@ class CellProcess:
     """A labeled partition of ``range(dim)`` observed at time indices
     ``0..n_steps``: the cell space that a quantum structure and its Markov
     twin share. ``cells`` is a ``CellTable``, given or built from a mapping.
-    The region masks are cached here, one per region. Both
-    processes have ``occupations(t)``, the cell masses in label order, and
-    ``pair_table(rows, cols)``, a ``typicality.PairMasses`` of s-set pairs."""
+    Region masks and two-time laws are cached here. Both processes have
+    ``occupations(t)`` in label order, ``pair_table(rows, cols)`` (a
+    ``typicality.PairMasses``) and ``_laws_from(s)``, which yields the laws
+    from ``s`` to each ``t = s..T``, from ``diag(occupations(s))`` on."""
 
     def __init__(self, dim: int, cells: Mapping[str, Iterable[int]] | CellTable, n_steps: int):
         if not isinstance(cells, CellTable):
@@ -293,6 +291,7 @@ class CellProcess:
         self.cells = cells
         self.n_steps = n_steps
         self._masks: dict = {}  # frozenset region -> boolean mask
+        self._laws: dict = {}  # s -> read-only stack of law(s, t), t = s..T
 
     # -- time bookkeeping ---------------------------------------------------
 
@@ -327,6 +326,17 @@ class CellProcess:
         self.check_time(sset.time)
         self.region_mask(sset.region)  # rejects unknown labels
         return sset
+
+    def law(self, s: int, t: int) -> np.ndarray:
+        """Read-only ``cells x cells`` masses of cell ``i`` at ``s`` and cell
+        ``j`` at ``t``. The laws from one ``s`` on are built together on first
+        use and kept; ``law(t, s)`` is ``law(s, t).T``."""
+        s, t = self.check_time(s), self.check_time(t)
+        if s > t:
+            return self.law(t, s).T
+        if s not in self._laws:
+            self._laws[s] = _frozen(list(self._laws_from(s)), "laws", float)
+        return self._laws[s][t - s]
 
 
 class QuantumStructure(CellProcess):
@@ -364,6 +374,16 @@ class QuantumStructure(CellProcess):
     def occupations(self, time: int) -> np.ndarray:
         """Per-cell probability mass ||E(cell) Psi(t)||^2, in label order."""
         return _cell_masses(self, state_at(self, time).amplitudes)
+
+    def _laws_from(self, time: int):
+        """The chained squared norms ``||E(j) U(t, time) E(i) Psi(time)||^2``, from
+        one branch stack: one step call per step, one ``_cell_masses`` per time."""
+        yield np.diag(self.occupations(time))
+        psi = state_at(self, time).amplitudes
+        branches = psi * np.array([self.region_mask((label,)) for label in self.labels])
+        for t in range(time, self.n_steps):
+            branches = _evolve(self, branches, t, t + 1)
+            yield _cell_masses(self, branches)
 
     def pair_table(self, rows: Sequence[SSet], cols: Sequence[SSet]):
         """``||v_i - w_j||^2`` and the squared norms of the projections ``v_i``
@@ -525,26 +545,6 @@ def _cell_masses(process: CellProcess, vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def branch_sweep(structure: QuantumStructure, time: int):
-    """Cell masses of every branch ``E(i) Psi(t)`` carried forward from ``t``.
-
-    Yields, for each later time ``t2``, one read-only ``cells x cells``
-    array ``m[i, j] = ||E(j) U(t2, t) E(i) Psi(t)||^2`` in label order.
-    The branches are one ``(cells, dim)`` stack that takes one step call per
-    step and one ``_cell_masses`` call per time, so row ``i`` equals
-    ``_cell_masses`` of ``chain_project(structure, [SSet(t, {label_i})],
-    at_time=t2)`` bit for bit.
-    """
-    time = structure.check_time(time)
-    psi = state_at(structure, time).amplitudes
-    branches = psi * np.array([structure.region_mask((label,)) for label in structure.labels])
-    for t2 in range(time + 1, structure.n_steps + 1):
-        branches = _evolve(structure, branches, t2 - 1, t2)
-        masses = _cell_masses(structure, branches)
-        masses.setflags(write=False)
-        yield masses
-
-
 def occupations(process: CellProcess, time: int) -> dict:
     """Each cell's mass at one time index, by label, for either process: the
     labelled form of the array ``process.occupations(time)``, for reports and
@@ -626,9 +626,9 @@ def _read_json(raw: bytes):
 
 
 def _numbers_in(data, what: str) -> np.ndarray:
-    """``data`` as a float array. A string, null or boolean entry gives numpy's
-    array no numeric type, which raises ``SchemaError``; only an object array
-    (null, or an integer beyond int64) is checked entry by entry."""
+    """``data`` as a float array. A string or null entry, or booleans alone
+    (``load_scenario`` rejects them among numbers), raise ``SchemaError``;
+    only object arrays (null, an integer past int64) are checked per entry."""
     arr = np.asarray(data)
     if arr.dtype.kind == "O" and all(type(x) in (int, float) for x in arr.flat):
         arr = arr.astype(float)
@@ -680,10 +680,27 @@ def structure_to_dict(structure: QuantumStructure) -> dict:
     }
 
 
+def _reject_booleans(data: dict) -> None:
+    """Raise ``SchemaError`` at a boolean among numbers, which numpy reads as 0 or 1."""
+    twin = data["stochastic"] if isinstance(data.get("stochastic"), dict) else {}
+    for name, stack in (("psi0", [data.get("psi0")]), ("schedule", [data.get("schedule")]),
+                        ("stochastic.initial", [twin.get("initial")]),
+                        ("stochastic.kernels", [twin.get("kernels")])):
+        while stack:
+            x = stack.pop()
+            if isinstance(x, bool):
+                raise SchemaError(f"malformed scenario: {name} has non-numeric entries (a boolean)")
+            if isinstance(x, list):
+                stack.extend(x)
+
+
 def load_scenario(path) -> tuple[QuantumStructure, dict]:
     """Read a scenario file; returns the structure and the raw parsed dict."""
     with open(path, "rb") as fh:
-        data = _read_json(fh.read())
+        data = _read_json(raw := fh.read())
     if not isinstance(data, dict):
         raise SchemaError("scenario file must contain a JSON object")
+    # Numbers hold no "t" or "f": each search starts at the first one (by memchr).
+    if raw.find(b"true", raw.find(b"t")) >= 0 or raw.find(b"false", raw.find(b"f")) >= 0:
+        _reject_booleans(data)
     return structure_from_dict(data), data

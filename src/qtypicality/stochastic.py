@@ -2,14 +2,15 @@
 
 The twin of a quantum structure is a finite-state Markov chain sharing its
 cell labels and step count. Both are ``core.CellProcess``es: the twin's
-cells are one index per state, its region masks are cached on that base,
-and its pair table is read from its two-time laws. Its cylinder-set measure
-is exactly additive, which is precisely the property the chained quantum
-squared norm lacks; the audit quantifies both sides.
+cells are one index per state, its region masks and two-time laws are
+cached on that base, and its pair table is read from those laws. Its
+cylinder-set measure is exactly additive, which is precisely the property
+the chained quantum squared norm lacks; the audit quantifies both sides.
 """
 from __future__ import annotations
 
 import collections.abc
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -64,33 +65,18 @@ class StochasticProcessSpec(core.CellProcess):
             if np.any(kernel < 0.0) or np.any(np.abs(kernel.sum(axis=1) - 1.0) > ROW_SUM_TOL):
                 raise ValidationError(f"kernel {t} is not row-stochastic")
         super().__init__(n, core.CellTable.singletons(states), len(self.kernels))
-        self._laws: dict = {}  # s -> read-only stack of law(s, t), t = s..T
 
-    @property
-    def states(self) -> tuple:
-        return self.labels
+    states = core.CellProcess.labels
 
     def marginal(self, time: int) -> np.ndarray:
-        time = self.check_time(time)
-        dist = self.initial.copy()
-        for t in range(time):
-            dist = dist @ self.kernels[t]
-        return dist
+        steps = self.kernels[:self.check_time(time)]
+        return functools.reduce(np.matmul, steps, self.initial.copy())
 
     occupations = marginal  # the single-time law, in label order
 
-    def law(self, s: int, t: int) -> np.ndarray:
-        """Read-only ``P(X_s = i, X_t = j)``. The laws from one time ``s`` on
-        are built together on first use, by stepping ``diag(marginal(s))``
-        through the kernels, and kept; ``law(t, s)`` is ``law(s, t).T``."""
-        s, t = self.check_time(s), self.check_time(t)
-        if s > t:
-            return self.law(t, s).T
-        if s not in self._laws:
-            first = np.diag(self.marginal(s))  # P(X_s = i, X_s = j)
-            laws = itertools.accumulate(self.kernels[s:], np.matmul, initial=first)
-            self._laws[s] = core._frozen(list(laws), "laws", float)
-        return self._laws[s][t - s]
+    def _laws_from(self, s: int):
+        """``P(X_s = i, X_t = j)``, ``diag(marginal(s))`` times the kernels."""
+        return itertools.accumulate(self.kernels[s:], np.matmul, initial=np.diag(self.marginal(s)))
 
     def pair_table(self, rows: Sequence[SSet], cols: Sequence[SSet]) -> typicality.PairMasses:
         """Region masses, and for a row ``(s, A)`` and column ``(t, B)`` the
@@ -176,23 +162,24 @@ def mu_typicality(
 
 
 def matched_markov_chain(structure: QuantumStructure) -> StochasticProcessSpec:
-    """Markov twin whose single-time marginals equal the cell occupations.
+    """Markov twin whose marginals are the diagonals of the structure's
+    ``law(t, t)``, its cell occupations.
 
-    Each step first tries the per-branch occupation transfer: the first
-    ``core.branch_sweep`` array from ``t``, each row divided by its branch's
-    mass (a branch below 1e-14 takes the next marginal). Where interference
-    makes that transfer miss the true next-time marginal, the step falls
-    back to rows equal to the next marginal, which matches it by construction.
+    Each step first tries the per-branch occupation transfer: the structure's
+    ``law(t, t + 1)``, each row divided by its branch's mass (a branch below
+    1e-14 takes the next marginal). Where interference makes that transfer
+    miss the true next-time marginal, the step falls back to rows equal to
+    the next marginal, which matches it by construction.
     """
     n = len(structure.labels)
-    states = [core.state_at(structure, t).amplitudes for t in structure.times]
-    occs = core._cell_masses(structure, np.array(states))
+    occs = np.array([structure.law(t, t).diagonal() for t in structure.times])
     kernels = []
     for t in range(structure.n_steps):
-        branches = (states[t] * structure.region_mask((label,)) for label in structure.labels)
+        psi = core.state_at(structure, t).amplitudes
+        branches = (psi * structure.region_mask((label,)) for label in structure.labels)
         mass = np.array([np.vdot(b, b).real for b in branches])[:, None]
         kernel = np.tile(occs[t + 1], (n, 1))
-        np.divide(next(core.branch_sweep(structure, t)), mass, out=kernel, where=mass >= 1e-14)
+        np.divide(structure.law(t, t + 1), mass, out=kernel, where=mass >= 1e-14)
         if np.abs(occs[t] @ kernel - occs[t + 1]).max() > MARGINAL_TOL:
             kernel = np.tile(occs[t + 1], (n, 1))
         kernels.append(kernel)
@@ -208,12 +195,13 @@ class CorrespondenceAudit:
     ``c5_pairs_in_regime`` and ``c5_pass`` holds for every input. The count
     reads the verdict masks of the two processes' ``pair_table``s.
 
-    c7's defect at ``t1 < t2`` and cell ``j`` is ``|occ[t2, j] - sum_i
-    m[i, j]|`` over the ``core.branch_sweep`` array ``m`` from ``t1`` at
-    ``t2``. A witness (past ``NONADDITIVITY_WITNESS``) holds both masses of
-    one defect within a relative 1e-12 of the largest: the earliest
-    ``(t1, t2)``, then the cell whose label sorts first, so that defects
-    tied in exact arithmetic name the same witness in any label order.
+    c7's defect of a process at ``t1 < t2`` and cell ``j`` is ``|sum_i
+    law(t1, t2)[i, j] - law(t2, t2)[j, j]|``: at most 1e-12 for an additive
+    twin, the chained norms' nonadditivity for the structure. A witness
+    (past ``NONADDITIVITY_WITNESS``) holds both masses of one structure
+    defect within a relative 1e-12 of the largest: the earliest ``(t1,
+    t2)``, then the cell whose label sorts first, so that defects tied in
+    exact arithmetic name the same witness in any label order.
     """
 
     c3_max_error: float
@@ -258,11 +246,7 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
     c5 judges its ``(T+1)(cells+1)`` s-sets as one ``pair_table`` of each
     process. A twin value that fails the measure checks raises for the first
     failing pair in row-major order, which for this symmetric table is the
-    first in ``itertools.combinations`` order.
-
-    c3 and c7 read one occupations table ``occ[t, j]``; c3 compares it with
-    the twin's marginals, and c7 with the column sums of one
-    ``core.branch_sweep`` per earlier time and the twin's two-time laws.
+    first in ``itertools.combinations`` order. c7 reads both processes' laws.
     """
     if set(q.labels) != set(c.states):
         raise ValidationError("structure and chain use different cell labels")
@@ -283,14 +267,12 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
     in_regime = int(np.count_nonzero(np.triu(typical_q & typical_mu, 1)))
 
     # (c7): additivity of mu, nonadditivity witness for the chained norm.
-    mu_additive, chained_sums = True, {}  # (t1, t2) -> sum_i m[i, j], in time order
-    for t1 in q.times[:-1]:
-        for t2, chained in enumerate(core.branch_sweep(q, t1), start=t1 + 1):
-            # Summing P(X_t1 = i, X_t2 = j) over i gives back P(X_t2 = j).
-            if np.any(np.abs(c.law(t1, t2).sum(axis=0) - c.law(t2, t2).diagonal()) > 1e-12):
-                mu_additive = False
-            chained_sums[t1, t2] = chained.sum(axis=0)
-    defects = {(t1, t2): np.abs(occ[t2] - sums) for (t1, t2), sums in chained_sums.items()}
+    def additivity_defects(p):  # (t1, t2) -> |sum_i law(t1, t2)[i, j] - law(t2, t2)[j, j]|
+        return {(t1, t2): np.abs(p.law(t1, t2).sum(axis=0) - p.law(t2, t2).diagonal())
+                for t1, t2 in itertools.combinations(p.times, 2)}
+
+    mu_additive = all(np.all(d <= 1e-12) for d in additivity_defects(c).values())
+    defects = additivity_defects(q)
     max_defect = max((float(d.max()) for d in defects.values()), default=0.0)
     witness = None
     if max_defect > NONADDITIVITY_WITNESS:
@@ -305,7 +287,7 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
             "t2": t2,
             "region2": [label],
             "quantum_total": float(occ[t2, j]),
-            "quantum_termwise_sum": float(chained_sums[t1, t2][j]),
+            "quantum_termwise_sum": float(q.law(t1, t2).sum(axis=0)[j]),
         }
     return CorrespondenceAudit(
         c3_max_error=c3_max,

@@ -591,6 +591,38 @@ class TestExitCodes:
         assert f" {field} has non-numeric entries" in err
 
     @pytest.mark.parametrize(
+        "edit, section",
+        [
+            (lambda d: d.__setitem__("psi0", [[0.0, False], [True, 0.0]]), "psi0"),
+            (lambda d: d["schedule"][0][0][1].__setitem__(1, False), "schedule"),
+            (lambda d: d["stochastic"].__setitem__("initial", [0.0, True]), "stochastic.initial"),
+            (lambda d: d["stochastic"]["kernels"][1][1].__setitem__(1, False),
+             "stochastic.kernels"),
+        ],
+        ids=["psi0", "schedule", "initial", "kernels"],
+    )
+    def test_booleans_among_numbers_are_named(self, capsys, exported, tmp_path, edit, section):
+        # Each boolean stands where the export has an equal 0.0 or 1.0, and
+        # numpy would read it as that number; the schema asks for numbers.
+        data = json.loads(open(exported).read())
+        edit(data)
+        bad = tmp_path / "booleans.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "audit", "--scenario-file", str(bad))
+        assert (code, out) == (2, "")
+        assert f"error: malformed scenario: {section} has non-numeric entries (a boolean)" in err
+
+    def test_a_true_label_is_not_a_boolean(self, capsys, exported, tmp_path):
+        data = json.loads(open(exported).read())
+        data["cells"] = {"true": data["cells"]["U"], "D": data["cells"]["D"]}
+        data["stochastic"]["states"] = ["true", "D"]
+        path = tmp_path / "true_label.json"
+        path.write_text(json.dumps(data))
+        assert b'"true"' in path.read_bytes()
+        report = run_json(capsys, "audit", "--scenario-file", str(path))
+        assert report["results"]["passed"]
+
+    @pytest.mark.parametrize(
         "states", ["UD", {"U": 0, "D": 1}, [0, 1]], ids=["string", "object", "numbers"]
     )
     def test_malformed_twin_states_are_named(self, capsys, exported, tmp_path, states):

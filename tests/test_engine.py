@@ -42,7 +42,6 @@ from qtypicality.core import (
     FactorUnitary,
     ProjectedVector,
     _cell_masses,
-    branch_sweep,
     project_initial,
     project_initials,
 )
@@ -262,7 +261,7 @@ class TestCachedEqualsUncached:
     def test_chain_sweep_equals_chain_project_exactly(self, dim):
         for q in (haar_structure(5, dim), near_classical_structure(5, dim)):
             for t1 in q.times:
-                sweep = list(branch_sweep(q, t1))
+                sweep = [q.law(t1, t2) for t2 in range(t1 + 1, q.n_steps + 1)]
                 assert len(sweep) == q.n_steps - t1
                 for t2, masses in enumerate(sweep, start=t1 + 1):
                     assert masses.shape == (N_CELLS, N_CELLS)

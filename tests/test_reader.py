@@ -3,7 +3,9 @@ document as the stdlib reader does, the stdlib reader everywhere else.
 
 ``reference_load`` is the reader as it was before the orjson path, kept as
 the oracle: ``load_scenario`` must give the same structure bit for bit and an
-equal raw dict, or raise the same exception with the same message.
+equal raw dict, or raise the same exception with the same message. The
+oracle looks for booleans among the numbers in every file, where
+``load_scenario`` looks only in files whose bytes hold ``true`` or ``false``.
 """
 import json
 import math
@@ -30,6 +32,7 @@ def reference_load(path):
         data = json.load(fh)
     if not isinstance(data, dict):
         raise SchemaError("scenario file must contain a JSON object")
+    core._reject_booleans(data)
     return structure_from_dict(data), data
 
 
@@ -71,6 +74,15 @@ def workdir(tmp_path_factory):
 @given(mutated_scenarios(), st.sampled_from(sorted(LAYOUTS)))
 def test_same_outcome_as_the_reference_reader(workdir, scenario, layout):
     assert_same_outcome(write(workdir / "scenario.json", LAYOUTS[layout](scenario)))
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_a_boolean_among_numbers_has_the_references_outcome(tmp_path, layout):
+    data = json.loads(json.dumps(UNRUH))
+    data["psi0"][0][0] = True
+    path = write(tmp_path / "boolean.json", LAYOUTS[layout](data))
+    assert assert_same_outcome(path) == (
+        SchemaError, "malformed scenario: psi0 has non-numeric entries (a boolean)")
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))

@@ -45,6 +45,7 @@ def correspondence_audit(q, c):
 
 IDENTITY2 = np.eye(2)
 MIXING2 = np.full((2, 2), 0.5)
+HADAMARD2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 
 
 @pytest.fixture
@@ -304,22 +305,6 @@ class TestTwinPairTable:
             assert mixing_chain.occupations(t).tolist() == mixing_chain.marginal(t).tolist()
         assert occupations(mixing_chain, 1) == {"U": 0.5, "D": 0.5}
 
-    def test_laws_are_cached_read_only(self, mixing_chain):
-        law = mixing_chain.law(0, 2)
-        assert np.shares_memory(law, mixing_chain.law(0, 2))
-        assert law.shape == (2, 2) and not law.flags.writeable
-        assert not mixing_chain.law(2, 0).flags.writeable
-        np.testing.assert_array_equal(mixing_chain.law(2, 0), law.T)
-
-    def test_queries_build_only_the_laws_they_read(self, mixing_chain):
-        """Region masses read the marginals alone; a pair builds the laws
-        from its earlier time only."""
-        mu_sset(mixing_chain, SSet(2, {"U"}))
-        mixing_chain.pair_table([SSet(1, {"U"}), SSet(2, {"D"})], [])
-        assert mixing_chain._laws == {}
-        mu_symmetric_difference(mixing_chain, SSet(2, {"U"}), SSet(1, {"D"}))
-        assert list(mixing_chain._laws) == [1] and len(mixing_chain._laws[1]) == 2
-
     @settings(max_examples=50, deadline=None)
     @given(twin_tables(), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=8))
     def test_laws_do_not_depend_on_request_order(self, problem, warm):
@@ -333,6 +318,55 @@ class TestTwinPairTable:
             lo, hi = min(s, t), max(s, t)
             law = functools.reduce(np.matmul, chain.kernels[lo:hi], np.diag(chain.marginal(lo)))
             assert chain.law(s, t).tobytes() == (law if s <= t else law.T).tobytes()
+
+
+class TestLaw:
+    """``law(s, t)``, defined once for both processes: the twin's joint law,
+    the structure's chained squared norms."""
+
+    @pytest.fixture(params=["twin", "structure"])
+    def process(self, request):
+        """The mixing chain, or a structure with its labels and step count."""
+        if request.param == "twin":
+            return StochasticProcessSpec(["U", "D"], [1.0, 0.0], [MIXING2, MIXING2])
+        return QuantumStructure(2, [1.0, 0.0], [HADAMARD2, HADAMARD2], {"U": [0], "D": [1]})
+
+    def test_laws_are_cached_read_only(self, process):
+        law = process.law(0, 2)
+        assert np.shares_memory(law, process.law(0, 2))
+        assert law.shape == (2, 2) and not law.flags.writeable
+        assert not process.law(2, 0).flags.writeable
+        np.testing.assert_array_equal(process.law(2, 0), law.T)
+
+    def test_queries_build_only_the_laws_they_read(self, process):
+        """Region masses read the single-time masses alone; a pair builds the
+        laws from its earlier time only, and the structure's pair terms read
+        no law."""
+        process.pair_table([SSet(2, {"U"})], [])
+        process.pair_table([SSet(1, {"U"}), SSet(2, {"D"})], [])
+        assert process._laws == {}
+        process.pair_table([SSet(2, {"U"})], [SSet(1, {"D"})])
+        assert list(process._laws) == ([1] if isinstance(process, StochasticProcessSpec) else [])
+        process.law(2, 1)
+        assert list(process._laws) == [1] and len(process._laws[1]) == 2
+
+    @pytest.mark.parametrize(
+        "model",
+        [lambda: build_unruh().structure, lambda: matched_markov_chain(build_unruh().structure),
+         lambda: obstacle_variant("D1").structure, build_beamsplitter_fig1,
+         lambda: StochasticProcessSpec(["a", "b", "c"], [0.2, 0.3, 0.5],
+                                       [np.random.default_rng(t).dirichlet(np.ones(3), size=3)
+                                        for t in range(3)])],
+        ids=["unruh", "unruh-twin", "obstacle-D1", "fig1", "random-chain"],
+    )
+    def test_one_time_law_is_the_occupations_diagonal(self, model):
+        """``law(s, s)`` is ``diag(occupations(s))`` and ``law(t, s)`` is
+        ``law(s, t).T``, bit for bit."""
+        process = model()
+        for s, t in itertools.product(process.times, repeat=2):
+            assert process.law(t, s).tobytes() == process.law(s, t).T.tobytes()
+        for s in process.times:
+            assert process.law(s, s).tobytes() == np.diag(process.occupations(s)).tobytes()
 
 
 class TestMatchedChain:
@@ -419,6 +453,17 @@ class TestCorrespondenceAudit:
         audit = correspondence_audit(structure, matched_markov_chain(structure))
         assert audit.passed
         assert audit.c7_witness is None
+
+    def test_the_audit_builds_no_law_after_the_twin(self):
+        """The twin reads every law of the structure that c7 reads, so the
+        audit finds them all cached."""
+        structure = obstacle_variant("D1").structure
+        twin = matched_markov_chain(structure)
+        laws = dict(structure._laws)
+        assert sorted(laws) == list(structure.times)
+        correspondence_audit(structure, twin)
+        assert structure._laws.keys() == laws.keys()
+        assert all(structure._laws[s] is laws[s] for s in laws)
 
     def test_trivial_structure_fully_classical(self):
         structure = QuantumStructure(
