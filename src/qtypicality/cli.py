@@ -4,11 +4,16 @@ Every JSON report embeds the tool version and its command's resolved
 options; a command takes only the thresholds and seed it reads (any other
 exits 2). Identical configuration gives byte-identical output.
 
-One table, ``_COMMANDS``, lists each command's handler, help text, the
-thresholds it reads and the function adding its own arguments. A call that
-names a command builds that command's subparser alone; help, the version
-and an unknown command get the full parser. The texts are the same either
-way: the usage line names every command.
+One table, ``_COMMANDS``, lists each command's handler, help text and
+options, the options as ``add_argument(*flags, **kwargs)`` rows.
+``build_parser`` gives the rows to argparse, which stays the reference. A
+well-formed command line (exact long options, plain values, nothing
+repeated or missing) is read from the rows alone into the Namespace
+argparse would return, without building a parser. Any other line goes to
+argparse: help, the version, abbreviations, ``--opt=value``, values
+starting with '-', and every error. A line that names a command builds
+that command's subparser alone, any other the full parser; the texts are
+the same either way, as the usage line names every command.
 
 Exit codes: 0 success, 2 parse/configuration error, 3 computational guard
 violation, 4 audit assertion failure.
@@ -432,58 +437,70 @@ def float_list(text: str) -> list:
     return [float(x) for x in text.split(",")]
 
 
-def _scenario_arguments(p) -> None:
-    p.add_argument("scenario", choices=("unruh", "fig1", "nonadditivity"))
-    p.add_argument("--detector-d2", action="store_true")
-    p.add_argument("--obstacle", choices=("U1", "D1"), default=None)
-    p.add_argument("--export", default=None, help="also write the scenario JSON here")
+# Each command's options as ``add_argument(*flags, **kwargs)`` rows of one
+# flag each, in the order the subparser adds them: the output options, the
+# thresholds the command reads, then its own. ``build_parser`` gives the rows to argparse;
+# ``_read_command_line`` reads a well-formed command line with them alone.
+_OUTPUT_ROWS = (
+    (("--format",), {"choices": ("json", "csv"), "default": "json"}),
+    (("--output",), {"default": None, "help": "write report here instead of stdout"}),
+)
 
 
-def _scenario_file_argument(p) -> None:
-    p.add_argument("--scenario-file", required=True)
+def _threshold_rows(*dests) -> tuple:
+    return tuple(
+        (("--" + dest.replace("_", "-"),), {"type": float, "default": _THRESHOLD_DEFAULTS[dest]})
+        for dest in dests
+    )
 
 
-def _typicality_arguments(p) -> None:
-    _scenario_file_argument(p)
-    p.add_argument("--s1", required=True, help="TIME:LABEL[,LABEL...]")
-    p.add_argument("--s2", required=True)
+_SCENARIO_FILE_ROW = (("--scenario-file",), {"required": True})
 
-
-def _graph_arguments(p) -> None:
-    _scenario_file_argument(p)
-    p.add_argument("--slice", action="append", required=True, help="TIME:REGION|REGION...")
-
-
-def _stat_bound_arguments(p) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--p", type=float_list, default=[0.5, 0.5])
-    p.add_argument("--N", type=int, default=16)
-    p.add_argument("--eps", type=float, default=0.125)
-    p.add_argument("--sweep", action="store_true")
-    p.add_argument("--sweep-draws", type=int, default=20)
-
-
-def _wavepacket_arguments(p) -> None:
-    p.add_argument("--separations", type=float_list, default=[4.0, 6.0, 8.0, 10.0],
-                   help="separations in units of sigma")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--momentum", type=float, default=2.0)
-    p.add_argument("--n-points", type=int, default=4096)
-    p.add_argument("--length", type=float, default=200.0)
-    p.add_argument("--snapshot", default=None, help="write |psi(x)|^2 CSV here")
-
-
-# Each command's handler, help text, the threshold options it reads and the
-# function adding its own arguments, in the order the usage line lists them.
+# Each command's handler, help text and option rows, in the order the usage
+# line lists the commands.
 _COMMANDS = {
-    "scenario": (_cmd_scenario, "built-in experiments", tuple(_THRESHOLD_DEFAULTS),
-                 _scenario_arguments),
-    "typicality": (_cmd_typicality, "pairwise measure", ("threshold",), _typicality_arguments),
-    "graph": (_cmd_graph, "trajectory graph", ("epsilon_exclude", "tau_link"), _graph_arguments),
-    "stat-bound": (_cmd_stat_bound, "typical-set tail bound", (), _stat_bound_arguments),
-    "wavepacket": (_cmd_wavepacket, "grid-packet sweep", (), _wavepacket_arguments),
-    "audit": (_cmd_audit, "correspondence audit", (), _scenario_file_argument),
+    "scenario": (_cmd_scenario, "built-in experiments", (
+        *_OUTPUT_ROWS,
+        *_threshold_rows(*_THRESHOLD_DEFAULTS),
+        (("scenario",), {"choices": ("unruh", "fig1", "nonadditivity")}),
+        (("--detector-d2",), {"action": "store_true"}),
+        (("--obstacle",), {"choices": ("U1", "D1"), "default": None}),
+        (("--export",), {"default": None, "help": "also write the scenario JSON here"}),
+    )),
+    "typicality": (_cmd_typicality, "pairwise measure", (
+        *_OUTPUT_ROWS,
+        *_threshold_rows("threshold"),
+        _SCENARIO_FILE_ROW,
+        (("--s1",), {"required": True, "help": "TIME:LABEL[,LABEL...]"}),
+        (("--s2",), {"required": True}),
+    )),
+    "graph": (_cmd_graph, "trajectory graph", (
+        *_OUTPUT_ROWS,
+        *_threshold_rows("epsilon_exclude", "tau_link"),
+        _SCENARIO_FILE_ROW,
+        (("--slice",), {"action": "append", "required": True, "help": "TIME:REGION|REGION..."}),
+    )),
+    "stat-bound": (_cmd_stat_bound, "typical-set tail bound", (
+        *_OUTPUT_ROWS,
+        (("--seed",), {"type": int, "default": 0}),
+        (("--n",), {"type": int, "default": 2}),
+        (("--p",), {"type": float_list, "default": [0.5, 0.5]}),
+        (("--N",), {"type": int, "default": 16}),
+        (("--eps",), {"type": float, "default": 0.125}),
+        (("--sweep",), {"action": "store_true"}),
+        (("--sweep-draws",), {"type": int, "default": 20}),
+    )),
+    "wavepacket": (_cmd_wavepacket, "grid-packet sweep", (
+        *_OUTPUT_ROWS,
+        (("--separations",), {"type": float_list, "default": [4.0, 6.0, 8.0, 10.0],
+                               "help": "separations in units of sigma"}),
+        (("--sigma",), {"type": float, "default": 1.0}),
+        (("--momentum",), {"type": float, "default": 2.0}),
+        (("--n-points",), {"type": int, "default": 4096}),
+        (("--length",), {"type": float, "default": 200.0}),
+        (("--snapshot",), {"default": None, "help": "write |psi(x)|^2 CSV here"}),
+    )),
+    "audit": (_cmd_audit, "correspondence audit", (*_OUTPUT_ROWS, _SCENARIO_FILE_ROW)),
 }
 
 
@@ -501,24 +518,84 @@ def build_parser(commands=tuple(_COMMANDS)) -> argparse.ArgumentParser:
     every = set(_COMMANDS) <= set(commands)
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar=None if every else "{" + ",".join(_COMMANDS) + "}")
-    for name, (handler, help, reads, add_arguments) in _COMMANDS.items():
+    for name, (handler, help, rows) in _COMMANDS.items():
         if name not in commands:
             continue
         p = sub.add_parser(name, help=help)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", default=None, help="write report here instead of stdout")
-        for dest in reads:
-            p.add_argument("--" + dest.replace("_", "-"), type=float,
-                           default=_THRESHOLD_DEFAULTS[dest])
-        add_arguments(p)
+        for flags, kwargs in rows:
+            p.add_argument(*flags, **kwargs)
         p.set_defaults(func=handler)
     return parser
 
 
+def _read_command_line(argv: list):
+    """The Namespace that ``build_parser().parse_args(argv)`` returns, read
+    from the option rows alone, or None unless ``argv`` is well formed.
+
+    Well formed: a command name, then that command's exact long options
+    (no abbreviation, no ``=``), each valued one followed by a value not
+    starting with '-', the type and choices of each value accepted, no
+    option but an appended one twice, at most one positional, and every
+    required argument present. Such a line parses without error and gives
+    argparse no text to print; any other line is argparse's to read.
+    """
+    if not (argv and all(type(token) is str for token in argv) and argv[0] in _COMMANDS):
+        return None
+    handler, _, rows = _COMMANDS[argv[0]]
+    # argparse sets the command, then every default in row order, then func.
+    # It would also pass a string default through the row's type; no row
+    # with a type has one.
+    values = {"command": argv[0]}
+    rows_by_token, required = {}, []
+    for (flag,), kwargs in rows:
+        dest = flag.lstrip("-").replace("-", "_")
+        values[dest] = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+        # The positional, if any, is read from every token not starting with '-'.
+        key = flag if flag.startswith("-") else ""
+        rows_by_token[key] = dest, kwargs
+        if kwargs.get("required") or not key:
+            required.append(dest)
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        key = token if token.startswith("-") else ""
+        if key not in rows_by_token:
+            return None
+        dest, kwargs = rows_by_token[key]
+        action = kwargs.get("action")
+        if action == "store_true":
+            value = True
+        else:
+            if key:
+                token = next(tokens, None)
+                if token is None or token.startswith("-"):
+                    return None
+            try:
+                value = kwargs.get("type", str)(token)
+            except Exception:  # argparse reports it, or raises what it does not catch
+                return None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+        if action == "append":
+            value = [*(values[dest] or ()), value]
+        elif dest in given:
+            return None
+        values[dest] = value
+        given.add(dest)
+    if not given.issuperset(required):
+        return None
+    values["func"] = handler
+    return argparse.Namespace(**values)
+
+
 def parse_command_line(argv=None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the subparser of
-    the command that ``argv`` starts with, if it names one."""
+    """``build_parser().parse_args(argv)``. A well-formed ``argv`` is read
+    from the option rows without a parser; any other builds only the
+    subparser of the command that ``argv`` starts with, if it names one."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_command_line(argv)
+    if args is not None:
+        return args
     if argv and argv[0] in _COMMANDS:
         return build_parser(argv[:1]).parse_args(argv)
     return build_parser().parse_args(argv)

@@ -853,6 +853,22 @@ TOP_LEVEL_ARGVS = [
 ]
 
 
+# One well-formed line per command, each read without a parser; OUT and SNAP
+# stand for files, SCENARIO for an exported Unruh scenario file.
+WELL_FORMED = [
+    ["scenario", "unruh", "--detector-d2"],
+    ["graph", "--scenario-file", "SCENARIO", "--slice", "1:U|D", "--slice", "3:U|D"],
+    ["stat-bound", "--seed", "3", "--n", "3", "--p", "0.2,0.3,0.5", "--N", "12",
+     "--eps", "0.1", "--sweep", "--sweep-draws", "1", "--format", "csv", "--output", "OUT"],
+    ["wavepacket", "--separations", "4,8", "--sigma", "1", "--momentum", "2",
+     "--n-points", "1024", "--length", "100", "--snapshot", "SNAP", "--format", "json",
+     "--output", "OUT"],
+    ["audit", "--scenario-file", "SCENARIO", "--output", "OUT"],
+    ["typicality", "--scenario-file", "SCENARIO", "--s1", "1:U", "--s2", "3:D",
+     "--output", "OUT"],
+]
+
+
 def parse_outcome(parse, argv):
     """The repr of the Namespace ``parse(argv)`` returns (reprs, since NaN !=
     NaN), or the exit code, stdout and stderr with which argparse exits."""
@@ -870,18 +886,23 @@ def full_parse(argv):
 
 @st.composite
 def any_command_lines(draw):
-    """A fuzz command line, sometimes behind -h, --help or --version."""
+    """A fuzz command line, one in three behind -h, --help or --version."""
     argv = draw(command_lines())
-    return draw(st.sampled_from([[], ["-h"], ["--help"], ["--version"]])) + argv
+    return draw(st.sampled_from([[]] * 6 + [["-h"], ["--help"], ["--version"]])) + argv
 
 
 class TestCommandParser:
-    """``main`` parses with ``parse_command_line``, which builds only the
+    """``main`` parses with ``parse_command_line``, which reads a
+    well-formed line from the option rows and otherwise builds only the
     invoked command's subparser; the full parser is the reference."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @example([])
     @example(["audit", "--scenario-file", "F", "--=x"])
+    @example(["stat-bound", "--n", "2", "--n", "3"])
+    @example(["stat-bound", "--n", "-1"])
+    @example(["audit", "--scenario-file", "--"])
+    @example(["scenario", "--export", "unruh"])
     @given(any_command_lines())
     def test_same_outcome_as_the_full_parser(self, argv):
         assert parse_outcome(parse_command_line, argv) == parse_outcome(full_parse, argv)
@@ -893,7 +914,23 @@ class TestCommandParser:
         if code == 2 and argv[:1] == ["audit"]:
             assert EVERY_COMMAND in err  # the top-level usage line
 
-    def test_a_valid_call_builds_one_subparser(self, capsys, monkeypatch, exported):
+    @pytest.mark.parametrize("argv", WELL_FORMED, ids=lambda argv: argv[0])
+    def test_a_well_formed_call_builds_no_parser(self, capsys, monkeypatch, tmp_path,
+                                                 exported, argv):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        argv = fill(argv, SCENARIO=exported, OUT=tmp_path / "out", SNAP=tmp_path / "snap.csv")
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert built == []
+
+    def test_an_abbreviated_call_builds_one_subparser(self, capsys, monkeypatch, exported):
         calls = []
         add_parser = argparse._SubParsersAction.add_parser
 
@@ -902,7 +939,7 @@ class TestCommandParser:
             return add_parser(self, name, **kwargs)
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-        code, _, err = run(capsys, "audit", "--scenario-file", exported)
+        code, _, err = run(capsys, "audit", "--scen", exported)
         assert code == 0, err
         assert calls == ["audit"]
 

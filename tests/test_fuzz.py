@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtypicality import build_unruh, matched_markov_chain, process_to_dict, structure_to_dict
-from qtypicality.cli import main
+from qtypicality.cli import main, parse_command_line
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -76,7 +76,6 @@ OPTIONS = {
     },
 }
 POSITIONAL = {"scenario": ["unruh", "fig1", "nonadditivity", "other"]}
-OUTPUTS = ["--format", "--output"]
 # Words no subcommand knows. An option-like word is never taken as another
 # option's value, so it may go anywhere after the command.
 UNKNOWN_COMMANDS = ["bogus", "Audit", "stat", ""]
@@ -138,26 +137,60 @@ def mutated_scenarios(draw):
     return data
 
 
+# Values starting with '-', which argparse takes as a value only when it
+# reads as a negative number.
+DASH_VALUES = ["-1", "-0.5", "-inf", "-x", "-", "--"]
+
+
+def rarely(draw) -> bool:
+    return draw(st.integers(0, 11)) == 11
+
+
 @st.composite
 def command_lines(draw):
     """A subcommand with a random subset of its options at random values;
-    about one line in five has an unknown command or option."""
+    about one line in five has an unknown command or option.
+
+    Now and then an option is abbreviated, written as ``--opt=value`` or
+    repeated, a value is empty or starts with '-', a ``--`` is inserted or
+    the positional moves, so that both the exact reader and argparse see
+    the lines the reader must leave to argparse.
+    """
     command = draw(st.sampled_from(list(OPTIONS)))
-    argv = [command]
+    pool = {**OPTIONS[command], "--format": ["json", "csv"], "--output": FILES}
+
+    def group(option):
+        """The option with its value, if it takes one."""
+        if option == "--sweep":
+            return [option, "--sweep-draws", "1"]
+        if pool[option] is None:
+            return [option]
+        return [option, draw(st.sampled_from(pool[option]))]
+
+    groups = [group(option) for option in draw(st.lists(st.sampled_from(list(pool)), unique=True))]
+    if groups and rarely(draw):  # again, with a value of its own
+        groups.append(group(draw(st.sampled_from(groups))[0]))
+    valued = [group for group in groups if len(group) == 2]
+    # A file option keeps its placeholder, which argparse might otherwise
+    # take as a path in the working directory ('-1' is a negative number).
+    unwritten = [group for group in valued if pool[group[0]] is not FILES]
+    if unwritten and rarely(draw):
+        draw(st.sampled_from(unwritten))[1] = draw(st.sampled_from(DASH_VALUES))
+    if valued and rarely(draw):
+        draw(st.sampled_from(valued))[1] = ""
+    if valued and rarely(draw):
+        group = draw(st.sampled_from(valued))
+        group[:] = [group[0] + "=" + group[1]]
+    long_options = [group for group in groups if len(group[0]) > 3]
+    if long_options and rarely(draw):  # unique, or ambiguous like --s
+        group = draw(st.sampled_from(long_options))
+        group[0] = group[0][: draw(st.integers(3, len(group[0]) - 1))]
+    argv = [command, *(word for group in groups for word in group)]
     if command in POSITIONAL:
-        argv.append(draw(st.sampled_from(POSITIONAL[command])))
-    pool = OPTIONS[command]
-    for option in draw(st.lists(st.sampled_from(list(pool) + OUTPUTS), unique=True)):
-        if option == "--format":
-            argv += [option, draw(st.sampled_from(["json", "csv"]))]
-        elif option == "--output":
-            argv += [option, draw(st.sampled_from(FILES))]
-        elif option == "--sweep":
-            argv += [option, "--sweep-draws", "1"]
-        elif pool[option] is None:
-            argv.append(option)
-        else:
-            argv += [option, draw(st.sampled_from(pool[option]))]
+        word = draw(st.sampled_from(POSITIONAL[command]))
+        argv.insert(draw(st.integers(0, len(argv))) if rarely(draw) else 1, word)
+    if rarely(draw):
+        argv.insert(draw(st.integers(1, len(argv))), "--")
     if draw(st.integers(0, 9)) == 9:
         argv[0] = draw(st.sampled_from(UNKNOWN_COMMANDS))
     if draw(st.integers(0, 9)) == 9:
@@ -171,11 +204,19 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def run(argv, root):
-    """Exit code and stdout of ``main(argv)``, placeholder words filled in."""
+def fill(argv, root):
+    """``argv`` with each placeholder word, alone or after '=', replaced by its path."""
     paths = {"FILE": root / "out.file", "DIR": root, "SCENARIO": root / "scenario.json",
              "MISSING": root / "missing.json"}
-    argv = [str(paths.get(arg, arg)) for arg in argv]
+    words = []
+    for arg in argv:
+        option, eq, value = arg.partition("=")
+        words.append(option + eq + str(paths.get(value, value)) if eq else str(paths.get(arg, arg)))
+    return words
+
+
+def run(argv):
+    """Exit code and stdout of ``main(argv)``."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -187,10 +228,13 @@ def run(argv, root):
 
 def check(argv, root, scenario=UNRUH):
     (root / "scenario.json").write_text(json.dumps(scenario))
-    code, out = run(argv, root)
+    argv = fill(argv, root)
+    code, out = run(argv)
     assert code in EXIT_CODES, (argv, code)
-    if code == 0 and "csv" not in argv and "--output" not in argv:
-        json.loads(out, parse_constant=pytest.fail)  # strict JSON: no NaN or Infinity
+    if code == 0:
+        args = parse_command_line(argv)
+        if args.format == "json" and not args.output:
+            json.loads(out, parse_constant=pytest.fail)  # strict JSON: no NaN or Infinity
 
 
 @settings(max_examples=150, deadline=None)

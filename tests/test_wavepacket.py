@@ -16,8 +16,10 @@ from qtypicality import (
 )
 from qtypicality.wavepacket import (
     MAX_GRID_POINTS,
+    SUPPORT_MASS_CUTOFF,
     mask_interval,
     momentum_mean_sq,
+    packet_pair,
     position_mean,
     position_var,
     spread_sigma,
@@ -191,7 +193,52 @@ class TestSupportCondition:
             support_condition_check(packet, (-5, 5), other, (-5, 5))
 
 
+def per_call_sweep(separations_sigma, sigma, momentum, n_points, length):
+    """``separation_sweep``'s rows by the public calls, each evolution
+    building its own phase."""
+    if momentum == 0.0:
+        raise ValidationError("momentum must be nonzero: packets must separate")
+    rows = []
+    dt = sigma / momentum
+    for s in separations_sigma:
+        left, right = packet_pair(s, sigma, momentum, n_points, length)
+        both_t1 = superposition(left, right)
+        both_t2 = free_evolve(both_t1, dt)
+        support_t1 = packet_support(left, SUPPORT_MASS_CUTOFF)
+        support_t2 = packet_support(free_evolve(left, dt), SUPPORT_MASS_CUTOFF)
+        report = support_condition_check(both_t1, support_t1, both_t2, support_t2)
+        rows.append((float(s), report.m_big))
+    return rows
+
+
+def sweep_outcome(sweep, *args):
+    """The rows ``sweep(*args)`` returns, or the type and text of its error."""
+    try:
+        return sweep(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
 class TestSeparationSweep:
+    @pytest.mark.parametrize("args", [
+        ((4.0, 6.0, 8.0, 10.0), 1.0, 2.0, 4096, 200.0),
+        ((3.0, 5.5, 12.0), 0.7, -3.0, 1024, 80.0),
+        ((1.0, 2.0, 4.0), 1.0, 1e-5, 256, 20.0),
+    ])
+    def test_rows_equal_the_per_call_path_exactly(self, args):
+        assert separation_sweep(*args) == per_call_sweep(*args)
+
+    # 1e-306 drifts the packets by sigma in dt = 1e306, whose phase overflows.
+    @pytest.mark.parametrize("separations", [(4.0, 6.0), (4.0, math.nan), (math.nan, 4.0)])
+    def test_non_finite_phase_raises_where_the_per_call_path_does(self, separations):
+        args = (separations, 1.0, 1e-306, 4096, 200.0)
+        outcome = sweep_outcome(separation_sweep, *args)
+        assert outcome == sweep_outcome(per_call_sweep, *args)
+        assert outcome[1] == (
+            "separation nan must be finite" if math.isnan(separations[0])
+            else f"evolution phase for dt {1.0 / 1e-306} is not finite"
+        )
+
     def test_monotone_decrease_and_far_limit(self):
         rows = separation_sweep()
         values = [m for _, m in rows]
