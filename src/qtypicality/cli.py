@@ -15,6 +15,10 @@ starting with '-', and every error. A line that names a command builds
 that command's subparser alone, any other the full parser; the texts are
 the same either way, as the usage line names every command.
 
+Importing this module loads numpy and ``core``, which every command reads;
+each handler imports the other modules it reads itself, so a command loads
+only those (``stat-bound`` never loads ``graph``, for one).
+
 Exit codes: 0 success, 2 parse/configuration error, 3 computational guard
 violation, 4 audit assertion failure.
 """
@@ -32,7 +36,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
-from . import __version__, core, graph, scenarios, stats, stochastic, typicality, wavepacket
+from . import __version__, core
 from .core import SSet
 from .errors import ResourceLimitError, ValidationError
 
@@ -44,9 +48,9 @@ EXIT_AUDIT = 4
 _THRESHOLD_KEYS = {"epsilon_exclude": "epsilon_exclude", "tau_link": "tau_link",
                    "threshold": "typicality"}
 _THRESHOLD_DEFAULTS = {
-    "epsilon_exclude": graph.DEFAULT_EPSILON_EXCLUDE,
-    "tau_link": graph.DEFAULT_TAU_LINK,
-    "threshold": typicality.DEFAULT_THRESHOLD,
+    "epsilon_exclude": core.DEFAULT_EPSILON_EXCLUDE,
+    "tau_link": core.DEFAULT_TAU_LINK,
+    "threshold": core.DEFAULT_THRESHOLD,
 }
 
 
@@ -222,6 +226,8 @@ def parse_slice(text: str):
 
 
 def _export_scenario(structure, path: str) -> None:
+    from . import stochastic
+
     data = core.structure_to_dict(structure)
     data["stochastic"] = stochastic.process_to_dict(
         stochastic.matched_markov_chain(structure)
@@ -244,6 +250,8 @@ _SCENARIO_DEFAULTS = {"detector_d2": False, "obstacle": None, "export": None,
 
 
 def _cmd_scenario(args) -> int:
+    from . import graph, scenarios, typicality
+
     variant = args.scenario
     if variant == "unruh" and args.obstacle:
         variant = "unruh with --obstacle"
@@ -321,6 +329,8 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_typicality(args) -> int:
+    from . import typicality
+
     structure, _ = core.load_scenario(args.scenario_file)
     s1, s2 = parse_sset(args.s1), parse_sset(args.s2)
     report = typicality.mutual_typicality(structure, s1, s2, args.threshold)
@@ -331,6 +341,8 @@ def _cmd_typicality(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from . import graph
+
     structure, _ = core.load_scenario(args.scenario_file)
     schedule = graph.PartitionSchedule(parse_slice(s) for s in args.slice)
     g = graph.build_graph(structure, schedule, args.epsilon_exclude, args.tau_link)
@@ -340,6 +352,8 @@ def _cmd_graph(args) -> int:
 
 
 def _stat_rows(args):
+    from . import stats
+
     if args.sweep:
         # Only a sweep draws, so only a sweep imports numpy.random.
         rng = np.random.default_rng(args.seed)
@@ -354,6 +368,8 @@ def _stat_rows(args):
 
 
 def _cmd_stat_bound(args) -> int:
+    from . import stats
+
     if args.sweep_draws < 1:
         raise ValidationError("--sweep-draws must be at least 1")
     if args.seed < 0:
@@ -390,6 +406,8 @@ def _cmd_stat_bound(args) -> int:
 
 
 def _cmd_wavepacket(args) -> int:
+    from . import wavepacket
+
     rows = wavepacket.separation_sweep(
         separations_sigma=args.separations,
         sigma=args.sigma,
@@ -417,6 +435,8 @@ def _cmd_wavepacket(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from . import stochastic
+
     structure, raw = core.load_scenario(args.scenario_file)
     if "stochastic" in raw:
         chain = stochastic.process_from_dict(raw["stochastic"])

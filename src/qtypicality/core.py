@@ -52,6 +52,13 @@ NORM_TOL = 1e-12
 # memory: 64 KB stays below the C allocator's fresh-page size (blocks of 2**16
 # entries raised the audit benchmark's peak RSS by about 0.5 MB).
 PAIR_BLOCK_ENTRIES = 2**12
+# The default thresholds: mutual typicality at M <= 0.08 (where m <= 2M), and
+# the trajectory graph's exclusion and link thresholds. ``typicality`` and
+# ``graph`` publish them under these names; they live here so that the CLI
+# reads them without importing either module.
+DEFAULT_THRESHOLD = 0.08
+DEFAULT_EPSILON_EXCLUDE = 0.01
+DEFAULT_TAU_LINK = DEFAULT_THRESHOLD
 
 
 class FactorUnitary:

@@ -22,8 +22,8 @@ from .errors import ResourceLimitError, ValidationError
 
 OCCUPATION_SUM_TOL = 1e-10
 PATH_SPACE_LIMIT = 10**6
-DEFAULT_EPSILON_EXCLUDE = 0.01
-DEFAULT_TAU_LINK = typicality.DEFAULT_THRESHOLD
+DEFAULT_EPSILON_EXCLUDE = core.DEFAULT_EPSILON_EXCLUDE
+DEFAULT_TAU_LINK = core.DEFAULT_TAU_LINK
 
 
 @dataclass(frozen=True)

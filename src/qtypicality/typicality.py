@@ -18,7 +18,7 @@ from . import core
 from .core import QuantumStructure, SSet
 from .errors import ValidationError
 
-DEFAULT_THRESHOLD = 0.08
+DEFAULT_THRESHOLD = core.DEFAULT_THRESHOLD
 DEGENERATE_NORM_TOL = 1e-14
 CHAIN_TOL = 1e-9
 # Slack allowed on the measure axioms of a stochastic pair's three values.

@@ -118,8 +118,9 @@ def free_evolve(state: GridState, dt: float) -> GridState:
 def _evolve_by_phase(state: GridState, dt: float, phase: np.ndarray) -> GridState:
     """``free_evolve(state, dt)`` given ``_free_phase`` of the same grid and ``dt``."""
     amp = np.fft.ifft(np.fft.fft(state.amplitudes) * phase)
-    seam = np.r_[0:SEAM_POINTS, state.n_points - SEAM_POINTS : state.n_points]
-    seam_mass = float(np.sum(np.abs(amp[seam]) ** 2) * state.dx)
+    # The points at both ends, summed in index order.
+    seam = np.concatenate((amp[:SEAM_POINTS], amp[state.n_points - SEAM_POINTS:]))
+    seam_mass = float(np.sum(np.abs(seam) ** 2) * state.dx)
     return GridState(
         state.n_points,
         state.length,
@@ -159,9 +160,12 @@ def packet_support(
     Centered on the packet's mean position; the cutoff operationalizes the
     otherwise informal notion of a packet's support.
     """
-    center = position_mean(state)
-    density = state.density() * state.dx / state.mass
-    radii = np.abs(state.x - center)
+    # position_mean, density() and mass, with |amp|^2 and x computed once.
+    x, density, dx = state.x, state.density(), state.dx
+    mass = float(np.sum(density) * dx)
+    center = float(np.sum(x * density) * dx / mass)
+    density = density * dx / mass
+    radii = np.abs(x - center)
     order = np.argsort(radii)
     cumulative = np.cumsum(density[order])
     stop = int(np.searchsorted(cumulative, 1.0 - mass_cutoff)) + 1

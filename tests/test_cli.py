@@ -385,30 +385,74 @@ class TestStatBound:
         assert single["sweep"] is False
 
 
-# Runs each request in one fresh process after ``import qtypicality.cli``
-# and prints, per request, the numpy modules it imported.
-FIRST_REQUESTS = """
-import json, os, sys
-import qtypicality.cli as cli
-work = sys.argv[1]
-u = os.path.join(work, "u.json")
-requests = [
-    ["scenario", "unruh", "--export", u],
-    ["scenario", "unruh", "--detector-d2"],
-    ["scenario", "fig1"],
-    ["scenario", "nonadditivity"],
-    ["audit", "--scenario-file", u],
-    ["graph", "--scenario-file", u, "--slice", "1:U|D", "--slice", "3:U|D"],
-    ["typicality", "--scenario-file", u, "--s1", "1:U", "--s2", "3:D"],
-    ["stat-bound", "--N", "10"],
-    ["wavepacket", "--separations", "4"],
+# Each command's first request, in an order where the export comes first,
+# with the package modules it loads besides those of ``import qtypicality.cli``.
+FIRST_REQUESTS = [
+    (["scenario", "unruh", "--export", "U"], {"graph", "scenarios", "stochastic", "typicality"}),
+    (["scenario", "unruh", "--detector-d2"], {"graph", "scenarios", "typicality"}),
+    (["scenario", "fig1"], {"graph", "scenarios", "typicality"}),
+    (["scenario", "nonadditivity"], {"graph", "scenarios", "typicality"}),
+    (["audit", "--scenario-file", "U"], {"stochastic", "typicality"}),
+    (["graph", "--scenario-file", "U", "--slice", "1:U|D", "--slice", "3:U|D"],
+     {"graph", "typicality"}),
+    (["typicality", "--scenario-file", "U", "--s1", "1:U", "--s2", "3:D"], {"typicality"}),
+    (["stat-bound", "--N", "10"], {"stats"}),
+    (["wavepacket", "--separations", "4"], {"typicality", "wavepacket"}),
 ]
-for argv in requests:
-    before = set(sys.modules)
-    code = cli.main(argv + ["--output", os.path.join(work, "report")])
-    new = sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy")
-    print(json.dumps([argv[0], code, new]))
+# The modules that ``import qtypicality.cli`` loads: every command reads core.
+CLI_MODULES = {"qtypicality", "qtypicality.cli", "qtypicality.core", "qtypicality.errors"}
+# Run in a fresh interpreter per request, so that no earlier request preloads
+# a module. Prints the exit code, the numpy modules the request imports, and
+# the package modules loaded after the import and after the request.
+FIRST_REQUEST = """
+import json, sys
+package = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "qtypicality")
+import qtypicality.cli as cli
+at_import = package()
+before = set(sys.modules)
+code = cli.main(json.loads(sys.argv[1]))
+new = sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy")
+print(json.dumps([code, new, at_import, package()]))
 """
+
+
+@pytest.fixture(scope="module")
+def first_requests(tmp_path_factory, src_env):
+    """``(argv, expected modules, code, numpy imports, modules at import,
+    modules after)`` of each of ``FIRST_REQUESTS``, in order."""
+    work = tmp_path_factory.mktemp("first")
+    seen = []
+    for argv, expected in FIRST_REQUESTS:
+        argv = fill(argv, U=work / "u.json") + ["--output", str(work / "report")]
+        done = subprocess.run(
+            [sys.executable, "-c", FIRST_REQUEST, json.dumps(argv)],
+            env=src_env, capture_output=True, text=True, check=True,
+        )
+        seen.append((argv, expected, *json.loads(done.stdout)))
+    return seen
+
+
+def test_first_requests_import_no_numpy_submodule(first_requests):
+    """numpy.random (a generator), numpy.ma (np.unique) and the like cost
+    milliseconds per process; only wavepacket needs one, numpy.fft."""
+    assert len(first_requests) == 9
+    for argv, _, code, imported, _, _ in first_requests:
+        assert code == 0, argv
+        allowed = {"numpy.fft"} if argv[0] == "wavepacket" else set()
+        assert {".".join(m.split(".")[:2]) for m in imported} <= allowed, (argv, imported)
+
+
+def test_importing_the_cli_loads_core_alone(first_requests):
+    for _, _, _, _, at_import, _ in first_requests:
+        assert set(at_import) == CLI_MODULES
+
+
+def test_first_requests_load_only_the_modules_they_read(first_requests):
+    """stat-bound loads stats but not graph, audit stochastic but not stats,
+    and so on: each handler imports what it reads."""
+    for argv, expected, code, _, _, loaded in first_requests:
+        assert code == 0, argv
+        assert set(loaded) == CLI_MODULES | {"qtypicality." + m for m in expected}, argv
 
 
 def test_orjson_waits_for_a_scenario_file(src_env):
@@ -420,21 +464,6 @@ def test_orjson_waits_for_a_scenario_file(src_env):
         "assert 'orjson' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", script], env=src_env, capture_output=True, check=True)
-
-
-def test_first_requests_import_no_numpy_submodule(tmp_path, src_env):
-    """numpy.random (a generator), numpy.ma (np.unique) and the like cost
-    milliseconds per process; only wavepacket needs one, numpy.fft."""
-    done = subprocess.run(
-        [sys.executable, "-c", FIRST_REQUESTS, str(tmp_path)],
-        env=src_env, capture_output=True, text=True, check=True,
-    )
-    seen = [json.loads(line) for line in done.stdout.splitlines()]
-    assert len(seen) == 9
-    for command, code, imported in seen:
-        assert code == 0, command
-        allowed = {"numpy.fft"} if command == "wavepacket" else set()
-        assert {".".join(m.split(".")[:2]) for m in imported} <= allowed, (command, imported)
 
 
 def test_stat_bound_sweep_still_draws_from_its_seed(capsys):

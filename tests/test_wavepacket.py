@@ -153,6 +153,47 @@ class TestSupport:
         assert inside + outside == pytest.approx(1.0, abs=1e-12)
 
 
+def reference_support(state, mass_cutoff=SUPPORT_MASS_CUTOFF):
+    """``packet_support`` from the moment functions: the mean from
+    ``position_mean``, the density from ``density() * dx / mass``."""
+    center = position_mean(state)
+    density = state.density() * state.dx / state.mass
+    radii = np.abs(state.x - center)
+    order = np.argsort(radii)
+    cumulative = np.cumsum(density[order])
+    stop = int(np.searchsorted(cumulative, 1.0 - mass_cutoff)) + 1
+    radius = float(radii[order[min(stop, state.n_points - 1)]])
+    return (center - radius, center + radius)
+
+
+class TestSupportBits:
+    """``packet_support`` computes each moment once; its intervals keep the
+    bits of the moment functions'."""
+
+    @pytest.mark.parametrize("cutoff", [SUPPORT_MASS_CUTOFF, 1e-3, 1e-9])
+    def test_packet_fixture(self, packet, cutoff):
+        later = free_evolve(packet, 3.0)
+        for state in (packet, later):
+            assert packet_support(state, cutoff) == reference_support(state, cutoff)
+
+    def test_offset_and_superposed_packets(self):
+        shifted = gaussian_packet(center=-5.0, width_sigma=1.5, momentum=0.0)
+        both = superposition(gaussian_packet(-10.0, 1.0, -2.0), gaussian_packet(10.0, 1.0, 2.0))
+        for state in (shifted, both, free_evolve(both, 0.5)):
+            assert packet_support(state) == reference_support(state)
+
+    @pytest.mark.parametrize("args", [
+        (4.0, 1.0, 2.0, 4096, 200.0),
+        (5.5, 0.7, -3.0, 1024, 80.0),
+        (2.0, 1.0, 1e-5, 256, 20.0),
+    ])
+    def test_both_packets_of_a_sweep_pair(self, args):
+        dt = args[1] / args[2]
+        for state in packet_pair(*args):
+            for moment in (state, free_evolve(state, dt)):
+                assert packet_support(moment) == reference_support(moment)
+
+
 class TestSupportCondition:
     def test_single_packet_follows_itself(self, packet):
         later = free_evolve(packet, 0.5)
