@@ -264,6 +264,8 @@ class SSet:
     region: frozenset
 
     def __init__(self, time: int, region: Iterable[str]):
+        if isinstance(region, (str, bytes)):  # would read as its characters
+            raise ValidationError(f"region {region!r} is a string, not a set of labels")
         object.__setattr__(self, "time", _as_int(time, "time index"))
         object.__setattr__(self, "region", frozenset(region))
 

@@ -8,11 +8,13 @@ phase multiplication) and therefore exactly unitary on the grid.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _as_int
 from .errors import ResourceLimitError, ValidationError
 from .typicality import DEFAULT_THRESHOLD, TypicalityReport, report_from_masses
 
@@ -67,6 +69,7 @@ def gaussian_packet(
     wave factor. The packet must be resolvable (sigma >= 4 dx) and sit at
     least 6 sigma away from the periodic seam.
     """
+    n_points = _as_int(n_points, "n_points")
     if n_points < 1:
         raise ValidationError(f"n_points {n_points} must be at least 1")
     if n_points > MAX_GRID_POINTS:
@@ -100,23 +103,29 @@ def superposition(a: GridState, b: GridState) -> GridState:
     return GridState(a.n_points, a.length, amp, a.time)
 
 
-def _free_phase(state: GridState, dt: float) -> np.ndarray:
-    """The momentum-space phase ``exp(-i k^2 dt / 2)`` on ``state``'s grid."""
-    k = 2.0 * math.pi * np.fft.fftfreq(state.n_points, d=state.dx)
+@functools.lru_cache(maxsize=1)
+def _free_phase(n_points: int, length: float, dt: float) -> np.ndarray:
+    """The momentum-space phase ``exp(-i k^2 dt / 2)`` on the grid of
+    ``n_points`` points over ``length``, read-only.
+
+    Memoized on ``(n_points, length, dt)``, so every evolution of a sweep
+    (one grid, one ``dt``) shares one phase. Only the last key is kept: the
+    memo holds at most one complex grid array, 64 KB at 4,096 points and
+    64 MB at ``MAX_GRID_POINTS``. ``dt`` of 0.0 and -0.0 share a key; their
+    phases have the same bits.
+    """
+    k = 2.0 * math.pi * np.fft.fftfreq(n_points, d=length / n_points)
     with np.errstate(over="ignore", invalid="ignore"):
         phase = np.exp(-0.5j * k**2 * dt)
     if not np.isfinite(phase).all():  # k**2 * dt overflowed, or dt is not finite
         raise ValidationError(f"evolution phase for dt {dt} is not finite")
+    phase.flags.writeable = False
     return phase
 
 
 def free_evolve(state: GridState, dt: float) -> GridState:
     """Exact free-particle evolution by ``dt`` (negative dt runs backward)."""
-    return _evolve_by_phase(state, dt, _free_phase(state, dt))
-
-
-def _evolve_by_phase(state: GridState, dt: float, phase: np.ndarray) -> GridState:
-    """``free_evolve(state, dt)`` given ``_free_phase`` of the same grid and ``dt``."""
+    phase = _free_phase(state.n_points, state.length, dt)
     amp = np.fft.ifft(np.fft.fft(state.amplitudes) * phase)
     # The points at both ends, summed in index order.
     seam = np.concatenate((amp[:SEAM_POINTS], amp[state.n_points - SEAM_POINTS:]))
@@ -198,14 +207,6 @@ def support_condition_check(
     _same_grid(state_t1, state_t2)
     dt = state_t2.time - state_t1.time
     moved = free_evolve(mask_interval(state_t1, region1), dt)
-    return _support_report(moved, state_t2, region2, threshold)
-
-
-def _support_report(
-    moved: GridState, state_t2: GridState, region2: tuple, threshold: float
-) -> TypicalityReport:
-    """The report of ``support_condition_check`` given its evolved masked
-    earlier state ``moved``."""
     fixed = mask_interval(state_t2, region2)
     diff = moved.amplitudes - fixed.amplitudes
     diff_sq = float(np.sum(np.abs(diff) ** 2) * moved.dx)
@@ -240,30 +241,17 @@ def separation_sweep(
     off the isolated packet at both times, and the mutual typicality of the
     two supports is computed on the full two-packet state. Returns
     (separation, m_big) rows.
-
-    Every packet lives on one grid and every evolution runs for one ``dt``,
-    so all evolutions after the first share one phase. The first is a
-    ``free_evolve`` call, which raises for a non-finite phase, and is the
-    evolution that the benchmark's tracer wraps and counts.
     """
     if momentum == 0.0:
         raise ValidationError("momentum must be nonzero: packets must separate")
     rows = []
     dt = sigma / momentum  # each packet drifts by one sigma
-    phase = None
     for s in separations_sigma:
         left, right = packet_pair(s, sigma, momentum, n_points, length)
         both_t1 = superposition(left, right)
-        if phase is None:
-            both_t2 = free_evolve(both_t1, dt)
-            phase = _free_phase(both_t1, dt)
-        else:
-            both_t2 = _evolve_by_phase(both_t1, dt, phase)
+        both_t2 = free_evolve(both_t1, dt)
         support_t1 = packet_support(left, mass_cutoff)
-        support_t2 = packet_support(_evolve_by_phase(left, dt, phase), mass_cutoff)
-        # support_condition_check(both_t1, support_t1, both_t2, support_t2),
-        # whose evolution time both_t2.time - both_t1.time is dt.
-        moved = _evolve_by_phase(mask_interval(both_t1, support_t1), dt, phase)
-        report = _support_report(moved, both_t2, support_t2, DEFAULT_THRESHOLD)
+        support_t2 = packet_support(free_evolve(left, dt), mass_cutoff)
+        report = support_condition_check(both_t1, support_t1, both_t2, support_t2)
         rows.append((float(s), report.m_big))
     return rows

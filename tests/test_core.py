@@ -79,6 +79,18 @@ class TestIntegralTimes:
         assert unruh.check_time(time) == 2
 
 
+class TestSSetRegion:
+    @pytest.mark.parametrize("region", ["UD", "CLICK", "", b"UD"])
+    def test_string_region_rejected(self, region):
+        # "UD" once read as {"U", "D"}, and "CLICK" as its letters.
+        with pytest.raises(ValidationError, match="region .* is a string"):
+            SSet(1, region)
+
+    @pytest.mark.parametrize("region", [["U", "D"], ("U", "D"), {"U", "D"}, frozenset("UD")])
+    def test_collection_of_labels_accepted(self, region):
+        assert SSet(1, region).region == frozenset({"U", "D"})
+
+
 class TestHeisenbergProject:
     def test_full_region_is_identity(self, unruh):
         out = heisenberg_project(unruh, SSet(2, {"U", "D"}), psi0_vec(unruh))

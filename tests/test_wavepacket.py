@@ -14,9 +14,11 @@ from qtypicality import (
     superposition,
     support_condition_check,
 )
+from qtypicality.cli import main
 from qtypicality.wavepacket import (
     MAX_GRID_POINTS,
     SUPPORT_MASS_CUTOFF,
+    _free_phase,
     mask_interval,
     momentum_mean_sq,
     packet_pair,
@@ -52,6 +54,19 @@ class TestGaussianPacket:
     def test_no_grid_points_rejected(self, n_points):
         with pytest.raises(ValidationError, match="n_points"):
             gaussian_packet(0.0, 1.0, 0.0, n_points=n_points)
+
+    @pytest.mark.parametrize("n_points", [4096.5, "4096", None, True, math.nan])
+    def test_non_integral_grid_size_rejected(self, n_points):
+        # 4096.5 once gave a state of 4,097 amplitudes on a 4096.5-point dx.
+        with pytest.raises(ValidationError, match="n_points .* is not an integer"):
+            gaussian_packet(0.0, 1.0, 0.0, n_points=n_points)
+
+    @pytest.mark.parametrize("n_points", [256.0, np.int64(256), np.float64(256.0)])
+    def test_integral_grid_size_read_as_int(self, n_points):
+        state = gaussian_packet(0.0, 1.0, 2.0, n_points=n_points, length=40.0)
+        assert type(state.n_points) is int
+        same = gaussian_packet(0.0, 1.0, 2.0, 256, 40.0)
+        assert state.amplitudes.tobytes() == same.amplitudes.tobytes()
 
     @pytest.mark.parametrize("n_points", [MAX_GRID_POINTS + 1, 10**9, 10**15])
     def test_grid_past_the_limit_rejected_before_allocation(self, n_points):
@@ -234,6 +249,13 @@ class TestSupportCondition:
             support_condition_check(packet, (-5, 5), other, (-5, 5))
 
 
+def fresh(call, *args):
+    """``call(*args)`` with the phase memo emptied first, so that the one
+    evolution it runs builds its own phase."""
+    _free_phase.cache_clear()
+    return call(*args)
+
+
 def per_call_sweep(separations_sigma, sigma, momentum, n_points, length):
     """``separation_sweep``'s rows by the public calls, each evolution
     building its own phase."""
@@ -244,10 +266,10 @@ def per_call_sweep(separations_sigma, sigma, momentum, n_points, length):
     for s in separations_sigma:
         left, right = packet_pair(s, sigma, momentum, n_points, length)
         both_t1 = superposition(left, right)
-        both_t2 = free_evolve(both_t1, dt)
+        both_t2 = fresh(free_evolve, both_t1, dt)
         support_t1 = packet_support(left, SUPPORT_MASS_CUTOFF)
-        support_t2 = packet_support(free_evolve(left, dt), SUPPORT_MASS_CUTOFF)
-        report = support_condition_check(both_t1, support_t1, both_t2, support_t2)
+        support_t2 = packet_support(fresh(free_evolve, left, dt), SUPPORT_MASS_CUTOFF)
+        report = fresh(support_condition_check, both_t1, support_t1, both_t2, support_t2)
         rows.append((float(s), report.m_big))
     return rows
 
@@ -299,3 +321,44 @@ class TestSeparationSweep:
     def test_non_finite_separation_rejected(self, separation):
         with pytest.raises(ValidationError, match="separation"):
             separation_sweep(separations_sigma=(4.0, separation))
+
+
+class TestPhaseMemo:
+    @pytest.mark.parametrize("grid", [(4096, 200.0), (1024, 80.0)])
+    @pytest.mark.parametrize("dt", [0.5, -0.5, 0.0, -0.0])
+    def test_cached_phase_is_the_computed_phase_read_only(self, grid, dt):
+        _free_phase.cache_clear()
+        cached = _free_phase(*grid, dt)
+        assert _free_phase(*grid, dt) is cached
+        assert cached.tobytes() == _free_phase.__wrapped__(*grid, dt).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
+
+    def test_signed_zero_dt_shares_one_key(self):
+        # exp(-i k^2 dt / 2) has the same bits for dt = 0.0 and -0.0.
+        _free_phase.cache_clear()
+        zero = _free_phase(4096, 200.0, 0.0)
+        assert _free_phase(4096, 200.0, -0.0) is zero
+        assert zero.tobytes() == _free_phase.__wrapped__(4096, 200.0, -0.0).tobytes()
+
+    def test_memo_holds_one_phase(self):
+        _free_phase.cache_clear()
+        _free_phase(4096, 200.0, 0.5)
+        _free_phase(1024, 80.0, 0.5)
+        assert _free_phase.cache_info().currsize == 1
+
+    def test_default_sweep_builds_its_phase_once(self):
+        _free_phase.cache_clear()
+        separation_sweep()
+        info = _free_phase.cache_info()
+        assert (info.misses, info.hits) == (1, 11)
+
+    def test_second_sweep_report_has_the_same_bytes(self, capsys):
+        # The second request reads the phase the first one kept.
+        _free_phase.cache_clear()
+        reports = []
+        for _ in range(2):
+            assert main(["wavepacket"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert _free_phase.cache_info().misses == 1
+        assert reports[0] == reports[1]
