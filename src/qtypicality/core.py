@@ -112,7 +112,15 @@ class FactorUnitary:
         return np.ascontiguousarray(t).reshape(-1)
 
     def unitarity_defect(self) -> float:
+        """``max |U^dagger U - 1|``. An entry of magnitude ``r > 2`` makes its
+        column's squared norm at least ``r**2``, so the defect is above ``r``;
+        ``r`` is returned then, and ``U^dagger U`` is not formed, where it
+        could overflow."""
         m = self.matrix
+        with np.errstate(over="ignore"):  # |re + i im| past float range reads inf
+            big = float(np.abs(m).max(initial=0.0))
+        if big > 2.0:
+            return big
         return float(np.abs(m.conj().T @ m - np.eye(self.base)).max())
 
 

@@ -194,6 +194,14 @@ class TestConstructionValidation:
         with pytest.raises(ValidationError):
             QuantumStructure(2, [1.0, 0.0], [bad], {"U": [0], "D": [1]})
 
+    @pytest.mark.parametrize("value", [1e308, 1.7e308 + 1.7e308j, 1e160])
+    def test_huge_finite_step_entry_rejected_without_overflow(self, value):
+        # U^dagger U once overflowed in matmul on such an entry.
+        bad = SPLITTER.copy()
+        bad[0, 0] = value
+        with pytest.raises(ValidationError, match="not unitary"):
+            QuantumStructure(2, [1.0, 0.0], [bad], {"U": [0], "D": [1]})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_entries_rejected(self, value):
         # A NaN norm once passed the |norm - 1| > tol test.
