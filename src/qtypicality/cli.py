@@ -331,7 +331,7 @@ def _cmd_scenario(args) -> int:
 def _cmd_typicality(args) -> int:
     from . import typicality
 
-    structure, _ = core.load_scenario(args.scenario_file)
+    structure = core.load_scenario(args.scenario_file)[0]  # the parsed dict is freed now
     s1, s2 = parse_sset(args.s1), parse_sset(args.s2)
     report = typicality.mutual_typicality(structure, s1, s2, args.threshold)
     header = [field.name for field in dataclasses.fields(report)]
@@ -343,7 +343,7 @@ def _cmd_typicality(args) -> int:
 def _cmd_graph(args) -> int:
     from . import graph
 
-    structure, _ = core.load_scenario(args.scenario_file)
+    structure = core.load_scenario(args.scenario_file)[0]  # the parsed dict is freed now
     schedule = graph.PartitionSchedule(parse_slice(s) for s in args.slice)
     g = graph.build_graph(structure, schedule, args.epsilon_exclude, args.tau_link)
     _emit(args, g.to_dict(), g.edge_rows(), scenario_path=args.scenario_file,
@@ -438,8 +438,10 @@ def _cmd_audit(args) -> int:
     from . import stochastic
 
     structure, raw = core.load_scenario(args.scenario_file)
-    if "stochastic" in raw:
-        chain = stochastic.process_from_dict(raw["stochastic"])
+    has_twin, twin = "stochastic" in raw, raw.get("stochastic")
+    del raw  # the rest of the parsed dict is freed now
+    if has_twin:
+        chain = stochastic.process_from_dict(twin)
     else:
         chain = stochastic.matched_markov_chain(structure)
     audit = stochastic.correspondence_audit(structure, chain)

@@ -37,6 +37,7 @@ multi-factor step applies row by row.
 from __future__ import annotations
 
 import collections.abc
+import gc
 import io
 import json
 from dataclasses import dataclass
@@ -592,6 +593,15 @@ def occupations(process: CellProcess, time: int) -> dict:
 #   of strings.
 # Past these checks both readers give equal results: the same floats, ints,
 # strings and key order.
+#
+# load_scenario pauses the cyclic garbage collector while it parses and
+# builds: a parsed file holds thousands of lists and no reference cycle, so
+# a collection there only walks them. The pause is process-wide: another
+# thread's collections wait until the load ends. On the way out the collector
+# is enabled again if it was enabled when the load began, so a caller that
+# disabled it keeps it disabled. That restore assumes no other thread changes
+# the setting during a load: a gc.disable() made by another thread meanwhile
+# is undone when the load ends.
 
 # The schema nests 5 deep (file, schedule, matrix, row, pair); 64 leaves room
 # for any extra data a producer adds and stays far below the depth that
@@ -712,12 +722,22 @@ def _reject_booleans(data: dict) -> None:
 
 
 def load_scenario(path) -> tuple[QuantumStructure, dict]:
-    """Read a scenario file; returns the structure and the raw parsed dict."""
-    with open(path, "rb") as fh:
-        data = _read_json(raw := fh.read())
-    if not isinstance(data, dict):
-        raise SchemaError("scenario file must contain a JSON object")
-    # Numbers hold no "t" or "f": each search starts at the first one (by memchr).
-    if raw.find(b"true", raw.find(b"t")) >= 0 or raw.find(b"false", raw.find(b"f")) >= 0:
-        _reject_booleans(data)
-    return structure_from_dict(data), data
+    """Read a scenario file; returns the structure and the raw parsed dict.
+
+    The cyclic garbage collector is paused while the file is read and the
+    structure built (see the notes above); a caller that drops the dict at
+    once frees its lists by reference counting, so no collection walks them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "rb") as fh:
+            data = _read_json(raw := fh.read())
+        if not isinstance(data, dict):
+            raise SchemaError("scenario file must contain a JSON object")
+        # Numbers hold no "t" or "f": each search starts at the first one (by memchr).
+        if raw.find(b"true", raw.find(b"t")) >= 0 or raw.find(b"false", raw.find(b"f")) >= 0:
+            _reject_booleans(data)
+        return structure_from_dict(data), data
+    finally:
+        if enabled:
+            gc.enable()

@@ -35,6 +35,18 @@ class GridState:
     time: float
     boundary_flag: bool = False
 
+    def __post_init__(self):
+        """Check the grid in O(1): a positive int point count, one amplitude
+        per point, and a finite positive length."""
+        n, length = self.n_points, self.length
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValidationError(f"n_points {n!r} must be an int of at least 1")
+        if np.shape(self.amplitudes) != (n,):
+            raise ValidationError(
+                f"amplitudes of shape {np.shape(self.amplitudes)} do not fit {n} grid points")
+        if not (isinstance(length, (int, float)) and math.isfinite(length) and length > 0.0):
+            raise ValidationError(f"length {length!r} must be finite and positive")
+
     @property
     def dx(self) -> float:
         return self.length / self.n_points

@@ -7,6 +7,8 @@ equal raw dict, or raise the same exception with the same message. The
 oracle looks for booleans among the numbers in every file, where
 ``load_scenario`` looks only in files whose bytes hold ``true`` or ``false``.
 """
+import copy
+import gc
 import json
 import math
 import struct
@@ -17,7 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtypicality import SchemaError, core, load_scenario, structure_from_dict
+from qtypicality import SchemaError, ValidationError, core, load_scenario, structure_from_dict
+from qtypicality.core import structure_to_dict
+from conftest import random_structure
 from test_fuzz import UNRUH, mutated_scenarios
 
 LAYOUTS = {
@@ -219,3 +223,115 @@ def test_what_the_stdlib_reader_cannot_read_is_a_schema_error(tmp_path, text, me
     the interpreter's digit limit: it raises RecursionError or ValueError."""
     with pytest.raises(SchemaError, match=message):
         load_scenario(write(tmp_path / "unreadable.json", text))
+
+
+def _set(*keys, value):
+    """A mutation that sets ``data[k1][k2]...`` of the Unruh export to ``value``."""
+    def mutate(data):
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return mutate
+
+
+# name: mutation of the Unruh export's [re, im] nests
+NEST_CASES = {
+    "ragged matrix rows": lambda data: data["schedule"][0][1].pop(),
+    "a longer row": lambda data: data["schedule"][0][1].append([0.0, 0.0]),
+    "three numbers in one entry": _set("psi0", 0, value=[0.0, 0.0, 0.0]),
+    "three numbers in every entry": _set("psi0", value=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+    "one number in one entry": _set("psi0", 0, value=[0.0]),
+    "a pair as a string": _set("psi0", 0, value="00"),
+    "a pair as an object": _set("psi0", 0, value={"re": 0.0, "im": 0.0}),
+    "a pair as a number": _set("psi0", 0, value=0.0),
+    "a pair of pairs": _set("psi0", 0, value=[[0.0, 0.0], [0.0, 0.0]]),
+    "a pair of pairs in a matrix": _set("schedule", 1, 0, 0, value=[[0.5, 0.0], [0.5, 0.0]]),
+    "null among the numbers": _set("psi0", 0, 1, value=None),
+    "integer-only pairs": _set("psi0", value=[[0, 0], [1, 0]]),
+    "an integer-only matrix": _set("schedule", 2, value=[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]),
+    "2**63 in psi0": _set("psi0", 0, 0, value=2**63),
+    "2**64 in psi0": _set("psi0", 0, 0, value=2**64),
+    "-2**63-1 in psi0": _set("psi0", 0, 0, value=-2**63 - 1),
+    "a long integer among floats": _set("psi0", 1, 0, value=2**62 + 1),
+    "an empty psi0": _set("psi0", value=[]),
+    "an empty schedule": _set("schedule", value=[]),
+    "an empty matrix row": _set("schedule", 0, 1, value=[]),
+}
+
+
+@pytest.mark.parametrize("layout", ["compact", "indented"])
+@pytest.mark.parametrize("name", sorted(NEST_CASES))
+def test_an_odd_pair_nest_has_the_references_outcome(tmp_path, name, layout):
+    data = copy.deepcopy(UNRUH)
+    NEST_CASES[name](data)
+    assert_same_outcome(write(tmp_path / "case.json", LAYOUTS[layout](data)))
+
+
+def test_three_numbers_an_entry_keep_their_messages(tmp_path):
+    data = copy.deepcopy(UNRUH)
+    data["psi0"][0] = [0.0, 0.0, 0.0]
+    error, message = assert_same_outcome(write(tmp_path / "one.json", json.dumps(data)))
+    assert error is SchemaError and message.startswith("malformed scenario: ")
+    data["psi0"] = [z + [0.0] for z in UNRUH["psi0"]]
+    assert assert_same_outcome(write(tmp_path / "all.json", json.dumps(data))) == (
+        SchemaError, "malformed scenario: complex entries must be [re, im] pairs")
+
+
+@pytest.fixture
+def collector_setting():
+    """Restores the collector's setting after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def _writes(text):
+    return lambda path: write(path, text)
+
+
+def _mutated(mutate):
+    def make(path):
+        data = copy.deepcopy(UNRUH)
+        mutate(data)
+        return write(path, json.dumps(data))
+    return make
+
+
+# name: (how the file is made, the exception load_scenario raises or None)
+COLLECTOR_CASES = {
+    "success": (_mutated(lambda data: None), None),
+    "malformed JSON": (_writes('{"dim": 2,'), json.JSONDecodeError),
+    "conversion error": (_mutated(_set("psi0", 0, 1, value="x")), SchemaError),
+    "non-unitary step": (_mutated(_set("schedule", 0, 0, 0, value=[2.0, 0.0])), ValidationError),
+    "missing file": (lambda path: path, OSError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", sorted(COLLECTOR_CASES))
+def test_load_leaves_the_collector_as_it_found_it(tmp_path, collector_setting, case, enabled):
+    make, error = COLLECTOR_CASES[case]
+    path = make(tmp_path / "scenario.json")
+    (gc.enable if enabled else gc.disable)()
+    if error is None:
+        load_scenario(path)
+    else:
+        with pytest.raises(error):
+            load_scenario(path)
+    assert gc.isenabled() is enabled
+
+
+def test_loading_a_wide_file_runs_no_collection(tmp_path, collector_setting, rng):
+    structure = random_structure(rng, dim=32, n_steps=10, n_cells=4)
+    path = write(tmp_path / "wide.json", json.dumps(structure_to_dict(structure)))
+    gc.enable()
+    gc.collect()
+    phases = []
+    gc.callbacks.append(record := lambda phase, info: phases.append(phase))
+    try:
+        load_scenario(path)  # the result is dropped at once
+    finally:
+        gc.callbacks.remove(record)
+    assert phases == []
+    assert gc.isenabled()

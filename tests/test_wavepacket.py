@@ -18,6 +18,7 @@ from qtypicality.cli import main
 from qtypicality.wavepacket import (
     MAX_GRID_POINTS,
     SUPPORT_MASS_CUTOFF,
+    GridState,
     _free_phase,
     mask_interval,
     momentum_mean_sq,
@@ -31,6 +32,40 @@ from qtypicality.wavepacket import (
 @pytest.fixture
 def packet():
     return gaussian_packet(center=0.0, width_sigma=1.0, momentum=2.0)
+
+
+class TestGridState:
+    def test_non_integral_point_count_rejected(self):
+        # packet_support once read this with a bare IndexError.
+        with pytest.raises(ValidationError, match="n_points 4096.5"):
+            GridState(4096.5, 200.0, np.ones(4097, complex), 0.0)
+
+    def test_amplitude_count_must_match(self):
+        # free_evolve once failed on it with a broadcast ValueError.
+        with pytest.raises(ValidationError, match=r"shape \(10,\) do not fit 4096"):
+            GridState(4096, 200.0, np.ones(10, complex), 0.0)
+
+    @pytest.mark.parametrize("n_points", [0, -1, True, np.int64(8), "8", None])
+    def test_point_count_must_be_a_positive_int(self, n_points):
+        with pytest.raises(ValidationError, match="n_points"):
+            GridState(n_points, 200.0, np.ones(8, complex), 0.0)
+
+    @pytest.mark.parametrize("amplitudes", [np.ones((2, 4), complex), np.ones(9, complex),
+                                            np.complex128(1.0)])
+    def test_amplitudes_must_be_one_per_point(self, amplitudes):
+        with pytest.raises(ValidationError, match="amplitudes"):
+            GridState(8, 200.0, amplitudes, 0.0)
+
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.inf, math.nan, "200", None])
+    def test_length_must_be_finite_and_positive(self, length):
+        with pytest.raises(ValidationError, match="length"):
+            GridState(8, length, np.ones(8, complex), 0.0)
+
+    def test_a_valid_grid_is_kept_as_given(self, packet):
+        state = GridState(packet.n_points, packet.length, packet.amplitudes, 1.5, True)
+        assert state.amplitudes is packet.amplitudes
+        assert (state.n_points, state.length, state.time, state.boundary_flag) == (
+            4096, 200.0, 1.5, True)
 
 
 class TestGaussianPacket:
