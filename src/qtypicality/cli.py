@@ -4,16 +4,13 @@ Every JSON report embeds the tool version and its command's resolved
 options; a command takes only the thresholds and seed it reads (any other
 exits 2). Identical configuration gives byte-identical output.
 
-One table, ``_COMMANDS``, lists each command's handler, help text and
-options, the options as ``add_argument(*flags, **kwargs)`` rows.
-``build_parser`` gives the rows to argparse, which stays the reference. A
-well-formed command line (exact long options, plain values, nothing
-repeated or missing) is read from the rows alone into the Namespace
-argparse would return, without building a parser. Any other line goes to
-argparse: help, the version, abbreviations, ``--opt=value``, values
-starting with '-', and every error. A line that names a command builds
-that command's subparser alone, any other the full parser; the texts are
-the same either way, as the usage line names every command.
+One table, ``_COMMANDS``, lists each command's handler, help text and options,
+the options as ``add_argument(*flags, **kwargs)`` rows. A command line takes
+one of two paths. A well-formed one (exact long options, plain values, nothing
+repeated or missing) is read from the rows alone into the Namespace argparse
+would return, without building a parser. Any other goes to the full parser of
+``build_parser``, which stays the reference: help, the version, abbreviations,
+``--opt=value``, values starting with '-', and every error.
 
 Importing this module loads numpy and ``core``, which every command reads;
 each handler imports the other modules it reads itself, so a command loads
@@ -173,8 +170,8 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, results, rows=None, **extra) -> None:
-    """Write the JSON report, or ``rows`` under ``--format csv``.
+def _report(args, results, rows=None, **extra) -> str:
+    """The JSON report, or ``rows`` as CSV under ``--format csv``.
 
     The report's ``config`` block records the command, the output settings,
     the thresholds the command takes, if any, and ``extra``. ``rows`` is
@@ -195,7 +192,12 @@ def _emit(args, results, rows=None, **extra) -> None:
         if thresholds:
             config["thresholds"] = thresholds
         text = _json({"version": __version__, "config": config, "results": results})
-    _write(args.output, text)
+    return text
+
+
+def _emit(args, results, rows=None, **extra) -> None:
+    """Write ``_report``'s text to ``--output``, or to stdout without one."""
+    _write(args.output, _report(args, results, rows, **extra))
 
 
 def parse_sset(text: str) -> SSet:
@@ -267,8 +269,6 @@ def _cmd_scenario(args) -> int:
         else:
             model = scenarios.build_unruh(with_detector_d2=args.detector_d2)
         st = model.structure
-        if args.export:
-            _export_scenario(st, args.export)
         g = graph.build_graph(
             st, model.partition_schedule(), args.epsilon_exclude, args.tau_link
         )
@@ -292,18 +292,10 @@ def _cmd_scenario(args) -> int:
             results["click_occupation_t2"] = typicality.exclusion_measure(
                 st, SSet(2, {"U", "D"})
             )
-        _emit(
-            args,
-            results,
-            g.edge_rows(),
-            scenario="unruh",
-            detector_d2=args.detector_d2,
-            obstacle=args.obstacle,
-        )
+        text = _report(args, results, g.edge_rows(), scenario="unruh",
+                       detector_d2=args.detector_d2, obstacle=args.obstacle)
     elif args.scenario == "fig1":
         st = scenarios.build_beamsplitter_fig1()
-        if args.export:
-            _export_scenario(st, args.export)
         results = {
             "matched_pair": typicality.mutual_typicality(
                 st, SSet(1, {"A"}), SSet(2, {"A"}), args.threshold
@@ -313,8 +305,8 @@ def _cmd_scenario(args) -> int:
             ).to_dict(),
             "pinhole_exclusion": typicality.exclusion_measure(st, SSet(1, {"A"})),
         }
-        _emit(args, results, scenario="fig1")
-    else:  # nonadditivity
+        text = _report(args, results, scenario="fig1")
+    else:  # nonadditivity, which takes no --export
         witness = scenarios.nonadditivity_demo()
         results = {
             "combined": witness.combined,
@@ -324,7 +316,12 @@ def _cmd_scenario(args) -> int:
                 witness.combined - (witness.term_u1 + witness.term_d1)
             ) <= 1e-12,
         }
-        _emit(args, results, scenario="nonadditivity")
+        text = _report(args, results, scenario="nonadditivity")
+    # Only once the report is built, so that a refused call writes no file,
+    # and before it is written, so that an unwritable export writes no report.
+    if args.export:
+        _export_scenario(st, args.export)
+    _write(args.output, text)
     return 0
 
 
@@ -351,18 +348,28 @@ def _cmd_graph(args) -> int:
     return 0
 
 
+# The grid a sweep draws ``--sweep-draws`` distributions at each point of:
+# the outcome count n, the repetition count N and the tolerance eps.
+_SWEEP_GRID = ((2, 3), range(1, 17), (0.02, 0.05, 0.1, 0.125, 0.25, 0.5))
+
+
 def _stat_rows(args):
     from . import stats
 
     if args.sweep:
+        # Every row is held until the report is written, so the row count is
+        # bounded before the first draw.
+        count = math.prod(map(len, _SWEEP_GRID)) * args.sweep_draws
+        if count > stats.ENUMERATION_LIMIT:
+            raise ResourceLimitError(
+                f"a sweep of {count} rows exceeds the limit of {stats.ENUMERATION_LIMIT} rows"
+            )
         # Only a sweep draws, so only a sweep imports numpy.random.
         rng = np.random.default_rng(args.seed)
-        for n in (2, 3):
-            for big_n in range(1, 17):
-                for eps in (0.02, 0.05, 0.1, 0.125, 0.25, 0.5):
-                    for _ in range(args.sweep_draws):
-                        p = rng.dirichlet(np.ones(n))
-                        yield stats.ExperimentSpec(n, p, big_n, eps)
+        for n, big_n, eps in itertools.product(*_SWEEP_GRID):
+            for _ in range(args.sweep_draws):
+                p = rng.dirichlet(np.ones(n))
+                yield stats.ExperimentSpec(n, p, big_n, eps)
     else:
         yield stats.ExperimentSpec(args.n, args.p, args.N, args.eps)
 
@@ -526,23 +533,15 @@ _COMMANDS = {
 }
 
 
-def build_parser(commands=tuple(_COMMANDS)) -> argparse.ArgumentParser:
-    """The parser with a subparser for each of ``commands``, in table order."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with a subparser for each command, in table order."""
     parser = argparse.ArgumentParser(
         prog="qtypicality",
         description="Typicality analysis of finite-dimensional quantum processes.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    # A parser of fewer commands names all of them in its usage line, so the
-    # errors it reports itself (unrecognized arguments, an ambiguous '--=x')
-    # read as the full parser's. The full parser has no metavar: its error
-    # for a missing command names the dest, "command".
-    every = set(_COMMANDS) <= set(commands)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=None if every else "{" + ",".join(_COMMANDS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help, rows) in _COMMANDS.items():
-        if name not in commands:
-            continue
         p = sub.add_parser(name, help=help)
         for flags, kwargs in rows:
             p.add_argument(*flags, **kwargs)
@@ -611,15 +610,12 @@ def _read_command_line(argv: list):
 
 
 def parse_command_line(argv=None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``. A well-formed ``argv`` is read
-    from the option rows without a parser; any other builds only the
-    subparser of the command that ``argv`` starts with, if it names one."""
+    """``build_parser().parse_args(argv)``: a well-formed ``argv`` is read
+    from the option rows without a parser, any other by the full parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_command_line(argv)
     if args is not None:
         return args
-    if argv and argv[0] in _COMMANDS:
-        return build_parser(argv[:1]).parse_args(argv)
     return build_parser().parse_args(argv)
 
 

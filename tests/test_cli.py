@@ -24,8 +24,10 @@ from qtypicality import (
     process_to_dict,
     structure_to_dict,
 )
+from qtypicality import stats
 from qtypicality.cli import _json, build_parser, main, parse_command_line, parse_slice
 from test_fuzz import command_lines
+from test_rejections import stretched_structure
 
 SCHEMA_DIR = "schemas"
 
@@ -196,6 +198,14 @@ class TestScenarioCommand:
         assert code == 2
         assert out == ""
         assert "has no CSV form" in err
+
+    def test_refused_call_writes_no_export(self, capsys, tmp_path):
+        export = tmp_path / "fig1.json"
+        code, out, err = run(capsys, "scenario", "fig1", "--format", "csv",
+                             "--export", str(export))
+        assert (code, out) == (2, "")
+        assert "has no CSV form" in err
+        assert not export.exists()
 
     def test_determinism(self, capsys):
         first = run(capsys, "scenario", "unruh")[1]
@@ -595,6 +605,22 @@ class TestExitCodes:
         assert err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("audit", "--scenario-file", "ARRAY"), "scenario file must contain a JSON object"),
+            (("graph", "--scenario-file", "STRETCHED", "--slice", "1:U|D", "--slice", "3:U|D"),
+             "slice t=3 occupations sum to 1.00000000024"),
+        ],
+        ids=["array", "compounded-step-slack"],
+    )
+    def test_library_rejection_is_parse_error(self, capsys, tmp_path, argv, message):
+        array, stretched = tmp_path / "array.json", tmp_path / "stretched.json"
+        array.write_text("[]")
+        stretched.write_text(json.dumps(structure_to_dict(stretched_structure())))
+        code, out, err = run(capsys, *fill(argv, ARRAY=array, STRETCHED=stretched))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "edit, field",
         [
             (lambda d: d.__setitem__("psi0", [[str(x) for x in z] for z in d["psi0"]]), "psi0"),
@@ -704,6 +730,29 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and argv[-2] in err
+
+    def test_oversized_sweep_is_guard_violation_before_drawing(self, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a refused sweep drew")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        code, out, err = run(capsys, "stat-bound", "--sweep", "--sweep-draws", str(10**6))
+        assert (code, out) == (3, "")
+        assert err == (f"guard violation: a sweep of {192 * 10**6} rows exceeds "
+                       f"the limit of {2**20} rows\n")
+
+    @pytest.mark.parametrize("draws, code", [(2, 0), (3, 3)])
+    def test_sweep_row_limit_is_inclusive(self, capsys, monkeypatch, draws, code):
+        # 192 rows a draw; the stand-in measures keep each row cheap.
+        monkeypatch.setattr(stats, "ENUMERATION_LIMIT", 2 * 192)
+        monkeypatch.setattr(stats, "typical_set_complement_mass", lambda spec: 0.0)
+        monkeypatch.setattr(stats, "typical_set_bound", lambda spec: 1.0)
+        got, out, err = run(capsys, "stat-bound", "--sweep", "--sweep-draws", str(draws))
+        assert got == code, err
+        if code == 0:
+            assert len(json.loads(out)["results"]) == 2 * 192
+        else:
+            assert out == "" and "a sweep of 576 rows exceeds the limit of 384 rows" in err
 
     @pytest.mark.parametrize(
         "argv, option",
@@ -921,9 +970,9 @@ def any_command_lines(draw):
 
 
 class TestCommandParser:
-    """``main`` parses with ``parse_command_line``, which reads a
-    well-formed line from the option rows and otherwise builds only the
-    invoked command's subparser; the full parser is the reference."""
+    """``main`` parses with ``parse_command_line``, which takes one of two
+    paths: it reads a well-formed line from the option rows, and gives any
+    other to the full parser, which is the reference."""
 
     @settings(max_examples=600, deadline=None)
     @example([])
@@ -959,18 +1008,10 @@ class TestCommandParser:
         assert code == 0, err
         assert built == []
 
-    def test_an_abbreviated_call_builds_one_subparser(self, capsys, monkeypatch, exported):
-        calls = []
-        add_parser = argparse._SubParsersAction.add_parser
-
-        def counting(self, name, **kwargs):
-            calls.append(name)
-            return add_parser(self, name, **kwargs)
-
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-        code, _, err = run(capsys, "audit", "--scen", exported)
-        assert code == 0, err
-        assert calls == ["audit"]
+    def test_an_abbreviated_call_reads_as_the_exact_one(self, capsys, exported):
+        exact = run(capsys, "audit", "--scenario-file", exported)
+        assert exact[0] == 0, exact[2]
+        assert run(capsys, "audit", "--scen", exported) == exact
 
     @pytest.mark.parametrize(
         "argv", [["stat-bound", "--p", "0.5,x"], ["wavepacket", "--separations", "4,"]]

@@ -1,0 +1,92 @@
+"""Input checks of the library, each with the exception type and the message
+it raises."""
+import numpy as np
+import pytest
+
+from qtypicality import (
+    FactorUnitary,
+    PartitionSchedule,
+    QuantumStructure,
+    SchemaError,
+    ValidationError,
+    build_graph,
+    build_unruh,
+    load_scenario,
+)
+from qtypicality import wavepacket
+from qtypicality.cli import parse_slice, parse_sset
+
+# Each step's unitarity defect, 8.0e-11, is within core.UNITARITY_TOL, but
+# three of them put the occupations at t=3 past graph.OCCUPATION_SUM_TOL.
+STRETCHED_STEP = np.diag([1 + 4e-11, 1 + 4e-11])
+
+
+def stretched_structure():
+    return QuantumStructure(2, [1.0, 0.0], [STRETCHED_STEP] * 3, {"U": [0], "D": [1]})
+
+
+def unruh_graph(slices, **thresholds):
+    model = build_unruh()
+    return build_graph(model.structure, PartitionSchedule(slices), **thresholds)
+
+
+def array_file(tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text("[]")
+    return load_scenario(path)
+
+
+def packets_at_two_times():
+    packet = wavepacket.gaussian_packet(0.0, 1.0, 0.0, n_points=256, length=50.0)
+    return wavepacket.superposition(packet, wavepacket.free_evolve(packet, 1.0))
+
+
+UNRUH_SLICE = ({"U"}, {"D"})
+
+# (call of tmp_path, exception type, message)
+REJECTIONS = {
+    "duplicate slice time": (
+        lambda _: unruh_graph([(1, UNRUH_SLICE), (1, UNRUH_SLICE)]),
+        ValidationError, "duplicate time index in partition schedule",
+    ),
+    "epsilon_exclude": (
+        lambda _: unruh_graph([(1, UNRUH_SLICE)], epsilon_exclude=1.5),
+        ValidationError, "epsilon_exclude=1.5 outside (0, 1)",
+    ),
+    "factor index": (
+        lambda _: FactorUnitary(np.eye(2), 3, 2), ValidationError, "factor index 3 out of range",
+    ),
+    "step dimension": (
+        lambda _: QuantumStructure(2, [1.0, 0.0], [np.eye(3)], {"U": [0], "D": [1]}),
+        ValidationError, "schedule step 0 has wrong dimension",
+    ),
+    "superposition times": (
+        lambda _: packets_at_two_times(), ValidationError, "superposing states at different times",
+    ),
+    "array scenario": (array_file, SchemaError, "scenario file must contain a JSON object"),
+    "empty s-set region": (
+        lambda _: parse_sset("1:"), ValidationError,
+        "bad s-set '1:' (expected TIME:LABELS): empty region",
+    ),
+    "empty slice region": (
+        lambda _: parse_slice("1:A|"), ValidationError,
+        "bad slice '1:A|' (expected TIME:R|R...): empty region",
+    ),
+    "slice without time": (
+        lambda _: parse_slice("1A"), ValidationError,
+        "bad slice '1A' (expected TIME:R|R...): not enough values to unpack (expected 2, got 1)",
+    ),
+    "compounded step slack": (
+        lambda _: build_graph(stretched_structure(),
+                              PartitionSchedule([(1, UNRUH_SLICE), (3, UNRUH_SLICE)])),
+        ValidationError, "slice t=3 occupations sum to 1.00000000024",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REJECTIONS.values(), ids=REJECTIONS)
+def test_rejection_names_its_input(tmp_path, call, error, message):
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert type(info.value) is error
+    assert str(info.value) == message

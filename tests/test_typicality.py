@@ -405,6 +405,44 @@ class TestInequalityChain:
         with pytest.raises(ValidationError):
             check_inequality_chain(report)
 
+    @pytest.mark.parametrize(
+        "m_big, m_small, holds",
+        [
+            (0.5, 0.1, False),  # sqrt(M) > sqrt(m)
+            (0.5, 0.5, True),  # at the lower bound
+            (0.25, 1.5, False),  # sqrt(m) > sqrt(M) / (1 - sqrt(M)) = 1
+            (0.25, 1.0, True),  # at the upper bound
+        ],
+    )
+    def test_each_bound_can_fail(self, m_big, m_small, holds):
+        assert check_inequality_chain(chain_report(m_big, m_small)) is holds
+
+    def test_corollary_fails_only_past_a_loose_tolerance(self):
+        # m = 1.5 > 2M + tol while both bounds hold within tol = 1.
+        report = chain_report(0.08, 1.5)
+        assert check_inequality_chain(report, tol=1.0) is False
+        assert check_inequality_chain(report) is False  # on the upper bound
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0.0, 0.08), st.floats(0.0, 1.0))
+    def test_corollary_follows_from_the_upper_bound(self, m_big, fraction):
+        """1/(1 - sqrt(0.08))**2 < 2, so at ``CHAIN_TOL`` the corollary's
+        check never decides the verdict: every m up to the upper bound has
+        m <= 2M + CHAIN_TOL."""
+        tol = typicality.CHAIN_TOL
+        root_big = math.sqrt(m_big)
+        upper = root_big / (1.0 - root_big) + tol
+        m_small = (fraction * upper) ** 2
+        root_small = math.sqrt(m_small)
+        if root_big <= root_small + tol and root_small <= upper:  # both bounds hold
+            assert m_small <= 2.0 * m_big + tol
+            assert check_inequality_chain(chain_report(m_big, m_small))
+
+
+def chain_report(m_big, m_small):
+    """A non-degenerate report with the given measures, for the chain alone."""
+    return typicality.TypicalityReport(m_big, m_small, 1.0, 1.0, 0.08, Verdict.NOT_TYPICAL)
+
 
 class TestMuMeasure:
     def test_identical_measures(self):
