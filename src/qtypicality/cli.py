@@ -454,9 +454,7 @@ def _cmd_audit(args) -> int:
     audit = stochastic.correspondence_audit(structure, chain)
     _emit(args, audit.to_dict(), scenario_path=args.scenario_file)
     if not audit.passed:
-        sys.stderr.write(
-            "audit failed: " + json.dumps(audit.to_dict(), sort_keys=True) + "\n"
-        )
+        sys.stderr.write(f"audit failed: {', '.join(audit.failed)}\n")
         return EXIT_AUDIT
     return 0
 
@@ -623,8 +621,8 @@ def main(argv=None) -> int:
     args = parse_command_line(argv)
     try:
         for name in _THRESHOLD_KEYS:
-            if name in vars(args) and not 0.0 < getattr(args, name) < 1.0:
-                raise ValidationError(f"--{name.replace('_', '-')} must be in (0, 1)")
+            if name in vars(args):
+                core._check_threshold(getattr(args, name), "--" + name.replace("_", "-"))
         return args.func(args)
     except json.JSONDecodeError as exc:
         sys.stderr.write(

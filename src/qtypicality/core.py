@@ -62,6 +62,14 @@ DEFAULT_EPSILON_EXCLUDE = 0.01
 DEFAULT_TAU_LINK = DEFAULT_THRESHOLD
 
 
+def _check_threshold(value, name: str = "threshold") -> float:
+    """``value`` as a float; ``ValidationError`` unless it lies in (0, 1)."""
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise ValidationError(f"{name} {value} outside (0, 1)")
+    return value
+
+
 class FactorUnitary:
     """A unitary acting on one tensor factor of a ``base**num_factors`` space.
 
@@ -513,12 +521,6 @@ def project_initials(structure: QuantumStructure, ssets: Sequence[SSet]) -> list
         for region, row in zip(regions, stack):
             cache[time, region] = ProjectedVector(row, 0)
     return [cache[sset.time, sset.region] for sset in ssets]
-
-
-def project_initial(structure: QuantumStructure, sset: SSet) -> ProjectedVector:
-    """The cached Heisenberg projection of one s-set: ``project_initials`` of
-    ``[sset]``."""
-    return project_initials(structure, [sset])[0]
 
 
 def chain_project(

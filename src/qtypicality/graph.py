@@ -132,9 +132,8 @@ def build_graph(
     raw product of the region counts.
     """
     schedule.validate(process)
-    for name, value in (("epsilon_exclude", epsilon_exclude), ("tau_link", tau_link)):
-        if not 0.0 < value < 1.0:
-            raise ValidationError(f"{name}={value} outside (0, 1)")
+    epsilon_exclude = core._check_threshold(epsilon_exclude, "epsilon_exclude")
+    tau_link = core._check_threshold(tau_link, "tau_link")
 
     path_space = 1
     for _, regions in schedule.slices:
@@ -190,7 +189,7 @@ def _admissible_paths(candidates: Sequence[Sequence[int]], links: Iterable[tuple
     Each link ``(a, b)`` joins two candidates, ``a`` in an earlier slice
     than ``b``. Prefixes grow one slice at a time; a link is checked when
     the slice of ``b`` is added, and a prefix that breaks a link is never
-    extended. A slice with no due link extends every prefix.
+    extended.
     """
     slice_of = {node: k for k, nodes in enumerate(candidates) for node in nodes}
     due: list = [[] for _ in candidates]  # per slice: (slice of a, a, b)
@@ -198,15 +197,12 @@ def _admissible_paths(candidates: Sequence[Sequence[int]], links: Iterable[tuple
         due[slice_of[b]].append((slice_of[a], a, b))
     prefixes = [()]
     for cands, checks in zip(candidates, due):
-        if checks:
-            prefixes = [
-                prefix + (c,)
-                for prefix in prefixes
-                for c in cands
-                if all((prefix[k] == a) == (b == c) for k, a, b in checks)
-            ]
-        else:
-            prefixes = [prefix + (c,) for prefix in prefixes for c in cands]
+        prefixes = [
+            prefix + (c,)
+            for prefix in prefixes
+            for c in cands
+            if not checks or all((prefix[k] == a) == (b == c) for k, a, b in checks)
+        ]
     return prefixes
 
 
@@ -229,8 +225,9 @@ def branch_following_check(
     for s in branch_regions:
         structure.check_sset(s)
     typical = structure.pair_table(branch_regions, branch_regions).typical(tau)
+    projections = core.project_initials(structure, branch_regions)  # cached by the table
     for i, j in zip(*np.nonzero(np.triu(~typical, 1))):
-        later = core.project_initial(structure, branch_regions[j])
+        later = projections[j]
         if later.norm_sq < typicality.DEGENERATE_NORM_TOL:
             continue  # dead branch constrains nothing
         chained = core.chain_project(structure, [branch_regions[i], branch_regions[j]], at_time=0)

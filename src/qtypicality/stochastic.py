@@ -167,9 +167,9 @@ def matched_markov_chain(structure: QuantumStructure) -> StochasticProcessSpec:
 
     Each step first tries the per-branch occupation transfer: the structure's
     ``law(t, t + 1)``, each row divided by its branch's mass (a branch below
-    1e-14 takes the next marginal). Where interference makes that transfer
-    miss the true next-time marginal, the step falls back to rows equal to
-    the next marginal, which matches it by construction.
+    ``DEGENERATE_NORM_TOL`` takes the next marginal). Where interference
+    makes that transfer miss the true next-time marginal, the step falls
+    back to rows equal to the next marginal, which matches it by construction.
     """
     n = len(structure.labels)
     occs = np.array([structure.law(t, t).diagonal() for t in structure.times])
@@ -179,7 +179,8 @@ def matched_markov_chain(structure: QuantumStructure) -> StochasticProcessSpec:
         branches = (psi * structure.region_mask((label,)) for label in structure.labels)
         mass = np.array([np.vdot(b, b).real for b in branches])[:, None]
         kernel = np.tile(occs[t + 1], (n, 1))
-        np.divide(structure.law(t, t + 1), mass, out=kernel, where=mass >= 1e-14)
+        live = mass >= typicality.DEGENERATE_NORM_TOL
+        np.divide(structure.law(t, t + 1), mass, out=kernel, where=live)
         if np.abs(occs[t] @ kernel - occs[t + 1]).max() > MARGINAL_TOL:
             kernel = np.tile(occs[t + 1], (n, 1))
         kernels.append(kernel)
@@ -214,8 +215,14 @@ class CorrespondenceAudit:
     c7_witness: dict | None
 
     @property
+    def failed(self) -> tuple:
+        """The names of the failed checks, in order."""
+        checks = (("c3", self.c3_pass), ("c5", self.c5_pass), ("c7", self.c7_mu_additive))
+        return tuple(name for name, ok in checks if not ok)
+
+    @property
     def passed(self) -> bool:
-        return self.c3_pass and self.c5_pass and self.c7_mu_additive
+        return not self.failed
 
     def to_dict(self) -> dict:
         return {

@@ -59,13 +59,6 @@ class TypicalityReport:
         }
 
 
-def _check_threshold(threshold: float) -> float:
-    threshold = float(threshold)
-    if not 0.0 < threshold < 1.0:
-        raise ValidationError(f"threshold {threshold} outside (0, 1)")
-    return threshold
-
-
 def _m_big(diff_sq, norm1_sq, norm2_sq):
     """The rule's measure, elementwise over broadcast arrays of the three
     squared masses of pairs: ``diff_sq / max(norm1_sq, norm2_sq)``, NaN for
@@ -85,7 +78,7 @@ def report_from_masses(
     diff_sq: float, norm1_sq: float, norm2_sq: float, threshold: float
 ) -> TypicalityReport:
     """Assemble a report from the three squared masses of a pair."""
-    threshold = _check_threshold(threshold)
+    threshold = core._check_threshold(threshold)
     m_big = float(_m_big(diff_sq, norm1_sq, norm2_sq))
     if math.isnan(m_big):
         return TypicalityReport(
@@ -112,7 +105,7 @@ class PairMasses(NamedTuple):
 
     def typical(self, threshold: float) -> np.ndarray:
         """Boolean mask of the pairs judged ``MutuallyTypical`` at ``threshold``."""
-        return _typical(self.m_big, _check_threshold(threshold))
+        return _typical(self.m_big, core._check_threshold(threshold))
 
     def report(self, i: int, j: int, threshold: float) -> TypicalityReport:
         return report_from_masses(
@@ -189,7 +182,10 @@ def check_inequality_chain(report: TypicalityReport, tol: float = CHAIN_TOL) -> 
 
     Requires a non-degenerate report. When sqrt(M) >= 1 the upper bound is
     undefined and only the lower inequality is checked. The corollary
-    (M <= 0.08 implies m <= 2M) is part of the verdict.
+    (M <= 0.08 implies m <= 2M) is checked too, but never decides the
+    verdict at ``CHAIN_TOL``: for M <= 0.08 the upper bound already gives
+    m <= M / (1 - sqrt(M))^2 <= 1.95 M. It can fail a report that passes
+    both bounds only when ``tol`` exceeds about 0.23.
     """
     if report.degenerate:
         raise ValidationError("inequality chain undefined for degenerate reports")

@@ -111,7 +111,7 @@ def superposition(a: GridState, b: GridState) -> GridState:
     if a.time != b.time:
         raise ValidationError("superposing states at different times")
     amp = a.amplitudes + b.amplitudes
-    amp = amp / math.sqrt(float(np.sum(np.abs(amp) ** 2) * a.dx))
+    amp = amp / math.sqrt(_positive(float(np.sum(np.abs(amp) ** 2) * a.dx), "superposition"))
     return GridState(a.n_points, a.length, amp, a.time)
 
 
@@ -151,21 +151,28 @@ def free_evolve(state: GridState, dt: float) -> GridState:
     )
 
 
+def _positive(mass: float, where: str) -> float:
+    """``mass``; ``ValidationError`` naming ``where`` unless it is positive."""
+    if not mass > 0.0:
+        raise ValidationError(f"{where}: the state has no mass ({mass})")
+    return mass
+
+
 def position_mean(state: GridState) -> float:
-    return float(np.sum(state.x * state.density()) * state.dx / state.mass)
+    mass = _positive(state.mass, "position_mean")
+    return float(np.sum(state.x * state.density()) * state.dx / mass)
 
 
 def position_var(state: GridState) -> float:
+    mass = _positive(state.mass, "position_var")
     mean = position_mean(state)
-    return float(
-        np.sum((state.x - mean) ** 2 * state.density()) * state.dx / state.mass
-    )
+    return float(np.sum((state.x - mean) ** 2 * state.density()) * state.dx / mass)
 
 
 def momentum_mean_sq(state: GridState) -> float:
     k = 2.0 * math.pi * np.fft.fftfreq(state.n_points, d=state.dx)
     spectrum = np.abs(np.fft.fft(state.amplitudes)) ** 2
-    return float(np.sum(k**2 * spectrum) / np.sum(spectrum))
+    return float(np.sum(k**2 * spectrum) / _positive(np.sum(spectrum), "momentum_mean_sq"))
 
 
 def spread_sigma(sigma0: float, t: float) -> float:
@@ -183,7 +190,7 @@ def packet_support(
     """
     # position_mean, density() and mass, with |amp|^2 and x computed once.
     x, density, dx = state.x, state.density(), state.dx
-    mass = float(np.sum(density) * dx)
+    mass = _positive(float(np.sum(density) * dx), "packet_support")
     center = float(np.sum(x * density) * dx / mass)
     density = density * dx / mass
     radii = np.abs(x - center)

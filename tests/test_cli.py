@@ -919,6 +919,17 @@ class TestExitCodes:
         assert "audit failed" in err
         assert json.loads(out)["results"]["passed"] is False
 
+    def test_failing_audit_names_its_failed_checks(self, capsys, exported, tmp_path):
+        # The report is on stdout; stderr names only the checks that fail.
+        data = json.loads(open(exported).read())
+        data["stochastic"]["initial"] = [1.0, 0.0]
+        bad = tmp_path / "mismatched.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "audit", "--scenario-file", str(bad))
+        assert code == 4
+        assert err == "audit failed: c3\n"
+        assert json.loads(out)["results"]["passed"] is False
+
 
 EVERY_COMMAND = "{scenario,typicality,graph,stat-bound,wavepacket,audit}"
 # Command lines whose text comes from the top-level parser, or that end in

@@ -42,7 +42,6 @@ from qtypicality.core import (
     FactorUnitary,
     ProjectedVector,
     _cell_masses,
-    project_initial,
     project_initials,
 )
 from qtypicality.errors import ValidationError
@@ -275,9 +274,9 @@ class TestCachedEqualsUncached:
         psi0 = ProjectedVector(q.psi0, 0)
         for t in q.times:
             for region in [{"c0"}, {"c1", "c2"}, set(q.labels)]:
-                cached = project_initial(q, SSet(t, region))
+                cached = project_initials(q, [SSet(t, region)])[0]
                 assert cached.at_time == 0
-                assert project_initial(q, SSet(t, region)) is cached
+                assert project_initials(q, [SSet(t, region)])[0] is cached
                 direct = heisenberg_project(q, SSet(t, region), psi0)
                 np.testing.assert_array_equal(cached.amplitudes, direct.amplitudes)
 
@@ -364,7 +363,7 @@ def projection_lists(draw):
 def test_stacked_projections_equal_heisenberg_project_exactly(problem):
     q, warm, ssets = problem
     for sset in warm:
-        project_initial(q, sset)
+        project_initials(q, [sset])[0]
     got = project_initials(q, ssets)
     assert len(got) == len(ssets)
     psi0 = ProjectedVector(q.psi0, 0)
@@ -613,7 +612,7 @@ class TestCacheIsolation:
             for s in (SSet(2, {"c0"}), SSet(3, {"c1", "c3"})):
                 for q in (a, b):
                     np.testing.assert_allclose(
-                        project_initial(q, s).amplitudes,
+                        project_initials(q, [s])[0].amplitudes,
                         heisenberg_operator(q, s) @ q.psi0,
                         atol=TOL,
                     )
@@ -636,7 +635,7 @@ class TestCacheIsolation:
     def test_threads_filling_one_structure_agree(self):
         reference = haar_structure(8, 16)
         expected = {
-            (t, lab): project_initial(reference, SSet(t, {lab})).amplitudes
+            (t, lab): project_initials(reference, [SSet(t, {lab})])[0].amplitudes
             for t in reference.times
             for lab in reference.labels
         }
@@ -646,7 +645,7 @@ class TestCacheIsolation:
         def work(order):
             try:
                 for t, lab in order:
-                    got = project_initial(shared, SSet(t, {lab})).amplitudes
+                    got = project_initials(shared, [SSet(t, {lab})])[0].amplitudes
                     if not np.array_equal(got, expected[t, lab]):
                         errors.append((t, lab))
             except Exception as exc:  # reported through the assertion below
@@ -677,12 +676,12 @@ class TestFrozenInputs:
         psi0 = random_state(rng, 4)
         step = random_unitary(rng, 4)
         q = QuantumStructure(4, psi0, [step], {"a": [0, 1], "b": [2, 3]})
-        before = project_initial(q, SSet(1, {"a"})).amplitudes.copy()
+        before = project_initials(q, [SSet(1, {"a"})])[0].amplitudes.copy()
         psi0[0] = 0.0  # the caller's arrays are not the structure's
         step[0, 0] = 0.0
-        np.testing.assert_array_equal(project_initial(q, SSet(1, {"a"})).amplitudes, before)
+        np.testing.assert_array_equal(project_initials(q, [SSet(1, {"a"})])[0].amplitudes, before)
         for arr in (q.psi0, q.schedule[0].matrix, q.cells["a"], q.region_mask({"a"}),
-                    state_at(q, 1).amplitudes, project_initial(q, SSet(1, {"a"})).amplitudes):
+                    state_at(q, 1).amplitudes, project_initials(q, [SSet(1, {"a"})])[0].amplitudes):
             with pytest.raises(ValueError):
                 arr[0] = 0
 

@@ -409,7 +409,7 @@ def per_pair_branch_following(structure, branch_regions, tau):
         report = mutual_typicality(structure, s_i, s_j, threshold=tau)
         if report.verdict is Verdict.MUTUALLY_TYPICAL:
             continue
-        later = core.project_initial(structure, s_j)
+        later = core.project_initials(structure, [s_j])[0]
         chained = core.chain_project(structure, [s_i, s_j], at_time=0)
         if later.norm_sq < typicality.DEGENERATE_NORM_TOL:
             continue

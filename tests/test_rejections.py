@@ -1,5 +1,5 @@
 """Input checks of the library, each with the exception type and the message
-it raises."""
+it raises, and the one range check of every threshold."""
 import numpy as np
 import pytest
 
@@ -8,13 +8,16 @@ from qtypicality import (
     PartitionSchedule,
     QuantumStructure,
     SchemaError,
+    SSet,
     ValidationError,
+    branch_following_check,
     build_graph,
     build_unruh,
     load_scenario,
+    mutual_typicality,
 )
 from qtypicality import wavepacket
-from qtypicality.cli import parse_slice, parse_sset
+from qtypicality.cli import main, parse_slice, parse_sset
 
 # Each step's unitarity defect, 8.0e-11, is within core.UNITARITY_TOL, but
 # three of them put the occupations at t=3 past graph.OCCUPATION_SUM_TOL.
@@ -51,7 +54,7 @@ REJECTIONS = {
     ),
     "epsilon_exclude": (
         lambda _: unruh_graph([(1, UNRUH_SLICE)], epsilon_exclude=1.5),
-        ValidationError, "epsilon_exclude=1.5 outside (0, 1)",
+        ValidationError, "epsilon_exclude 1.5 outside (0, 1)",
     ),
     "factor index": (
         lambda _: FactorUnitary(np.eye(2), 3, 2), ValidationError, "factor index 3 out of range",
@@ -90,3 +93,45 @@ def test_rejection_names_its_input(tmp_path, call, error, message):
         call(tmp_path)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# Every threshold entry point, with the name its message gives the value.
+UNRUH_U1, UNRUH_D3 = SSet(1, {"U"}), SSet(3, {"D"})
+THRESHOLD_CALLS = {
+    "build_graph epsilon_exclude": (
+        "epsilon_exclude", lambda v: unruh_graph([(1, UNRUH_SLICE)], epsilon_exclude=v),
+    ),
+    "build_graph tau_link": (
+        "tau_link", lambda v: unruh_graph([(1, UNRUH_SLICE)], tau_link=v),
+    ),
+    "mutual_typicality": (
+        "threshold", lambda v: mutual_typicality(build_unruh().structure, UNRUH_U1, UNRUH_D3, v),
+    ),
+    "PairMasses.typical": (
+        "threshold",
+        lambda v: build_unruh().structure.pair_table([UNRUH_U1], [UNRUH_D3]).typical(v),
+    ),
+    "branch_following_check": (
+        "threshold",
+        lambda v: branch_following_check(build_unruh().structure, [UNRUH_U1, UNRUH_D3], v),
+    ),
+}
+OUTSIDE_UNIT_INTERVAL = [0.0, 1.0, -0.1, float("nan")]
+
+
+@pytest.mark.parametrize("value", OUTSIDE_UNIT_INTERVAL)
+@pytest.mark.parametrize("name, call", THRESHOLD_CALLS.values(), ids=THRESHOLD_CALLS)
+def test_threshold_outside_unit_interval(name, call, value):
+    with pytest.raises(ValidationError) as info:
+        call(value)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"{name} {value} outside (0, 1)"
+
+
+@pytest.mark.parametrize("value", OUTSIDE_UNIT_INTERVAL)
+@pytest.mark.parametrize("option", ["--epsilon-exclude", "--tau-link", "--threshold"])
+def test_threshold_option_outside_unit_interval(capsys, option, value):
+    assert main(["scenario", "unruh", option, str(value)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option} {value} outside (0, 1)\n"

@@ -118,7 +118,7 @@ class TestPairMasses:
         structure = random_structure(rng, dim=16, n_cells=5)
         ssets = all_ssets(structure)
         table = structure.pair_table(ssets, ssets[:3])
-        expected = [core.project_initial(structure, s).norm_sq for s in ssets]
+        expected = [core.project_initials(structure, [s])[0].norm_sq for s in ssets]
         assert table.row_norm_sq.tolist() == expected
         assert table.col_norm_sq.tolist() == expected[:3]
 
@@ -156,7 +156,7 @@ class TestPairMasses:
 
     def test_empty_sides(self, unruh):
         u1 = SSet(1, {"U"})
-        norm = core.project_initial(unruh, u1).norm_sq
+        norm = core.project_initials(unruh, [u1])[0].norm_sq
         for rows, cols, shape in (([], [u1], (0, 1)), ([u1], [], (1, 0))):
             table = unruh.pair_table(rows, cols)
             assert table.diff_sq.shape == table.m_big.shape == shape

@@ -216,6 +216,29 @@ def reference_support(state, mass_cutoff=SUPPORT_MASS_CUTOFF):
     return (center - radius, center + radius)
 
 
+# A packet masked far outside its bulk: the masked mass underflows to 0.0.
+def massless_state():
+    return mask_interval(gaussian_packet(0.0, 1.0, 1.0), (50.0, 60.0))
+
+
+class TestNoMass:
+    @pytest.mark.parametrize(
+        "function", [packet_support, position_mean, position_var, momentum_mean_sq],
+    )
+    @pytest.mark.parametrize("state", [
+        massless_state,
+        lambda: GridState(16, 4.0, np.full(16, np.nan + 0j), 0.0),
+    ], ids=["zero", "nan"])
+    def test_measure_of_a_state_without_mass_is_rejected(self, function, state):
+        with pytest.raises(ValidationError, match=f"^{function.__name__}: the state has no mass"):
+            function(state())
+
+    def test_cancelling_superposition_is_rejected(self, packet):
+        opposite = GridState(packet.n_points, packet.length, -packet.amplitudes, packet.time)
+        with pytest.raises(ValidationError, match="^superposition: the state has no mass"):
+            superposition(packet, opposite)
+
+
 class TestSupportBits:
     """``packet_support`` computes each moment once; its intervals keep the
     bits of the moment functions'."""
