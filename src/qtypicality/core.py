@@ -133,6 +133,24 @@ class FactorUnitary:
         return float(np.abs(m.conj().T @ m - np.eye(self.base)).max())
 
 
+def _budget(size: int, initial: float, steps: Iterable[tuple]) -> np.ndarray:
+    """Read-only ``slack[t] >= |sum occupations(t) - 1|`` on ``size`` indices,
+    from the initial-mass defect and each step's order ``b`` and bound on its
+    exact relative change of a mass (``b max|U^dagger U - 1| >= ||U^dagger U
+    - 1||_2``; a nonnegative kernel's largest row-sum error). In rounding
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Sec.
+    3; ``gamma_n = n u / (1 - n u)``, u = 2**-53) a step's length-b sums move
+    a squared norm by a relative ``3 b gamma_{b+2}`` more, a measured defect
+    is short by ``2 b gamma_{b+3}`` at most, and a mass that a check reads is
+    a sum of ``2 size + 4`` rounded nonnegative terms at most, four reads
+    covered. So the mass at ``t`` lies within ``prod_{k <= t} (1 +- e_k)``,
+    with ``e_0 = initial + 4 gamma_{2 size + 4}`` and ``e_k = defect + 5 b
+    gamma_{b+4}``: ``slack[t] = prod(1 + e_k) - 1``, its rounding in margins."""
+    gamma = lambda n: n * 2.0**-53 / (1.0 - n * 2.0**-53)
+    terms = [initial + 4 * gamma(2 * size + 4), *(d + 5 * b * gamma(b + 4) for b, d in steps)]
+    return _frozen(np.expm1(np.cumsum(np.log1p(terms))), "slack", float)
+
+
 def _frozen(arr, what: str, dtype=complex) -> np.ndarray:
     """A read-only copy, so no caller can change it behind a cache. An
     integer entry beyond float range raises, naming ``what``."""
@@ -381,19 +399,22 @@ class QuantumStructure(CellProcess):
             raise ValidationError("psi0 length does not match dim")
         if not np.all(np.isfinite(self.psi0)):
             raise ValidationError("psi0 has non-finite entries")
-        if abs(np.vdot(self.psi0, self.psi0).real - 1.0) > NORM_TOL:
+        if (norm_defect := abs(np.vdot(self.psi0, self.psi0).real - 1.0)) > NORM_TOL:
             raise ValidationError("psi0 is not unit norm")
 
         self.schedule = tuple(
             s if isinstance(s, FactorUnitary) else FactorUnitary(s, 0, 1) for s in schedule
         )
+        defects = []
         for k, step in enumerate(self.schedule):
             if step.dim != dim:
                 raise ValidationError(f"schedule step {k} has wrong dimension")
-            if step.unitarity_defect() > UNITARITY_TOL:
+            defects.append((step.base, step.unitarity_defect()))
+            if defects[-1][1] > UNITARITY_TOL:
                 raise ValidationError(f"schedule step {k} is not unitary")
 
         super().__init__(dim, cells, len(self.schedule))
+        self._slack = _budget(dim, norm_defect, ((b, b * d) for b, d in defects))
         self._trajectory = {0: self.psi0}  # requested time -> Psi(t)
         self._projections: dict = {}  # (time, region) -> U^dagger E U psi0
 

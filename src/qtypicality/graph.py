@@ -20,7 +20,6 @@ from . import core, typicality
 from .core import CellProcess, QuantumStructure, SSet
 from .errors import ResourceLimitError, ValidationError
 
-OCCUPATION_SUM_TOL = 1e-10
 PATH_SPACE_LIMIT = 10**6
 DEFAULT_EPSILON_EXCLUDE = core.DEFAULT_EPSILON_EXCLUDE
 DEFAULT_TAU_LINK = core.DEFAULT_TAU_LINK
@@ -129,7 +128,8 @@ def build_graph(
     nodes of each slice, but found by extending admissible prefixes one
     slice at a time, so a prefix that breaks a forced link is dropped
     before its extensions are formed. ``PATH_SPACE_LIMIT`` still bounds the
-    raw product of the region counts.
+    raw product of the region counts. Each slice's masses must sum to 1
+    within the process's slack at its time (``core._budget``).
     """
     schedule.validate(process)
     epsilon_exclude = core._check_threshold(epsilon_exclude, "epsilon_exclude")
@@ -155,7 +155,7 @@ def build_graph(
             total += mass
             slice_nodes.append(len(nodes))
             nodes.append(GraphNode(t, region, mass, mass <= epsilon_exclude))
-        if abs(total - 1.0) > OCCUPATION_SUM_TOL:
+        if abs(total - 1.0) > process._slack[t]:
             raise ValidationError(f"slice t={t} occupations sum to {total}")
         slices.append(tuple(slice_nodes))
 

@@ -40,6 +40,10 @@ class StochasticProcessSpec(core.CellProcess):
         initial: Sequence[float],
         kernels: Sequence,
     ):
+        self._build(states, initial, kernels, itertools.repeat(ROW_SUM_TOL))
+
+    def _build(self, states, initial, kernels, tols) -> None:
+        """The constructor, holding sums to ``tols``: ROW_SUM_TOL, or a structure's slack."""
         # The states are the labels of a one-index-per-label cell table, which
         # does not check them: they must be distinct strings.
         if (isinstance(states, str) or not isinstance(states, collections.abc.Sequence)
@@ -54,17 +58,20 @@ class StochasticProcessSpec(core.CellProcess):
             raise ValidationError("initial distribution has wrong length")
         if not np.all(np.isfinite(self.initial)):
             raise ValidationError("initial distribution has non-finite entries")
-        if np.any(self.initial < 0.0) or abs(self.initial.sum() - 1.0) > ROW_SUM_TOL:
+        if np.any(self.initial < 0.0) or (off := abs(self.initial.sum() - 1.0)) > next(tols):
             raise ValidationError("initial distribution is not a probability vector")
         self.kernels = tuple(core._frozen(k, f"kernel {t}", float) for t, k in enumerate(kernels))
-        for t, kernel in enumerate(self.kernels):
+        defects = []
+        for t, (kernel, tol) in enumerate(zip(self.kernels, tols)):
             if kernel.shape != (n, n):
                 raise ValidationError(f"kernel {t} is not {n}x{n}")
             if not np.all(np.isfinite(kernel)):
                 raise ValidationError(f"kernel {t} has non-finite entries")
-            if np.any(kernel < 0.0) or np.any(np.abs(kernel.sum(axis=1) - 1.0) > ROW_SUM_TOL):
+            defects.append((n, float(np.abs(kernel.sum(axis=1) - 1.0).max(initial=0.0))))
+            if np.any(kernel < 0.0) or defects[-1][1] > tol:
                 raise ValidationError(f"kernel {t} is not row-stochastic")
         super().__init__(n, core.CellTable.singletons(states), len(self.kernels))
+        self._slack = core._budget(n, off, defects)
 
     states = core.CellProcess.labels
 
@@ -81,11 +88,11 @@ class StochasticProcessSpec(core.CellProcess):
     def pair_table(self, rows: Sequence[SSet], cols: Sequence[SSet]) -> typicality.PairMasses:
         """Region masses, and for a row ``(s, A)`` and column ``(t, B)`` the
         mass ``P(X_s in A, X_t not in B) + P(X_s not in A, X_t in B)``, checked
-        by ``typicality.mu_pair_masses``. Each term is summed over one time's
-        cells and then the other's, each sum one reduce over its own products,
-        a block of rows at a time (at most ``core.PAIR_BLOCK_ENTRIES`` products,
-        or one row). So a one-pair table holds the same bits, and a list's
-        table against itself is exactly symmetric."""
+        as measures to the slack at the last time. Each term is summed over one
+        time's cells and then the other's, each sum one reduce over its own
+        products, a block of rows at a time (at most ``core.PAIR_BLOCK_ENTRIES``
+        products, or one row). So a one-pair table holds the same bits, and a
+        list's table against itself is exactly symmetric."""
 
         def side(ssets):  # the times, the cells as 0/1 rows, and the region masses
             times = [self.check_sset(x).time for x in ssets]
@@ -115,7 +122,7 @@ class StochasticProcessSpec(core.CellProcess):
         t, b, mu_cols = (s, a, mu_rows) if cols is rows else side(cols)
         inside = inside_outside(s, a, t, b)
         xor = inside + (inside if cols is rows else inside_outside(t, b, s, a)).T
-        return typicality.mu_pair_masses(mu_rows, mu_cols, xor)
+        return typicality._checked_measures(mu_rows, mu_cols, xor, self._slack[-1])
 
 
 def cylinder_measure(spec: StochasticProcessSpec, ssets: Sequence[SSet]) -> float:
@@ -167,13 +174,13 @@ def matched_markov_chain(structure: QuantumStructure) -> StochasticProcessSpec:
 
     Each step first tries the per-branch occupation transfer: the structure's
     ``law(t, t + 1)``, each row divided by its branch's mass (a branch below
-    ``DEGENERATE_NORM_TOL`` takes the next marginal). Where interference
-    makes that transfer miss the true next-time marginal, the step falls
-    back to rows equal to the next marginal, which matches it by construction.
+    ``DEGENERATE_NORM_TOL`` takes the next marginal). Where it moves the twin's
+    marginal, which c3 reads, past ``MARGINAL_TOL`` of the next occupations,
+    the step falls back to rows equal to those. Its sums are held to the structure's slack.
     """
     n = len(structure.labels)
     occs = np.array([structure.law(t, t).diagonal() for t in structure.times])
-    kernels = []
+    marginal, kernels = occs[0], []
     for t in range(structure.n_steps):
         psi = core.state_at(structure, t).amplitudes
         branches = (psi * structure.region_mask((label,)) for label in structure.labels)
@@ -181,10 +188,13 @@ def matched_markov_chain(structure: QuantumStructure) -> StochasticProcessSpec:
         kernel = np.tile(occs[t + 1], (n, 1))
         live = mass >= typicality.DEGENERATE_NORM_TOL
         np.divide(structure.law(t, t + 1), mass, out=kernel, where=live)
-        if np.abs(occs[t] @ kernel - occs[t + 1]).max() > MARGINAL_TOL:
+        if np.abs(marginal @ kernel - occs[t + 1]).max() > MARGINAL_TOL:
             kernel = np.tile(occs[t + 1], (n, 1))
         kernels.append(kernel)
-    return StochasticProcessSpec(structure.labels, occs[0], kernels)
+        marginal = marginal @ kernel
+    twin = StochasticProcessSpec.__new__(StochasticProcessSpec)
+    twin._build(structure.labels, occs[0], kernels, iter(structure._slack))
+    return twin
 
 
 @dataclass(frozen=True)
@@ -197,12 +207,12 @@ class CorrespondenceAudit:
     reads the verdict masks of the two processes' ``pair_table``s.
 
     c7's defect of a process at ``t1 < t2`` and cell ``j`` is ``|sum_i
-    law(t1, t2)[i, j] - law(t2, t2)[j, j]|``: at most 1e-12 for an additive
-    twin, the chained norms' nonadditivity for the structure. A witness
-    (past ``NONADDITIVITY_WITNESS``) holds both masses of one structure
-    defect within a relative 1e-12 of the largest: the earliest ``(t1,
-    t2)``, then the cell whose label sorts first, so that defects tied in
-    exact arithmetic name the same witness in any label order.
+    law(t1, t2)[i, j] - law(t2, t2)[j, j]|``: within its slack at ``t2`` for
+    an additive twin, the chained norms' nonadditivity for the structure. A
+    witness (past ``NONADDITIVITY_WITNESS``) holds both masses of one
+    structure defect within a relative 1e-12 of the largest: the earliest
+    ``(t1, t2)``, then the cell whose label sorts first, so that defects tied
+    in exact arithmetic name the same witness in any label order.
     """
 
     c3_max_error: float
@@ -278,7 +288,7 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
         return {(t1, t2): np.abs(p.law(t1, t2).sum(axis=0) - p.law(t2, t2).diagonal())
                 for t1, t2 in itertools.combinations(p.times, 2)}
 
-    mu_additive = all(np.all(d <= 1e-12) for d in additivity_defects(c).values())
+    mu_additive = all(np.all(d <= c._slack[t2]) for (_, t2), d in additivity_defects(c).items())
     defects = additivity_defects(q)
     max_defect = max((float(d.max()) for d in defects.values()), default=0.0)
     witness = None

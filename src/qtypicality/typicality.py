@@ -21,7 +21,7 @@ from .errors import ValidationError
 DEFAULT_THRESHOLD = core.DEFAULT_THRESHOLD
 DEGENERATE_NORM_TOL = 1e-14
 CHAIN_TOL = 1e-9
-# Slack allowed on the measure axioms of a stochastic pair's three values.
+# Slack on the measure axioms of a pair's three values as a caller gives them.
 MU_TOL = 1e-12
 
 
@@ -147,16 +147,20 @@ def mu_pair_masses(mu_rows, mu_cols, mu_xor) -> PairMasses:
     ``ValidationError`` naming its values and the first check it fails, in
     the order above.
     """
+    return _checked_measures(mu_rows, mu_cols, mu_xor, MU_TOL)
+
+
+def _checked_measures(mu_rows, mu_cols, mu_xor, tol) -> PairMasses:
     rows, cols = core._frozen(mu_rows, "mu_rows", float), core._frozen(mu_cols, "mu_cols", float)
     xor = core._frozen(mu_xor, "mu_xor", float).reshape(len(rows), len(cols))
     mu1, mu2 = rows[:, None], cols[None, :]
     with np.errstate(invalid="ignore"):  # inf - inf fails the range checks first
         checks = (  # (holds, message), in the order a single pair is checked
-            ((0.0 <= mu1) & (mu1 <= 1.0 + MU_TOL), "mu1={a} outside [0, 1]"),
-            ((0.0 <= mu2) & (mu2 <= 1.0 + MU_TOL), "mu2={b} outside [0, 1]"),
-            ((0.0 <= xor) & (xor <= 1.0 + MU_TOL), "mu_symm_diff={x} outside [0, 1]"),
-            (~(np.abs(mu1 - mu2) > xor + MU_TOL), "inconsistent measures: |{a} - {b}| > {x}"),
-            (~(xor > mu1 + mu2 + MU_TOL), "inconsistent measures: {x} > {a} + {b}"),
+            ((0.0 <= mu1) & (mu1 <= 1.0 + tol), "mu1={a} outside [0, 1]"),
+            ((0.0 <= mu2) & (mu2 <= 1.0 + tol), "mu2={b} outside [0, 1]"),
+            ((0.0 <= xor) & (xor <= 1.0 + tol), "mu_symm_diff={x} outside [0, 1]"),
+            (~(np.abs(mu1 - mu2) > xor + tol), "inconsistent measures: |{a} - {b}| > {x}"),
+            (~(xor > mu1 + mu2 + tol), "inconsistent measures: {x} > {a} + {b}"),
         )
     holds = [np.broadcast_to(ok, xor.shape) for ok, _ in checks]
     bad = ~np.logical_and.reduce(holds)

@@ -57,10 +57,11 @@ class GridState:
 
     @property
     def mass(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.dx)
+        return float(np.sum(self.density()) * self.dx)
 
     def density(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        with np.errstate(over="ignore"):  # a square past float range reads inf
+            return np.abs(self.amplitudes) ** 2
 
 
 def _same_grid(a: GridState, b: GridState) -> None:
@@ -152,9 +153,10 @@ def free_evolve(state: GridState, dt: float) -> GridState:
 
 
 def _positive(mass: float, where: str) -> float:
-    """``mass``; ``ValidationError`` naming ``where`` unless it is positive."""
-    if not mass > 0.0:
-        raise ValidationError(f"{where}: the state has no mass ({mass})")
+    """``mass``; ``ValidationError`` naming ``where`` unless it is positive and finite."""
+    if not 0.0 < mass < math.inf:
+        kind = "infinite" if mass > 0.0 else "no"
+        raise ValidationError(f"{where}: the state has {kind} mass ({mass})")
     return mass
 
 
@@ -171,8 +173,10 @@ def position_var(state: GridState) -> float:
 
 def momentum_mean_sq(state: GridState) -> float:
     k = 2.0 * math.pi * np.fft.fftfreq(state.n_points, d=state.dx)
-    spectrum = np.abs(np.fft.fft(state.amplitudes)) ** 2
-    return float(np.sum(k**2 * spectrum) / _positive(np.sum(spectrum), "momentum_mean_sq"))
+    with np.errstate(over="ignore", invalid="ignore"):  # infinite amplitudes give nan
+        spectrum = np.abs(np.fft.fft(state.amplitudes)) ** 2
+    mass = _positive(np.sum(spectrum), "momentum_mean_sq")
+    return float(np.sum(k**2 * spectrum) / mass)
 
 
 def spread_sigma(sigma0: float, t: float) -> float:

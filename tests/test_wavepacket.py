@@ -233,6 +233,19 @@ class TestNoMass:
         with pytest.raises(ValidationError, match=f"^{function.__name__}: the state has no mass"):
             function(state())
 
+    @pytest.mark.parametrize(
+        "function", [packet_support, position_mean, position_var, momentum_mean_sq],
+    )
+    @pytest.mark.parametrize("amplitude", [np.inf, 1e200], ids=["inf", "square-overflows"])
+    def test_measure_of_a_state_without_finite_mass_is_rejected(self, function, amplitude):
+        # Under the suite's RuntimeWarning filter: the mass is checked before
+        # any product that would warn. An infinite amplitude makes the
+        # spectrum NaN, which momentum_mean_sq reports as no mass.
+        state = GridState(16, 4.0, np.full(16, amplitude + 0j), 0.0)
+        message = f"^{function.__name__}: the state has (infinite|no) mass"
+        with pytest.raises(ValidationError, match=message):
+            function(state)
+
     def test_cancelling_superposition_is_rejected(self, packet):
         opposite = GridState(packet.n_points, packet.length, -packet.amplitudes, packet.time)
         with pytest.raises(ValidationError, match="^superposition: the state has no mass"):
