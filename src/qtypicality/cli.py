@@ -308,14 +308,7 @@ def _cmd_scenario(args) -> int:
         text = _report(args, results, scenario="fig1")
     else:  # nonadditivity, which takes no --export
         witness = scenarios.nonadditivity_demo()
-        results = {
-            "combined": witness.combined,
-            "term_u1": witness.term_u1,
-            "term_d1": witness.term_d1,
-            "additive": abs(
-                witness.combined - (witness.term_u1 + witness.term_d1)
-            ) <= 1e-12,
-        }
+        results = {**witness._asdict(), "additive": witness.additive}
         text = _report(args, results, scenario="nonadditivity")
     # Only once the report is built, so that a refused call writes no file,
     # and before it is written, so that an unwritable export writes no report.
@@ -448,7 +441,7 @@ def _cmd_audit(args) -> int:
     has_twin, twin = "stochastic" in raw, raw.get("stochastic")
     del raw  # the rest of the parsed dict is freed now
     if has_twin:
-        chain = stochastic.process_from_dict(twin)
+        chain = stochastic._process_from_dict(twin, structure._slack)
     else:
         chain = stochastic.matched_markov_chain(structure)
     audit = stochastic.correspondence_audit(structure, chain)
@@ -614,7 +607,14 @@ def parse_command_line(argv=None) -> argparse.Namespace:
     args = _read_command_line(argv)
     if args is not None:
         return args
-    return build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # argparse hands a valued option written '--opt=--' over as []: refuse it
+    # as argparse refuses '--opt' with no value.
+    for dest, value in vars(args).items():
+        if isinstance(value, list) and [] in (value, *value):
+            parser.parse_args([args.command, "--" + dest.replace("_", "-")])
+    return args
 
 
 def main(argv=None) -> int:

@@ -133,6 +133,10 @@ class FactorUnitary:
         return float(np.abs(m.conj().T @ m - np.eye(self.base)).max())
 
 
+def _gamma(n: int) -> float:
+    return n * 2.0**-53 / (1.0 - n * 2.0**-53)
+
+
 def _budget(size: int, initial: float, steps: Iterable[tuple]) -> np.ndarray:
     """Read-only ``slack[t] >= |sum occupations(t) - 1|`` on ``size`` indices,
     from the initial-mass defect and each step's order ``b`` and bound on its
@@ -146,8 +150,7 @@ def _budget(size: int, initial: float, steps: Iterable[tuple]) -> np.ndarray:
     covered. So the mass at ``t`` lies within ``prod_{k <= t} (1 +- e_k)``,
     with ``e_0 = initial + 4 gamma_{2 size + 4}`` and ``e_k = defect + 5 b
     gamma_{b+4}``: ``slack[t] = prod(1 + e_k) - 1``, its rounding in margins."""
-    gamma = lambda n: n * 2.0**-53 / (1.0 - n * 2.0**-53)
-    terms = [initial + 4 * gamma(2 * size + 4), *(d + 5 * b * gamma(b + 4) for b, d in steps)]
+    terms = [initial + 4 * _gamma(2 * size + 4), *(d + 5 * b * _gamma(b + 4) for b, d in steps)]
     return _frozen(np.expm1(np.cumsum(np.log1p(terms))), "slack", float)
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CellTable, FactorUnitary, QuantumStructure, _as_int
+from .core import CellTable, FactorUnitary, QuantumStructure, _as_int, _gamma
 from .errors import ResourceLimitError, ValidationError
 
 ENUMERATION_LIMIT = 2**20
@@ -158,9 +158,15 @@ def typical_set_complement_mass(spec: ExperimentSpec) -> float:
     ``mass += math.exp(w)`` over the atypical vectors in that order, one
     float at a time (the built-in ``sum`` compensates from Python 3.12 on,
     and ``np.exp`` is not always correctly rounded). The result is thus the
-    same float as the plain loop over count vectors, on any platform. The
-    mass is checked against the Markov-style bound
-    sum_s p_s(1-p_s)/(eps*N) before return.
+    same float as the plain loop over count vectors, on any platform.
+
+    The mass is checked against Markov's inequality for these p, whose sum 1 + d
+    need not be 1: the exact mass is at most (1 + |d|)**(N + 3) (V + 2|d|) / (N c),
+    V = sum_s p_s (1 - p_s), c the cutoff less 4 gamma_{n+4} (the rounded
+    deviation's largest excess). As in ``core._budget``, a log-weight (2n + 1 terms
+    of at most S = 2 lgamma(N+1) + N max|log p_s|, lgamma and log within 8 ulps)
+    is off by gamma_{2n+12} S, a weight by expm1 of that, the sum of K weights by
+    4 gamma_{2K+4} more, and an underflow by 2**-1075 (16 a weight at most).
     """
     n_compositions = math.comb(spec.N + spec.n - 1, spec.n - 1)
     if n_compositions > COMPOSITION_LIMIT:
@@ -181,9 +187,13 @@ def typical_set_complement_mass(spec: ExperimentSpec) -> float:
         keep = _atypical_counts(counts.T, spec) & (log_weight > _EXP_UNDERFLOW)
         for w in log_weight[keep].tolist():
             mass += math.exp(w)
-    markov = sum(p * (1.0 - p) for p in spec.probs) / (spec.epsilon * spec.N)
-    if not mass <= markov + 1e-12:
-        raise ArithmeticError(f"tail mass {mass} exceeds Markov bound {markov}")
+    d, cut = abs(math.fsum((*spec.probs, -1.0))), spec.epsilon - 4 * _gamma(spec.n + 4)
+    scale = 2.0 * log_fact[spec.N] + spec.N * max(abs(lp) for lp in log_p if lp is not None)
+    slack = math.expm1(_gamma(2 * spec.n + 12) * scale) + 4 * _gamma(2 * n_compositions + 4)
+    spread = (sum(p * (1.0 - p) for p in spec.probs) + 2.0 * d) * math.exp((spec.N + 3) * d)
+    markov = spread / (spec.N * cut) if cut > 0.0 else math.inf
+    if not mass <= markov * (1.0 + slack) + n_compositions * 2.0**-1071:
+        raise ArithmeticError(f"tail mass {mass} exceeds its Markov bound {markov}")
     return mass
 
 

@@ -40,10 +40,11 @@ class StochasticProcessSpec(core.CellProcess):
         initial: Sequence[float],
         kernels: Sequence,
     ):
-        self._build(states, initial, kernels, itertools.repeat(ROW_SUM_TOL))
+        self._build(states, initial, kernels)
 
-    def _build(self, states, initial, kernels, tols) -> None:
-        """The constructor, holding sums to ``tols``: ROW_SUM_TOL, or a structure's slack."""
+    def _build(self, states, initial, kernels, slack=()) -> "StochasticProcessSpec":
+        """The constructor; sums reaching time t are held to max(ROW_SUM_TOL, ``slack[t]``)."""
+        tols = itertools.chain(np.maximum(slack, ROW_SUM_TOL), itertools.repeat(ROW_SUM_TOL))
         # The states are the labels of a one-index-per-label cell table, which
         # does not check them: they must be distinct strings.
         if (isinstance(states, str) or not isinstance(states, collections.abc.Sequence)
@@ -72,6 +73,7 @@ class StochasticProcessSpec(core.CellProcess):
                 raise ValidationError(f"kernel {t} is not row-stochastic")
         super().__init__(n, core.CellTable.singletons(states), len(self.kernels))
         self._slack = core._budget(n, off, defects)
+        return self
 
     states = core.CellProcess.labels
 
@@ -176,7 +178,7 @@ def matched_markov_chain(structure: QuantumStructure) -> StochasticProcessSpec:
     ``law(t, t + 1)``, each row divided by its branch's mass (a branch below
     ``DEGENERATE_NORM_TOL`` takes the next marginal). Where it moves the twin's
     marginal, which c3 reads, past ``MARGINAL_TOL`` of the next occupations,
-    the step falls back to rows equal to those. Its sums are held to the structure's slack.
+    the step falls back to rows equal to those. Its sums are held as ``_build`` says.
     """
     n = len(structure.labels)
     occs = np.array([structure.law(t, t).diagonal() for t in structure.times])
@@ -193,13 +195,16 @@ def matched_markov_chain(structure: QuantumStructure) -> StochasticProcessSpec:
         kernels.append(kernel)
         marginal = marginal @ kernel
     twin = StochasticProcessSpec.__new__(StochasticProcessSpec)
-    twin._build(structure.labels, occs[0], kernels, iter(structure._slack))
-    return twin
+    return twin._build(structure.labels, occs[0], kernels, structure._slack)
 
 
 @dataclass(frozen=True)
 class CorrespondenceAudit:
     """Witness values for the single-time, regime, and additivity checks.
+
+    c3 passes when every label's gap between occupation and twin marginal is
+    within ``MARGINAL_TOL`` plus both processes' slack at its time: each total
+    mass lies within its own slack of 1, so a smaller gap is not a disagreement.
 
     c5 counts the pairs that both sides judge ``MutuallyTypical``, which is
     what being inside the regime means; ``c5_agreements`` equals
@@ -273,7 +278,7 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
     # (c3): occupations against single-time marginals, label by label.
     occ = np.array([q.occupations(t) for t in q.times])
     twin_index = [c.labels.index(label) for label in q.labels]
-    c3_max = float(np.abs(occ - np.array([c.occupations(t)[twin_index] for t in q.times])).max())
+    c3 = np.abs(occ - np.array([c.occupations(t)[twin_index] for t in q.times])).max(axis=1)
 
     # (c5)/(c6): pairs that both sides judge mutually typical (inside the
     # regime), over all singleton and full regions at every time, time-major.
@@ -307,8 +312,8 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
             "quantum_termwise_sum": float(q.law(t1, t2).sum(axis=0)[j]),
         }
     return CorrespondenceAudit(
-        c3_max_error=c3_max,
-        c3_pass=c3_max <= MARGINAL_TOL,
+        c3_max_error=float(c3.max()),
+        c3_pass=bool(np.all(c3 <= MARGINAL_TOL + q._slack + c._slack)),
         c5_pairs_in_regime=in_regime,
         c5_agreements=in_regime,
         c5_pass=True,
@@ -322,6 +327,11 @@ def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> Corre
 
 
 def process_from_dict(data: Mapping) -> StochasticProcessSpec:
+    return _process_from_dict(data, ())
+
+
+def _process_from_dict(data: Mapping, slack) -> StochasticProcessSpec:
+    """A scenario's twin, its sums held to ``slack`` as ``_build`` holds them."""
     try:
         states = data["states"]
         if not (isinstance(states, list) and all(isinstance(s, str) for s in states)):
@@ -331,7 +341,8 @@ def process_from_dict(data: Mapping) -> StochasticProcessSpec:
         kernels = [core._numbers_in(k, f"kernel {t}") for t, k in enumerate(data["kernels"])]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed stochastic section: {exc}") from exc
-    return StochasticProcessSpec(states, initial, kernels)
+    spec = StochasticProcessSpec.__new__(StochasticProcessSpec)
+    return spec._build(states, initial, kernels, slack)
 
 
 def process_to_dict(spec: StochasticProcessSpec) -> dict:

@@ -185,11 +185,14 @@ def check_inequality_chain(report: TypicalityReport, tol: float = CHAIN_TOL) -> 
     """Verify sqrt(M) <= sqrt(m) <= sqrt(M)/(1 - sqrt(M)) and its corollary.
 
     Requires a non-degenerate report. When sqrt(M) >= 1 the upper bound is
-    undefined and only the lower inequality is checked. The corollary
-    (M <= 0.08 implies m <= 2M) is checked too, but never decides the
-    verdict at ``CHAIN_TOL``: for M <= 0.08 the upper bound already gives
-    m <= M / (1 - sqrt(M))^2 <= 1.95 M. It can fail a report that passes
-    both bounds only when ``tol`` exceeds about 0.23.
+    undefined and only the lower inequality is checked. The lower bound holds
+    at ``tol=0`` for every report that ``report_from_masses`` builds from
+    finite nonnegative masses (one difference over the larger and the smaller
+    mass; rounded division and square root are monotone). The upper bound
+    reads masses the checker did not compute, so ``tol`` (``CHAIN_TOL``) is a
+    contract on the caller's report. The corollary (M <= 0.08 implies m <= 2M)
+    decides nothing unless ``tol`` exceeds about 0.23: there the upper bound
+    gives m <= M / (1 - sqrt(M))^2 <= 1.95 M.
     """
     if report.degenerate:
         raise ValidationError("inequality chain undefined for degenerate reports")

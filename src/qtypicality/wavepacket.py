@@ -80,7 +80,8 @@ def gaussian_packet(
 
     The density is N(center, width_sigma^2); the momentum enters as a plane
     wave factor. The packet must be resolvable (sigma >= 4 dx) and sit at
-    least 6 sigma away from the periodic seam.
+    least 6 sigma from the periodic seam and 6 momentum widths 1/(2 sigma)
+    from the Nyquist wavenumber pi/dx, past which it aliases.
     """
     n_points = _as_int(n_points, "n_points")
     if n_points < 1:
@@ -101,6 +102,8 @@ def gaussian_packet(
     x = (np.arange(n_points) - n_points // 2) * dx
     if not math.isfinite(momentum * float(x[0])):  # x[0] has the largest |x|
         raise ValidationError(f"momentum {momentum} gives a non-finite plane-wave phase")
+    if abs(momentum) + 3.0 / width_sigma >= math.pi / dx:
+        raise ValidationError(f"momentum {momentum} aliases: |k| + 3/sigma >= pi/dx {math.pi / dx}")
     amp = np.exp(-((x - center) ** 2) / (4.0 * width_sigma**2) + 1j * momentum * x)
     amp /= math.sqrt(float(np.sum(np.abs(amp) ** 2) * dx))
     return GridState(n_points, float(length), amp, 0.0)

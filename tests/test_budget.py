@@ -23,6 +23,7 @@ from qtypicality import (
     build_graph,
     correspondence_audit,
     matched_markov_chain,
+    process_to_dict,
     structure_to_dict,
 )
 from qtypicality.cli import main
@@ -90,6 +91,89 @@ def test_drifting_marginal_falls_back_where_the_chain_would_miss():
     twin = matched_markov_chain(q)
     assert all(np.abs(k - np.eye(2)).max() < 1e-20 for k in twin.kernels[:3])  # transfers
     assert np.array_equal(twin.kernels[3], np.tile(q.occupations(4), (2, 1)))
+
+
+def drifting(n_steps):
+    """Steps ``H sqrt(1 + 0.99e-10)``, H the 2 x 2 Hadamard, from ``(1, 0)``:
+    each within ``UNITARITY_TOL``, and the occupations the twin's fallback
+    rows copy drift from a unit sum step by step."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0) * math.sqrt(1.0 + 0.99e-10)
+    return QuantumStructure(2, [1.0, 0.0], [h] * n_steps, {"U": [0], "D": [1]})
+
+
+def audit_file(tmp_path, capsys, data):
+    """Exit code, stdout and stderr of ``qtypicality audit`` on ``data``."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    code = main(["audit", "--scenario-file", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("n_steps", [4, 6, 10])
+class TestDriftingTwin:
+    """c3 allows ``MARGINAL_TOL`` plus both processes' slack at each time; the
+    twin's marginals miss the occupations by 3.96e-10, 1.29e-9 and 4.26e-9,
+    within 0.21, 0.38 and 0.57 of that."""
+
+    def test_audit_passes_on_the_budget(self, n_steps):
+        q = drifting(n_steps)
+        c = matched_markov_chain(q)
+        audit = correspondence_audit(q, c)
+        assert audit.passed, audit.to_dict()
+        assert audit.c3_max_error > MARGINAL_TOL
+        gaps = np.array([np.abs(q.occupations(t) - c.occupations(t)).max() for t in q.times])
+        assert np.all(gaps <= 0.6 * (MARGINAL_TOL + q._slack + c._slack))
+
+    def test_cli_audit_exits_0(self, n_steps, tmp_path, capsys):
+        code, out, err = audit_file(tmp_path, capsys, structure_to_dict(drifting(n_steps)))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["c3"]["pass"] is True
+
+
+def with_twin(q, initial, kernels):
+    """``q``'s scenario with a ``stochastic`` section of states U and D."""
+    data = structure_to_dict(q)
+    data["stochastic"] = {"states": ["U", "D"], "initial": initial, "kernels": kernels}
+    return data
+
+
+class TestFileTwins:
+    """A file twin's sums are held at each time to the larger of
+    ``ROW_SUM_TOL`` and the structure's slack."""
+
+    def test_derived_twin_round_trips_through_its_file(self, tmp_path, capsys):
+        # Case (a): the derived twin's rows sum to 1 + 1.2e-12.
+        q = OWN_RESULTS["row-sum"]()
+        twin = process_to_dict(matched_markov_chain(q))
+        assert max(abs(sum(row) - 1.0) for row in twin["kernels"][0]) > ROW_SUM_TOL
+        code, out, err = audit_file(tmp_path, capsys, {**structure_to_dict(q), "stochastic": twin})
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["passed"] is True
+
+    def test_rows_within_row_sum_tol_on_an_exact_structure(self, tmp_path, capsys):
+        q = QuantumStructure(2, [1.0, 0.0], [np.eye(2)] * 2, {"U": [0], "D": [1]})
+        assert q._slack[-1] < ROW_SUM_TOL
+        off = [[1.0 + 5e-13, 0.0], [0.0, 1.0 + 5e-13]]
+        code, _, err = audit_file(tmp_path, capsys, with_twin(q, [1.0, 0.0], [off] * 2))
+        assert (code, err) == (0, "")
+
+    def test_rows_past_both_tolerances_are_refused(self, tmp_path, capsys):
+        q = QuantumStructure(2, [1.0, 0.0], [np.eye(2)], {"U": [0], "D": [1]})
+        off = [[1.0 + 2e-12, 0.0], [0.0, 1.0]]
+        code, _, err = audit_file(tmp_path, capsys, with_twin(q, [1.0, 0.0], [off]))
+        assert (code, err) == (2, "error: kernel 0 is not row-stochastic\n")
+
+    def test_a_miss_past_the_allowance_fails_c3(self, tmp_path, capsys):
+        q = drifting(4)
+        # The twin starts 2 MARGINAL_TOL from the occupations, past the
+        # allowance at t = 0, where both slacks are below 1e-14.
+        assert q._slack[0] < 1e-14
+        start = [1.0 - 2 * MARGINAL_TOL, 2 * MARGINAL_TOL]
+        kernels = [k.tolist() for k in matched_markov_chain(q).kernels]
+        code, out, err = audit_file(tmp_path, capsys, with_twin(q, start, kernels))
+        assert (code, err) == (4, "audit failed: c3\n")
+        assert json.loads(out)["results"]["c3"]["max_error"] >= 2 * MARGINAL_TOL * 0.99
 
 
 @st.composite

@@ -24,7 +24,7 @@ from qtypicality import (
     process_to_dict,
     structure_to_dict,
 )
-from qtypicality import stats
+from qtypicality import cli, stats
 from qtypicality.cli import _json, build_parser, main, parse_command_line, parse_slice
 from test_fuzz import command_lines
 from test_rejections import stretched_structure
@@ -393,6 +393,18 @@ class TestStatBound:
             "n": 2, "p": [0.5, 0.5], "N": 9, "eps": 0.125
         }
         assert single["sweep"] is False
+
+    @pytest.mark.parametrize("p, big_n, eps", [
+        # The probabilities sum past 1 within the input tolerance, so their
+        # weights are not a probability measure and the plain Markov bound
+        # (negative with p_1 > 1) does not hold for them.
+        ("0,1.0000000000001", "1", "1e-20"),
+        ("0,1.0,9e-13", "5", "0.07999999999963998"),
+    ])
+    def test_mass_off_a_unit_sum_passes_its_markov_check(self, capsys, p, big_n, eps):
+        n = str(p.count(",") + 1)
+        rows = run_json(capsys, "stat-bound", "--n", n, "--p", p, "--N", big_n, "--eps", eps)
+        assert rows["results"][0]["holds"] is True
 
 
 # Each command's first request, in an order where the export comes first,
@@ -844,6 +856,10 @@ class TestExitCodes:
             (("--separations", "4", "--momentum", "1e-320"), "phase"),
             # the packets' plane-wave phase momentum * x overflows
             (("--momentum", "1e308"), "phase"),
+            # |momentum| + 3/sigma reaches pi/dx, 64.3 on the default grid
+            (("--momentum", "100"), "momentum 100.0 aliases"),
+            (("--momentum", "-61.4"), "momentum -61.4 aliases"),
+            (("--momentum", "30", "--n-points", "1024", "--length", "100"), "momentum 30.0 aliases"),
         ],
     )
     def test_bad_wavepacket_argument_is_parse_error(self, capsys, argv, name):
@@ -974,6 +990,22 @@ def full_parse(argv):
     return build_parser().parse_args(argv)
 
 
+# Each valued option of each command, and the words that make the rest of a
+# line well formed; 'F' is never read.
+VALUED_OPTIONS = [
+    (command, flag)
+    for command, (_, _, rows) in cli._COMMANDS.items()
+    for (flag,), kwargs in rows
+    if flag.startswith("--") and kwargs.get("action") != "store_true"
+]
+REQUIRED_WORDS = {
+    "scenario": ["unruh"],
+    "typicality": ["--scenario-file", "F", "--s1", "1:U", "--s2", "3:D"],
+    "graph": ["--scenario-file", "F", "--slice", "1:U|D"],
+    "audit": ["--scenario-file", "F"],
+}
+
+
 @st.composite
 def any_command_lines(draw):
     """A fuzz command line, one in three behind -h, --help or --version."""
@@ -993,9 +1025,25 @@ class TestCommandParser:
     @example(["stat-bound", "--n", "-1"])
     @example(["audit", "--scenario-file", "--"])
     @example(["scenario", "--export", "unruh"])
+    @example(["wavepacket", "--snapshot", "", "--momentum=--"])
     @given(any_command_lines())
     def test_same_outcome_as_the_full_parser(self, argv):
-        assert parse_outcome(parse_command_line, argv) == parse_outcome(full_parse, argv)
+        """Except that an option the full parser hands over as [] (one written
+        '--opt=--') is refused, as '--opt' alone is."""
+        reference = parse_outcome(full_parse, argv)
+        if isinstance(reference, str) and "[]" in reference:
+            code, out, err = parse_outcome(parse_command_line, argv)
+            assert (code, out) == (2, "") and "expected one argument" in err
+        else:
+            assert parse_outcome(parse_command_line, argv) == reference
+
+    @pytest.mark.parametrize("command, flag", VALUED_OPTIONS, ids=map(" ".join, VALUED_OPTIONS))
+    def test_a_value_written_as_equals_dashes_is_refused(self, command, flag):
+        argv = [command, *REQUIRED_WORDS.get(command, []), flag + "=--"]
+        code, out, err = parse_outcome(main, argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"qtypicality {command}: error: argument {flag}: expected one argument\n")
+        assert err == parse_outcome(full_parse, argv[:-1] + [flag])[2]
 
     @pytest.mark.parametrize("argv", TOP_LEVEL_ARGVS, ids=" ".join)
     def test_top_level_text_is_the_full_parsers(self, argv):

@@ -18,7 +18,7 @@ from qtypicality import (
     occupations,
 )
 from qtypicality.core import ProjectedVector, QuantumStructure
-from qtypicality.scenarios import BEAM_SPLITTER
+from qtypicality.scenarios import BEAM_SPLITTER, NonadditivityWitness
 
 from conftest import chain_oracle
 
@@ -147,6 +147,11 @@ class TestNonadditivity:
         assert witness.combined == pytest.approx(1.0, abs=1e-12)
         assert witness.term_u1 == pytest.approx(0.25, abs=1e-12)
         assert witness.term_d1 == pytest.approx(0.25, abs=1e-12)
+
+    def test_additive_is_the_demos_rule(self):
+        assert nonadditivity_demo().additive is False
+        assert NonadditivityWitness(0.5, 0.25, 0.25).additive is True
+        assert NonadditivityWitness(0.7, 0.25, 0.25).additive is False
 
     def test_trivial_evolution_is_additive(self):
         structure = QuantumStructure(

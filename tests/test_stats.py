@@ -316,6 +316,24 @@ class TestComplementMass:
         spec = ExperimentSpec(2, (0.5, 0.5), 8, 3.0)
         assert typical_set_complement_mass(spec) == 0.0
 
+    @pytest.mark.parametrize("probs, big_n, eps", [
+        ((0.0, 1.0000000000001), 1, 1e-20),  # sum_s p_s (1 - p_s) < 0
+        ((0.0, 1.0, 9e-13), 5, 0.07999999999963998),  # 4.5e-12 against 2.25e-12
+        ((1.0, 9e-13), 1, 1.9999999999982),  # 9e-13 against 4.5e-13
+    ])
+    def test_markov_check_takes_the_unit_sum_defect(self, probs, big_n, eps):
+        """Probabilities that sum to 1 + d within the input tolerance weigh
+        sequences past the plain Markov bound; the check allows it."""
+        spec = ExperimentSpec(len(probs), probs, big_n, eps)
+        mass = typical_set_complement_mass(spec)
+        assert mass > sum(p * (1.0 - p) for p in probs) / (eps * big_n)
+
+    def test_markov_check_catches_a_wrong_mass(self, monkeypatch):
+        # Every count vector counted as atypical: mass 1 against a bound of 0.25.
+        monkeypatch.setattr(stats, "_atypical_counts", lambda counts, spec: counts[0] >= 0)
+        with pytest.raises(ArithmeticError, match="exceeds its Markov bound"):
+            typical_set_complement_mass(ExperimentSpec(2, (0.5, 0.5), 16, 0.125))
+
     def test_single_trial_everything_atypical(self):
         spec = ExperimentSpec(2, (0.5, 0.5), 1, 0.4)
         assert typical_set_complement_mass(spec) == pytest.approx(1.0)

@@ -439,6 +439,23 @@ class TestInequalityChain:
             assert check_inequality_chain(chain_report(m_big, m_small))
 
 
+# Squared masses of two vectors of norm at most 1 and of their difference.
+MASSES = st.floats(0.0, 4.0) | st.sampled_from([0.0, 5e-324, 1e-14, 1.0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(MASSES, MASSES, MASSES)
+def test_lower_bound_holds_exactly_for_built_reports(diff_sq, norm1_sq, norm2_sq):
+    """One squared difference over the larger and over the smaller mass:
+    rounded division and square root are monotone, so sqrt(M) <= sqrt(m)
+    with no tolerance."""
+    report = report_from_masses(diff_sq, norm1_sq, norm2_sq, 0.08)
+    if not report.degenerate:
+        assert math.sqrt(report.m_big) <= math.sqrt(report.m_small)
+        if report.m_big >= 1.0:  # the checker reads the lower bound alone
+            assert check_inequality_chain(report, tol=0.0)
+
+
 def chain_report(m_big, m_small):
     """A non-degenerate report with the given measures, for the chain alone."""
     return typicality.TypicalityReport(m_big, m_small, 1.0, 1.0, 0.08, Verdict.NOT_TYPICAL)

@@ -388,10 +388,38 @@ class TestSeparationSweep:
         with pytest.raises(ValidationError, match="momentum"):
             separation_sweep(momentum=0.0)
 
+    def test_aliased_momentum_rejected(self):
+        # pi/dx is 64.3 on the default grid: a packet at momentum 100 drifts
+        # to <x> = -1.43 instead of +5.0, and its sweep is not monotone.
+        with pytest.raises(ValidationError, match="^momentum 100.0 aliases"):
+            separation_sweep(momentum=100.0)
+
     @pytest.mark.parametrize("separation", [math.nan, math.inf])
     def test_non_finite_separation_rejected(self, separation):
         with pytest.raises(ValidationError, match="separation"):
             separation_sweep(separations_sigma=(4.0, separation))
+
+
+class TestNyquistMargin:
+    """A packet keeps 6 momentum widths 1/(2 sigma) from pi/dx."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_margin_is_the_boundary(self, sign):
+        limit = math.pi / (200.0 / 4096) - 3.0
+        gaussian_packet(0.0, 1.0, sign * (limit - 1e-12))
+        with pytest.raises(ValidationError, match=f"^momentum {sign * limit} aliases"):
+            gaussian_packet(0.0, 1.0, sign * limit)
+
+    def test_the_margin_grows_as_sigma_shrinks(self):
+        # sigma = 0.25 is within the resolution limit of 4 dx = 0.195, and
+        # its 3 / sigma = 12 leaves momenta up to 52.3.
+        gaussian_packet(0.0, 0.25, 52.0)
+        with pytest.raises(ValidationError, match="aliases"):
+            gaussian_packet(0.0, 0.25, 53.0)
+
+    def test_a_packet_below_the_margin_drifts_as_it_should(self):
+        packet = gaussian_packet(0.0, 1.0, 60.0)
+        assert position_mean(free_evolve(packet, 0.05)) == pytest.approx(3.0, abs=1e-9)
 
 
 class TestPhaseMemo:
