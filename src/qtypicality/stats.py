@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CellTable, FactorUnitary, QuantumStructure, _as_int, _gamma
+from .core import NORM_TOL, CellTable, FactorUnitary, QuantumStructure, _as_int, _gamma
 from .errors import ResourceLimitError, ValidationError
 
 ENUMERATION_LIMIT = 2**20
@@ -49,7 +49,7 @@ class ExperimentSpec:
             raise ValidationError("non-finite outcome probability")
         if any(p < 0.0 for p in probs):
             raise ValidationError("negative outcome probability")
-        if abs(sum(probs) - 1.0) > 1e-12:
+        if abs(sum(probs) - 1.0) > NORM_TOL:  # the amplitudes sqrt(p) are a unit vector
             raise ValidationError(f"probabilities sum to {sum(probs)}")
         if N < 1:
             raise ValidationError("repetition count must be at least 1")

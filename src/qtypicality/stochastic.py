@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import core, typicality
-from .core import QuantumStructure, SSet
+from .core import SSet
 from .errors import SchemaError, ValidationError
 
 ROW_SUM_TOL = 1e-12
@@ -170,32 +170,28 @@ def mu_typicality(
     return spec.pair_table([s1], [s2]).report(0, 0, threshold)
 
 
-def matched_markov_chain(structure: QuantumStructure) -> StochasticProcessSpec:
-    """Markov twin whose marginals are the diagonals of the structure's
-    ``law(t, t)``, its cell occupations.
-
-    Each step first tries the per-branch occupation transfer: the structure's
-    ``law(t, t + 1)``, each row divided by its branch's mass (a branch below
-    ``DEGENERATE_NORM_TOL`` takes the next marginal). Where it moves the twin's
-    marginal, which c3 reads, past ``MARGINAL_TOL`` of the next occupations,
-    the step falls back to rows equal to those. Its sums are held as ``_build`` says.
+def matched_markov_chain(process: core.CellProcess) -> StochasticProcessSpec:
+    """Markov twin of either process, read from its two-time laws alone: its
+    marginals are the diagonals of ``law(t, t)``. Each step first tries the
+    per-branch transfer, row ``i`` of ``law(t, t + 1)`` over ``law(t, t)[i, i]``
+    (a branch below ``DEGENERATE_NORM_TOL`` takes the next marginal). Where it
+    moves the twin's marginal, which c3 reads, past ``MARGINAL_TOL`` of the
+    next occupations, the step falls back to rows equal to those. Its sums
+    are held as ``_build`` says, to the process's slack.
     """
-    n = len(structure.labels)
-    occs = np.array([structure.law(t, t).diagonal() for t in structure.times])
+    occs = np.array([process.law(t, t).diagonal() for t in process.times])
     marginal, kernels = occs[0], []
-    for t in range(structure.n_steps):
-        psi = core.state_at(structure, t).amplitudes
-        branches = (psi * structure.region_mask((label,)) for label in structure.labels)
-        mass = np.array([np.vdot(b, b).real for b in branches])[:, None]
-        kernel = np.tile(occs[t + 1], (n, 1))
+    for t in range(process.n_steps):
+        mass = occs[t][:, None]
+        rows = np.tile(occs[t + 1], (len(mass), 1))
         live = mass >= typicality.DEGENERATE_NORM_TOL
-        np.divide(structure.law(t, t + 1), mass, out=kernel, where=live)
+        kernel = np.divide(process.law(t, t + 1), mass, out=rows.copy(), where=live)
         if np.abs(marginal @ kernel - occs[t + 1]).max() > MARGINAL_TOL:
-            kernel = np.tile(occs[t + 1], (n, 1))
+            kernel = rows
         kernels.append(kernel)
         marginal = marginal @ kernel
     twin = StochasticProcessSpec.__new__(StochasticProcessSpec)
-    return twin._build(structure.labels, occs[0], kernels, structure._slack)
+    return twin._build(process.labels, occs[0], kernels, process._slack)
 
 
 @dataclass(frozen=True)
@@ -256,14 +252,14 @@ class CorrespondenceAudit:
         }
 
 
-def correspondence_audit(q: QuantumStructure, c: StochasticProcessSpec) -> CorrespondenceAudit:
-    """Compare a structure with its stochastic twin at every time ``0..T``.
+def correspondence_audit(q: core.CellProcess, c: StochasticProcessSpec) -> CorrespondenceAudit:
+    """Compare either process with its stochastic twin at every time ``0..T``.
 
     Checks single-time marginal agreement, verdict agreement for pairs
     where both measures sit inside the typicality regime, additivity of the
-    cylinder measure, and searches for a chained-norm nonadditivity witness
-    on the quantum side. A marginal mismatch is reported, not raised; a twin
-    with another step count or other labels is rejected.
+    cylinder measure, and searches for a nonadditivity witness on ``q``'s
+    side. A marginal mismatch is reported, not raised; a twin with another
+    step count or other labels is rejected.
 
     c5 judges its ``(T+1)(cells+1)`` s-sets as one ``pair_table`` of each
     process. A twin value that fails the measure checks raises for the first

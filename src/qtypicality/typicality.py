@@ -65,7 +65,8 @@ def _m_big(diff_sq, norm1_sq, norm2_sq):
     a degenerate pair (both masses below ``DEGENERATE_NORM_TOL``)."""
     hi = np.maximum(norm1_sq, norm2_sq)
     live = hi >= DEGENERATE_NORM_TOL
-    return np.divide(diff_sq, hi, out=np.full(np.shape(live), np.nan), where=live)
+    with np.errstate(over="ignore"):  # inf past the float range
+        return np.divide(diff_sq, hi, out=np.full(np.shape(live), np.nan), where=live)
 
 
 def _typical(m_big, threshold: float):

@@ -599,6 +599,33 @@ def test_twin_kernels_equal_the_per_branch_loop(make):
     assert [k.tobytes() for k in twin.kernels] == [k.tobytes() for k in kernels]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([
+        lambda s: haar_structure(s, 16),
+        lambda s: near_classical_structure(s, 16),
+        lambda s: near_classical_structure(s, 16, angle=0.0),  # every transfer kept
+        factored_structure,
+    ]),
+    st.integers(0, 2**16),
+)
+def test_twin_is_a_function_of_the_two_time_laws(make, seed):
+    # A step either keeps the transfer, row i = law(t, t + 1)[i] / law(t, t)[i, i]
+    # on live branches, or takes the next occupations on every row; it keeps
+    # it exactly when the twin's marginal through it stays within MARGINAL_TOL.
+    q = make(seed)
+    twin = matched_markov_chain(q)
+    assert twin.initial.tobytes() == q.law(0, 0).diagonal().tobytes()
+    for t, kernel in enumerate(twin.kernels):
+        mass, following = q.law(t, t).diagonal(), q.law(t + 1, t + 1).diagonal()
+        transfer = np.array([
+            q.law(t, t + 1)[i] / m if m >= 1e-14 else following for i, m in enumerate(mass)
+        ])
+        kept = np.abs(twin.marginal(t) @ transfer - following).max() <= stochastic.MARGINAL_TOL
+        expected = transfer if kept else np.tile(following, (len(mass), 1))
+        assert kernel.tobytes() == expected.tobytes(), (t, kept)
+
+
 class TestCacheIsolation:
     def test_structures_never_share_entries(self):
         rng = np.random.default_rng(3)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtypicality import stats
+from qtypicality import core, stats
 from qtypicality import (
     ExperimentSpec,
     ResourceLimitError,
@@ -192,6 +192,13 @@ class TestSpecValidation:
     def test_probs_must_sum_to_one(self):
         with pytest.raises(ValidationError):
             ExperimentSpec(2, (0.5, 0.4), 4, 0.1)
+
+    def test_unit_sum_is_held_to_the_norm_contract(self):
+        # sqrt(p) is an initial vector, held to psi0's NORM_TOL.
+        assert stats.NORM_TOL is core.NORM_TOL
+        ExperimentSpec(2, (0.5, 0.5 + 0.9e-12), 4, 0.1)
+        with pytest.raises(ValidationError, match="probabilities sum to"):
+            ExperimentSpec(2, (0.5, 0.5 + 1.1e-12), 4, 0.1)
 
     def test_negative_prob(self):
         with pytest.raises(ValidationError):

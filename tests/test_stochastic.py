@@ -397,6 +397,22 @@ class TestMatchedChain:
                 chain_project(structure, ssets).norm_sq, abs=1e-12
             )
 
+    @settings(max_examples=150, deadline=None)
+    @given(twin_tables())
+    def test_twin_of_a_chain_is_that_chain(self, problem):
+        # A live row is (m_i K[i]) / m_i: one rounding in diag(m) @ K, one in
+        # the division. A dead row takes the next marginal.
+        c = problem[0]
+        twin = matched_markov_chain(c)
+        assert twin.labels == c.labels
+        assert twin.initial.tobytes() == c.initial.tobytes()
+        for t, (got, kernel) in enumerate(zip(twin.kernels, c.kernels)):
+            live = c.marginal(t) >= 1e-14
+            np.testing.assert_allclose(got[live], kernel[live], rtol=core._gamma(2), atol=0.0)
+            assert (got[~live] == c.marginal(t + 1)).all()
+        audit = correspondence_audit(c, c)
+        assert audit.passed and audit.c3_max_error == 0.0 and audit.c7_witness is None
+
 
 class TestSharedCellSpace:
     def test_unknown_label_is_named(self, identity_chain):

@@ -232,6 +232,16 @@ class TestTableVerdicts:
         assert table.typical(0.5).tolist() == [[False, True], [True, True]]
         assert table.report(0, 0, 0.5).verdict is Verdict.DEGENERATE
 
+    def test_measure_past_the_float_range_is_infinite(self):
+        # The suite turns numpy's overflow warning into an error.
+        report = report_from_masses(1.8e294, 1e-14, 0.0, 0.08)
+        assert report.verdict is Verdict.NOT_TYPICAL and report.m_big == math.inf
+        assert report.to_dict()["m_big"] is None
+        table = PairMasses(np.array([[1.8e294, 0.0]]), np.array([1e-14]), np.array([0.0, 1e-14]))
+        assert table.m_big.tolist() == [[math.inf, 0.0]]
+        assert table.typical(0.08).tolist() == [[False, True]]
+        assert table.report(0, 0, 0.08) == report
+
     def test_threshold_is_checked(self):
         table = PairMasses(np.zeros((1, 1)), np.ones(1), np.ones(1))
         with pytest.raises(ValidationError, match="threshold 1.0 outside"):
