@@ -185,6 +185,14 @@ def _as_int(value, what: str) -> int:
     return int(value)
 
 
+def _as_region(region: Iterable[str]) -> frozenset:
+    """``region`` as a frozenset of cell labels. A str or bytes raises: it
+    would read as its characters."""
+    if isinstance(region, (str, bytes)):
+        raise ValidationError(f"region {region!r} is a string, not a set of labels")
+    return frozenset(region)
+
+
 class CellTable(collections.abc.Mapping):
     """A labeled partition of ``range(dim)``: the ``labels``, one read-only
     ``intp`` array ``flat`` of basis indices, sorted within each cell, and
@@ -302,10 +310,8 @@ class SSet:
     region: frozenset
 
     def __init__(self, time: int, region: Iterable[str]):
-        if isinstance(region, (str, bytes)):  # would read as its characters
-            raise ValidationError(f"region {region!r} is a string, not a set of labels")
+        object.__setattr__(self, "region", _as_region(region))
         object.__setattr__(self, "time", _as_int(time, "time index"))
-        object.__setattr__(self, "region", frozenset(region))
 
 
 @dataclass(frozen=True)

@@ -14,4 +14,6 @@ class TimeRangeError(ValidationError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Request exceeds a hard computational guard (dimension or path space)."""
+    """Request exceeds a hard computational guard: a wavepacket grid, a
+    statistics enumeration, aggregation or sweep, or the path extensions
+    that one graph slice would form."""

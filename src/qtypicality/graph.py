@@ -33,7 +33,7 @@ class PartitionSchedule:
 
     def __init__(self, slices: Iterable):
         normalized = tuple(
-            (core._as_int(t, "time index"), tuple(frozenset(region) for region in regions))
+            (core._as_int(t, "time index"), tuple(map(core._as_region, regions)))
             for t, regions in slices
         )
         object.__setattr__(self, "slices", normalized)
@@ -124,22 +124,14 @@ def build_graph(
 ) -> TrajectoryGraph:
     """Build the exclusion/link graph of either process, with its paths.
 
-    Paths are listed in ``itertools.product`` order over the non-excluded
-    nodes of each slice, but found by extending admissible prefixes one
-    slice at a time, so a prefix that breaks a forced link is dropped
-    before its extensions are formed. ``PATH_SPACE_LIMIT`` still bounds the
-    raw product of the region counts. Each slice's masses must sum to 1
-    within the process's slack at its time (``core._budget``).
+    Paths come from ``_admissible_paths``, whose guard counts each slice's
+    extensions; the raw product of region counts, which bounds them, is not
+    checked. Each slice's masses must first sum to 1 within the process's
+    slack at its time (``core._budget``).
     """
     schedule.validate(process)
     epsilon_exclude = core._check_threshold(epsilon_exclude, "epsilon_exclude")
     tau_link = core._check_threshold(tau_link, "tau_link")
-
-    path_space = 1
-    for _, regions in schedule.slices:
-        path_space *= max(len(regions), 1)
-    if path_space > PATH_SPACE_LIMIT:
-        raise ResourceLimitError(f"path space {path_space} exceeds {PATH_SPACE_LIMIT}")
 
     nodes: list[GraphNode] = []
     slices: list[tuple] = []
@@ -172,7 +164,8 @@ def build_graph(
         for i, j, m_big in zip(*(x.tolist() for x in hits), table.m_big[hits].tolist()):
             links.append((candidates[si][i], candidates[sj][j], m_big))
 
-    paths = _admissible_paths(candidates, [(a, b) for a, b, _ in links])
+    times = [t for t, _ in schedule.slices]
+    paths = _admissible_paths(times, candidates, [(a, b) for a, b, _ in links])
 
     return TrajectoryGraph(
         nodes=tuple(nodes),
@@ -182,21 +175,27 @@ def build_graph(
     )
 
 
-def _admissible_paths(candidates: Sequence[Sequence[int]], links: Iterable[tuple]) -> list:
+def _admissible_paths(times, candidates: Sequence[Sequence[int]], links: Iterable[tuple]) -> list:
     """Paths with one candidate node per slice that visit both ends of every
     link or neither, in ``itertools.product(*candidates)`` order.
 
-    Each link ``(a, b)`` joins two candidates, ``a`` in an earlier slice
-    than ``b``. Prefixes grow one slice at a time; a link is checked when
-    the slice of ``b`` is added, and a prefix that breaks a link is never
-    extended.
+    Each link ``(a, b)`` joins candidates of two slices, ``a`` the earlier.
+    Prefixes grow a slice at a time; one that breaks a link due there is
+    dropped. Slice ``k`` raises ``ResourceLimitError`` naming ``times[k]``
+    before it would form over ``PATH_SPACE_LIMIT`` extensions, so a result
+    keeps at most the limit's paths, from at most slices × limit extensions.
+    A cumulative count would refuse a link-free graph of exactly that many.
     """
     slice_of = {node: k for k, nodes in enumerate(candidates) for node in nodes}
     due: list = [[] for _ in candidates]  # per slice: (slice of a, a, b)
     for a, b in links:
         due[slice_of[b]].append((slice_of[a], a, b))
     prefixes = [()]
-    for cands, checks in zip(candidates, due):
+    for t, cands, checks in zip(times, candidates, due):
+        if (formed := len(prefixes) * len(cands)) > PATH_SPACE_LIMIT:
+            raise ResourceLimitError(
+                f"slice t={t}: {formed} path extensions exceed {PATH_SPACE_LIMIT}"
+            )
         prefixes = [
             prefix + (c,)
             for prefix in prefixes

@@ -78,6 +78,24 @@ def random_structure(rng, dim=8, n_steps=3, n_cells=None):
     return QuantumStructure(dim, psi0, schedule, cells)
 
 
+def near_classical_structure(rng, dim=16, n_steps=4, n_cells=4, angle=0.1):
+    """Steps that permute equal blocks of cells after a small rotation, so
+    many node pairs across times are mutually typical."""
+    size = dim // n_cells
+    schedule = []
+    for _ in range(n_steps):
+        q, r = np.linalg.qr(np.eye(dim) + angle * random_unitary(rng, dim))
+        small = q * (np.diag(r) / np.abs(np.diag(r)))
+        perm = rng.permutation(n_cells)
+        image = np.concatenate([np.arange(size) + perm[c] * size for c in range(n_cells)])
+        step = np.zeros((dim, dim), dtype=complex)
+        step[image, np.arange(dim)] = 1.0
+        schedule.append(step @ small)
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    cells = {f"c{c}": list(range(c * size, (c + 1) * size)) for c in range(n_cells)}
+    return QuantumStructure(dim, psi0 / np.linalg.norm(psi0), schedule, cells)
+
+
 def random_region(rng, structure):
     labels = list(structure.labels)
     size = int(rng.integers(1, len(labels) + 1))

@@ -26,6 +26,7 @@ from qtypicality import (
 )
 from qtypicality import cli, stats
 from qtypicality.cli import _json, build_parser, main, parse_command_line, parse_slice
+from conftest import near_classical_structure, random_structure
 from test_fuzz import command_lines
 from test_rejections import stretched_structure
 
@@ -907,6 +908,28 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("guard violation: n_points 1000000000000000 exceeds")
+
+    @pytest.mark.parametrize("make", [near_classical_structure, random_structure])
+    def test_graph_over_twelve_singleton_slices(self, capsys, tmp_path, make):
+        # A raw product of 4**12 regions either way. The near-classical steps
+        # force links that keep four paths; the Haar steps force none, and the
+        # tenth slice would form 4**10 path extensions.
+        structure = make(np.random.default_rng(0), dim=16, n_steps=12, n_cells=4)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(structure_to_dict(structure)))
+        output = tmp_path / "graph.json"
+        slices = [arg for t in range(1, 13) for arg in ("--slice", f"{t}:c0|c1|c2|c3")]
+        code, out, err = run(
+            capsys, "graph", "--scenario-file", str(scenario), *slices, "--output", str(output)
+        )
+        assert out == ""
+        if make is near_classical_structure:
+            assert (code, err) == (0, "")
+            assert len(json.loads(output.read_text())["results"]["paths"]) == 4
+        else:
+            assert code == 3
+            assert err == "guard violation: slice t=10: 1048576 path extensions exceed 1000000\n"
+            assert not output.exists()
 
     def test_audit_rejects_accumulated_row_sum_slack(self, capsys, exported, tmp_path):
         # Rows pass the twin's 1e-12 check, and the mass after a step,

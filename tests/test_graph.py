@@ -2,6 +2,7 @@ import itertools
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from qtypicality import (
 from qtypicality import core, typicality
 from qtypicality.graph import _admissible_paths
 
-from conftest import random_structure, random_unitary
+from conftest import near_classical_structure, random_structure, random_unitary
 
 FIG3_PATHS = {("U@1", "U@2", "D@3"), ("D@1", "U@2", "U@3")}
 FIG5_PATHS = {
@@ -130,12 +131,33 @@ class TestBuildGraph:
             build_graph(model.structure, PartitionSchedule([(1, ({"X"}, {"U"}, {"D"}))]))
 
     def test_path_space_guard_in_graph(self):
-        spec = ExperimentSpec(2, (0.5, 0.5), 10, 0.1)
-        structure = build_measurement_chain(spec)
+        # Haar steps and four cells: no link and no excluded node, so every
+        # prefix is kept and the tenth slice would form 4**10 extensions.
+        structure = random_structure(np.random.default_rng(0), dim=16, n_steps=12, n_cells=4)
+        with pytest.raises(
+            ResourceLimitError, match="^slice t=10: 1048576 path extensions exceed 1000000$"
+        ):
+            build_graph(structure, singleton_schedule(structure, range(1, 13)))
+
+    def test_wide_slices_of_excluded_nodes_form_no_extension(self):
+        # 2**10 cells at each of two times, every one below epsilon: a raw
+        # product of 2**20 regions, but no candidate to extend.
+        structure = build_measurement_chain(ExperimentSpec(2, (0.5, 0.5), 10, 0.1))
         singletons = tuple({label} for label in structure.labels)
-        schedule = PartitionSchedule([(9, singletons), (10, singletons)])
-        with pytest.raises(ResourceLimitError):
-            build_graph(structure, schedule)
+        graph = build_graph(structure, PartitionSchedule([(9, singletons), (10, singletons)]))
+        assert len(graph.nodes) == 2048
+        assert all(node.excluded for node in graph.nodes)
+        assert (graph.links, graph.paths) == ((), ())
+
+    @pytest.mark.parametrize(
+        "slices",
+        [[(0, ("AB", {"AB"}))], [(0, "UD")]],
+        ids=["string-region", "string-of-regions"],
+    )
+    def test_string_region_rejected(self, slices):
+        # Read as its characters, "AB" would be the region {"A", "B"}.
+        with pytest.raises(ValidationError, match="^region '(AB|U)' is a string"):
+            PartitionSchedule(slices)
 
     def test_serialization_shapes(self):
         graph = unruh_graph()
@@ -175,24 +197,6 @@ def reference_links_and_paths(structure, graph, tau_link):
                     links.append((a, b, report.m_big))
     candidates = [[i for i in s if not nodes[i].excluded] for s in graph.slices]
     return links, product_oracle(candidates, [(a, b) for a, b, _ in links])
-
-
-def near_classical_structure(rng, dim=16, n_steps=4, n_cells=4, angle=0.1):
-    """Steps that permute equal blocks of cells after a small rotation, so
-    many node pairs across times are mutually typical."""
-    size = dim // n_cells
-    schedule = []
-    for _ in range(n_steps):
-        q, r = np.linalg.qr(np.eye(dim) + angle * random_unitary(rng, dim))
-        small = q * (np.diag(r) / np.abs(np.diag(r)))
-        perm = rng.permutation(n_cells)
-        image = np.concatenate([np.arange(size) + perm[c] * size for c in range(n_cells)])
-        step = np.zeros((dim, dim), dtype=complex)
-        step[image, np.arange(dim)] = 1.0
-        schedule.append(step @ small)
-    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    cells = {f"c{c}": list(range(c * size, (c + 1) * size)) for c in range(n_cells)}
-    return QuantumStructure(dim, psi0 / np.linalg.norm(psi0), schedule, cells)
 
 
 def singleton_schedule(structure, times):
@@ -337,7 +341,33 @@ class TestAdmissiblePaths:
     @example(([[0, 1, 2], [3], [4, 5]], [(0, 5)]))
     def test_prefix_extension_equals_product_scan(self, problem):
         candidates, links = problem
-        assert _admissible_paths(candidates, links) == product_oracle(candidates, links)
+        times = range(len(candidates))
+        assert _admissible_paths(times, candidates, links) == product_oracle(candidates, links)
+
+    @settings(max_examples=300, deadline=None)
+    @given(link_problems(), st.integers(0, 256))
+    @example(([[0, 1], [2, 3]], []), 4)  # the last slice forms exactly the limit
+    @example(([[0, 1], [2, 3]], []), 3)
+    @example(([[0, 1], [2, 3], [4, 5]], [(0, 2)]), 4)  # the link keeps two prefixes
+    @example(([[0, 1], [], [4, 5]], []), 2)  # no prefix survives the empty slice
+    def test_guard_raises_exactly_past_the_limit(self, problem, limit):
+        candidates, links = problem
+        times = [3 * k + 1 for k in range(len(candidates))]
+        refusal = None
+        for k, cands in enumerate(candidates):
+            head = candidates[:k]
+            kept = product_oracle(head, [(a, b) for a, b in links if any(b in c for c in head)])
+            if (formed := len(kept) * len(cands)) > limit:
+                refusal = f"slice t={times[k]}: {formed} path extensions exceed {limit}"
+                break
+        with mock.patch("qtypicality.graph.PATH_SPACE_LIMIT", limit):
+            if refusal is None:
+                paths = _admissible_paths(times, candidates, links)
+                assert paths == product_oracle(candidates, links)
+            else:
+                with pytest.raises(ResourceLimitError) as refused:
+                    _admissible_paths(times, candidates, links)
+                assert str(refused.value) == refusal
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -366,6 +396,60 @@ class TestAdmissiblePaths:
         ]
         links = [(a, b) for a, b, _ in graph.links]
         assert list(graph.paths) == product_oracle(candidates, links)
+
+
+class Counted(list):
+    """A candidate list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+class TestPathGuard:
+    """The one path guard: the extensions a slice would form, counted before
+    they are formed, against ``graph.PATH_SPACE_LIMIT``."""
+
+    def link_free(self):
+        # Haar steps and four cells: no link and no excluded node at t = 1..3.
+        structure = random_structure(np.random.default_rng(0), dim=16, n_steps=3, n_cells=4)
+        return structure, singleton_schedule(structure, [1, 2, 3])
+
+    def test_a_slice_at_the_limit_passes(self, monkeypatch):
+        monkeypatch.setattr("qtypicality.graph.PATH_SPACE_LIMIT", 64)
+        graph = build_graph(*self.link_free())
+        assert graph.links == ()
+        assert list(graph.paths) == list(itertools.product(*graph.slices))
+        assert len(graph.paths) == 64
+
+    def test_a_slice_past_the_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr("qtypicality.graph.PATH_SPACE_LIMIT", 63)
+        with pytest.raises(ResourceLimitError, match="^slice t=3: 64 path extensions exceed 63$"):
+            build_graph(*self.link_free())
+
+    def test_refused_before_the_extensions_are_formed(self, monkeypatch):
+        monkeypatch.setattr("qtypicality.graph.PATH_SPACE_LIMIT", 63)
+        last = Counted(range(8, 12))
+        with pytest.raises(ResourceLimitError, match="^slice t=2: 64 path extensions exceed 63$"):
+            _admissible_paths([0, 1, 2], [range(4), range(4, 8), last], [])
+        assert last.passes == 1  # once to index the nodes, never once per prefix
+        assert _admissible_paths([0, 1], [range(4), last], []) == [
+            (i, j) for i in range(4) for j in range(8, 12)
+        ]
+        assert last.passes == 1 + 1 + 4
+
+    def test_linked_schedule_over_the_raw_product(self, rng, monkeypatch):
+        # Six singleton slices of four cells: a raw product of 4**6 = 4096,
+        # but the forced links keep few prefixes at every slice.
+        monkeypatch.setattr("qtypicality.graph.PATH_SPACE_LIMIT", 64)
+        structure = near_classical_structure(rng, dim=16, n_steps=6)
+        graph = build_graph(structure, singleton_schedule(structure, range(1, 7)), 0.01, 0.08)
+        links, paths = reference_links_and_paths(structure, graph, 0.08)
+        assert list(graph.links) == links
+        assert list(graph.paths) == paths
+        assert links and paths
 
 
 class TestBranchFollowing:
