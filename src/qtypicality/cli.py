@@ -441,7 +441,7 @@ def _cmd_audit(args) -> int:
     has_twin, twin = "stochastic" in raw, raw.get("stochastic")
     del raw  # the rest of the parsed dict is freed now
     if has_twin:
-        chain = stochastic._process_from_dict(twin, structure._slack)
+        chain = stochastic.process_from_dict(twin, twin_of=structure)
     else:
         chain = stochastic.matched_markov_chain(structure)
     audit = stochastic.correspondence_audit(structure, chain)

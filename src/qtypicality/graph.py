@@ -124,10 +124,9 @@ def build_graph(
 ) -> TrajectoryGraph:
     """Build the exclusion/link graph of either process, with its paths.
 
-    Paths come from ``_admissible_paths``, whose guard counts each slice's
-    extensions; the raw product of region counts, which bounds them, is not
-    checked. Each slice's masses must first sum to 1 within the process's
-    slack at its time (``core._budget``).
+    Paths come from ``_admissible_paths``, whose guard refuses a slice that
+    would form over ``PATH_SPACE_LIMIT`` extensions. Each slice's masses must
+    first sum to 1 within the process's slack at its time (``core._budget``).
     """
     schedule.validate(process)
     epsilon_exclude = core._check_threshold(epsilon_exclude, "epsilon_exclude")

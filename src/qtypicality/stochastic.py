@@ -32,6 +32,9 @@ class StochasticProcessSpec(core.CellProcess):
 
     The arrays are read-only after validation. The states, a sequence of
     distinct strings, are the cell labels, state ``i`` the cell ``[i]``.
+    Its sums are held to ``ROW_SUM_TOL``; the twin of a process ``twin_of`` on
+    the same time axis holds those reaching time t to the larger of that and
+    its slack at t (a kernel past its step count keeps ``ROW_SUM_TOL``).
     """
 
     def __init__(
@@ -39,11 +42,9 @@ class StochasticProcessSpec(core.CellProcess):
         states: Sequence[str],
         initial: Sequence[float],
         kernels: Sequence,
+        twin_of: core.CellProcess | None = None,
     ):
-        self._build(states, initial, kernels)
-
-    def _build(self, states, initial, kernels, slack=()) -> "StochasticProcessSpec":
-        """The constructor; sums reaching time t are held to max(ROW_SUM_TOL, ``slack[t]``)."""
+        slack = () if twin_of is None else twin_of._slack
         tols = itertools.chain(np.maximum(slack, ROW_SUM_TOL), itertools.repeat(ROW_SUM_TOL))
         # The states are the labels of a one-index-per-label cell table, which
         # does not check them: they must be distinct strings.
@@ -73,7 +74,6 @@ class StochasticProcessSpec(core.CellProcess):
                 raise ValidationError(f"kernel {t} is not row-stochastic")
         super().__init__(n, core.CellTable.singletons(states), len(self.kernels))
         self._slack = core._budget(n, off, defects)
-        return self
 
     states = core.CellProcess.labels
 
@@ -177,7 +177,7 @@ def matched_markov_chain(process: core.CellProcess) -> StochasticProcessSpec:
     (a branch below ``DEGENERATE_NORM_TOL`` takes the next marginal). Where it
     moves the twin's marginal, which c3 reads, past ``MARGINAL_TOL`` of the
     next occupations, the step falls back to rows equal to those. Its sums
-    are held as ``_build`` says, to the process's slack.
+    are held to the process's slack, as the constructor's ``twin_of`` holds them.
     """
     occs = np.array([process.law(t, t).diagonal() for t in process.times])
     marginal, kernels = occs[0], []
@@ -190,8 +190,7 @@ def matched_markov_chain(process: core.CellProcess) -> StochasticProcessSpec:
             kernel = rows
         kernels.append(kernel)
         marginal = marginal @ kernel
-    twin = StochasticProcessSpec.__new__(StochasticProcessSpec)
-    return twin._build(process.labels, occs[0], kernels, process._slack)
+    return StochasticProcessSpec(process.labels, occs[0], kernels, twin_of=process)
 
 
 @dataclass(frozen=True)
@@ -322,12 +321,10 @@ def correspondence_audit(q: core.CellProcess, c: StochasticProcessSpec) -> Corre
 # -- scenario JSON (the "stochastic" section) -------------------------------
 
 
-def process_from_dict(data: Mapping) -> StochasticProcessSpec:
-    return _process_from_dict(data, ())
-
-
-def _process_from_dict(data: Mapping, slack) -> StochasticProcessSpec:
-    """A scenario's twin, its sums held to ``slack`` as ``_build`` holds them."""
+def process_from_dict(
+    data: Mapping, twin_of: core.CellProcess | None = None
+) -> StochasticProcessSpec:
+    """A scenario's chain, its sums held as the constructor holds them for ``twin_of``."""
     try:
         states = data["states"]
         if not (isinstance(states, list) and all(isinstance(s, str) for s in states)):
@@ -337,8 +334,7 @@ def _process_from_dict(data: Mapping, slack) -> StochasticProcessSpec:
         kernels = [core._numbers_in(k, f"kernel {t}") for t, k in enumerate(data["kernels"])]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed stochastic section: {exc}") from exc
-    spec = StochasticProcessSpec.__new__(StochasticProcessSpec)
-    return spec._build(states, initial, kernels, slack)
+    return StochasticProcessSpec(states, initial, kernels, twin_of=twin_of)
 
 
 def process_to_dict(spec: StochasticProcessSpec) -> dict:

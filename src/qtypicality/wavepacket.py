@@ -258,15 +258,14 @@ def separation_sweep(
     momentum: float = 2.0,
     n_points: int = 4096,
     length: float = 200.0,
-    mass_cutoff: float = SUPPORT_MASS_CUTOFF,
 ):
     """Branch-support typicality versus packet separation.
 
     For each separation s (in units of sigma) two counter-propagating
-    packets start s*sigma apart; the left-moving branch's support is read
-    off the isolated packet at both times, and the mutual typicality of the
-    two supports is computed on the full two-packet state. Returns
-    (separation, m_big) rows.
+    packets start s*sigma apart; the left-moving branch's support, all but
+    ``SUPPORT_MASS_CUTOFF`` of its mass, is read off the isolated packet at
+    both times, and the mutual typicality of the two supports is computed on
+    the full two-packet state. Returns (separation, m_big) rows.
     """
     if momentum == 0.0:
         raise ValidationError("momentum must be nonzero: packets must separate")
@@ -276,8 +275,8 @@ def separation_sweep(
         left, right = packet_pair(s, sigma, momentum, n_points, length)
         both_t1 = superposition(left, right)
         both_t2 = free_evolve(both_t1, dt)
-        support_t1 = packet_support(left, mass_cutoff)
-        support_t2 = packet_support(free_evolve(left, dt), mass_cutoff)
+        support_t1 = packet_support(left)
+        support_t2 = packet_support(free_evolve(left, dt))
         report = support_condition_check(both_t1, support_t1, both_t2, support_t2)
         rows.append((float(s), report.m_big))
     return rows

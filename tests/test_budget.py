@@ -23,11 +23,13 @@ from qtypicality import (
     build_graph,
     correspondence_audit,
     matched_markov_chain,
+    process_from_dict,
     process_to_dict,
     structure_to_dict,
 )
 from qtypicality.cli import main
 from qtypicality.core import NORM_TOL, UNITARITY_TOL
+from qtypicality.errors import ValidationError
 from qtypicality.stochastic import MARGINAL_TOL, ROW_SUM_TOL
 
 from conftest import random_unitary
@@ -174,6 +176,50 @@ class TestFileTwins:
         code, out, err = audit_file(tmp_path, capsys, with_twin(q, start, kernels))
         assert (code, err) == (4, "audit failed: c3\n")
         assert json.loads(out)["results"]["c3"]["max_error"] >= 2 * MARGINAL_TOL * 0.99
+
+
+class TestTwinOf:
+    """``StochasticProcessSpec`` and ``process_from_dict`` hold a twin's sums
+    to its process's slack when given ``twin_of``, and to ``ROW_SUM_TOL``
+    without it or past the process's step count."""
+
+    def test_derived_twin_round_trips_bit_for_bit(self):
+        q = OWN_RESULTS["row-sum"]()
+        twin = matched_markov_chain(q)
+        for rebuilt in (process_from_dict(process_to_dict(twin), twin_of=q),
+                        StochasticProcessSpec(twin.states, twin.initial, twin.kernels, twin_of=q)):
+            assert rebuilt.states == twin.states
+            assert rebuilt.initial.tobytes() == twin.initial.tobytes()
+            assert len(rebuilt.kernels) == len(twin.kernels)
+            for a, b in zip(rebuilt.kernels, twin.kernels):
+                assert a.tobytes() == b.tobytes()
+            assert rebuilt._slack.tobytes() == twin._slack.tobytes()
+
+    @pytest.mark.parametrize("kwargs", [{}, {"twin_of": None}], ids=["omitted", "none"])
+    def test_without_twin_of_row_sum_tol_holds(self, kwargs):
+        twin = matched_markov_chain(OWN_RESULTS["row-sum"]())
+        with pytest.raises(ValidationError, match="^kernel 0 is not row-stochastic$"):
+            process_from_dict(process_to_dict(twin), **kwargs)
+        with pytest.raises(ValidationError, match="^kernel 0 is not row-stochastic$"):
+            StochasticProcessSpec(twin.states, twin.initial, twin.kernels, **kwargs)
+
+    def test_a_kernel_past_the_step_count_keeps_row_sum_tol(self, tmp_path, capsys):
+        q = OWN_RESULTS["row-sum"]()
+        twin = matched_markov_chain(q)
+        kernel = twin.kernels[0]  # rows 1 + 1.2e-12: within q's slack, past ROW_SUM_TOL
+        assert q._slack[-1] > abs(kernel.sum(axis=1) - 1.0).max() > ROW_SUM_TOL
+        with pytest.raises(ValidationError, match="^kernel 1 is not row-stochastic$"):
+            StochasticProcessSpec(twin.states, twin.initial, [kernel, kernel], twin_of=q)
+        longer = StochasticProcessSpec(twin.states, twin.initial, [kernel, np.eye(2)], twin_of=q)
+        with pytest.raises(ValidationError, match="structure has 1 steps but its twin has 2"):
+            correspondence_audit(q, longer)
+        code, out, err = audit_file(tmp_path, capsys,
+                                    with_twin(q, twin.initial.tolist(), [kernel.tolist()] * 2))
+        assert (code, out, err) == (2, "", "error: kernel 1 is not row-stochastic\n")
+        data = with_twin(q, twin.initial.tolist(), [kernel.tolist(), np.eye(2).tolist()])
+        code, out, err = audit_file(tmp_path, capsys, data)
+        assert (code, out) == (2, "")
+        assert err == "error: structure has 1 steps but its twin has 2\n"
 
 
 @st.composite
