@@ -101,6 +101,8 @@ def _json_value(value, newline: str) -> str:
         return _json_object(value, newline)
     if kind is list or kind is tuple:
         return _json_array(value, newline)
+    if kind is core.CodedTable:
+        return _json_coded_table(value, newline)
     # Subclasses, in the order of json.encoder's isinstance checks.
     if isinstance(value, str):
         return _json_string(value)
@@ -148,6 +150,31 @@ def _json_array(items, newline: str) -> str:
     else:
         texts = map(scalar, items)
     return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
+def _json_coded_table(table: core.CodedTable, newline: str) -> str:
+    """The text of ``table``'s list rows. Each value a cell refers to is
+    encoded once, then joined to each column's separators in a lookup table
+    of one row per column; the cells are that table at ``[column, code]``,
+    joined in row-major order."""
+    codes = table.codes
+    if not codes.size:
+        return _json_array([[]] * len(codes), newline)
+    inner = newline + "  "
+    cell = inner + "  "
+    used = np.zeros(len(table.values), dtype=bool)
+    used[codes] = True  # an unused value is never encoded, so it cannot raise
+    texts = [_json_value(v, cell) if u else "" for v, u in zip(table.values, used.tolist())]
+    width = codes.shape[1]
+    starts = ["[" + cell] + ["," + cell] * (width - 1)
+    ends = [""] * (width - 1) + [inner + "]," + inner]
+    lut = np.fromiter(
+        [s + t + e for s, e in zip(starts, ends) for t in texts], object, width * len(texts)
+    ).reshape(width, len(texts))
+    cells = lut[np.arange(width), codes]
+    cells[0, 0] = "[" + inner + cells[0, 0]
+    cells[-1, -1] = cells[-1, -1][: -len("," + inner)] + newline + "]"
+    return "".join(cells.ravel().tolist())
 
 
 def _json_object(mapping, newline: str) -> str:

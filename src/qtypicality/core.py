@@ -326,6 +326,19 @@ class ProjectedVector:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
+@dataclass(frozen=True)
+class CodedTable:
+    """Rows of one width whose cell ``[i, j]`` is ``values[codes[i, j]]``.
+
+    ``codes`` is a 2-D ``intp`` array. A report's large table with few
+    distinct cells (a graph's paths and their node names) takes this form,
+    so that the JSON writer makes each value's text once.
+    """
+
+    codes: np.ndarray
+    values: Sequence
+
+
 class CellProcess:
     """A labeled partition of ``range(dim)`` observed at time indices
     ``0..n_steps``: the cell space that a quantum structure and its Markov

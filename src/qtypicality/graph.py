@@ -84,9 +84,13 @@ class TrajectoryGraph:
         return tuple(self.nodes[i].name for i in path)
 
     def to_dict(self) -> dict:
-        names = [n.name for n in self.nodes]
-        # The paths' columns of names, zipped back into rows: no loop per path.
-        columns = (map(names.__getitem__, column) for column in zip(*self.paths))
+        """The report's dict. ``paths`` and ``path_names`` are
+        ``core.CodedTable``s over one array of node indices, one row per
+        path: the indices themselves and the nodes' names."""
+        width = len(self.slices)
+        codes = np.fromiter(
+            itertools.chain.from_iterable(self.paths), np.intp, len(self.paths) * width
+        ).reshape(len(self.paths), width)
         return {
             "nodes": [
                 {
@@ -100,8 +104,8 @@ class TrajectoryGraph:
             "links": [
                 {"a": a, "b": b, "m_big": m} for a, b, m in self.links
             ],
-            "paths": list(map(list, self.paths)),
-            "path_names": list(map(list, zip(*columns))),
+            "paths": core.CodedTable(codes, range(len(self.nodes))),
+            "path_names": core.CodedTable(codes, [n.name for n in self.nodes]),
         }
 
     def edge_rows(self):

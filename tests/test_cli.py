@@ -24,7 +24,7 @@ from qtypicality import (
     process_to_dict,
     structure_to_dict,
 )
-from qtypicality import cli, stats
+from qtypicality import cli, core, stats
 from qtypicality.cli import _json, build_parser, main, parse_command_line, parse_slice
 from conftest import near_classical_structure, random_structure
 from test_fuzz import command_lines
@@ -1269,3 +1269,54 @@ class TestReportEncoder:
         code, out, err = run(capsys, "graph", "--scenario-file", exported, *UNRUH_SLICES)
         assert code == 0, err
         assert out == stdlib_json(json.loads(out))
+
+
+@st.composite
+def coded_tables(draw):
+    """Codes of 0 to 6 rows and width 0 to 6 over int or escaped str values."""
+    values = draw(
+        st.lists(st.integers() | st.sampled_from(BIG_INTS), min_size=1, max_size=6)
+        | st.lists(escaped_text | st.text(max_size=4), min_size=1, max_size=6)
+        | st.integers(1, 6).map(range)
+    )
+    shape = (draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+    codes = draw(st.lists(st.integers(0, len(values) - 1),
+                          min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    return np.array(codes, dtype=np.intp).reshape(shape), values
+
+
+def nested(value, keys):
+    """``value`` under ``keys``, one dict level per key."""
+    for key in reversed(keys):
+        value = {key: value, key + "!": 0}
+    return value
+
+
+class TestCodedTableText:
+    @settings(max_examples=300, deadline=None)
+    @given(coded_tables(), st.lists(st.text(max_size=3), min_size=2, max_size=4))
+    def test_text_equals_the_stdlib_encoder_of_the_rows(self, table, keys):
+        codes, values = table
+        rows = [[values[c] for c in row] for row in codes.tolist()]
+        text = _json(nested(core.CodedTable(codes, values), keys))
+        assert text == stdlib_json(nested(rows, keys))
+        # A value no cell refers to is never encoded, not even one that cannot be.
+        unused = [*values, math.nan, "\x00", 2**70]
+        assert _json(nested(core.CodedTable(codes, unused), keys)) == text
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_referenced_non_finite_value_raises(self, bad):
+        table = core.CodedTable(np.array([[0, 1]], dtype=np.intp), [0.5, bad])
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _json({"a": {"b": table}})
+
+    def test_graph_tables_expand_to_the_paths_and_their_names(self):
+        model = build_unruh(with_detector_d2=True)
+        graph = build_graph(model.structure, model.partition_schedule())
+        data = graph.to_dict()
+        paths, names = data["paths"], data["path_names"]
+        assert paths.codes.dtype == np.intp and paths.codes is names.codes
+        assert paths.codes.tolist() == list(map(list, graph.paths))
+        assert [[names.values[c] for c in row] for row in names.codes.tolist()] == [
+            list(graph.node_names(p)) for p in graph.paths
+        ]

@@ -159,6 +159,18 @@ class TestBuildGraph:
         with pytest.raises(ValidationError, match="^region '(AB|U)' is a string"):
             PartitionSchedule(slices)
 
+    def test_a_node_whose_mass_equals_epsilon_is_excluded(self, rng):
+        structure = random_structure(rng, dim=8, n_steps=2, n_cells=3)
+        schedule = singleton_schedule(structure, [1, 2])
+        mass = core.occupations(structure, 2)["c1"]  # build_graph's fsum of one label
+        assert 0.0 < mass < 1.0
+        at = build_graph(structure, schedule, epsilon_exclude=mass)
+        below = build_graph(structure, schedule, epsilon_exclude=np.nextafter(mass, 0.0))
+        node = 4  # c1@2: the second node of the second slice
+        assert at.nodes[node].name == "c1@2" and at.nodes[node].occupation == mass
+        assert at.nodes[node].excluded
+        assert not below.nodes[node].excluded
+
     def test_serialization_shapes(self):
         graph = unruh_graph()
         data = graph.to_dict()

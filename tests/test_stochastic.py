@@ -27,7 +27,7 @@ from qtypicality import (
     process_from_dict,
     process_to_dict,
 )
-from qtypicality import core
+from qtypicality import core, typicality
 from qtypicality import correspondence_audit as _correspondence_audit
 from qtypicality import obstacle_variant
 
@@ -396,6 +396,18 @@ class TestMatchedChain:
             assert cylinder_measure(chain, ssets) == pytest.approx(
                 chain_project(structure, ssets).norm_sq, abs=1e-12
             )
+
+    def test_a_branch_below_the_degenerate_tolerance_takes_the_next_marginal(self):
+        # Branch D carries 1e-20 of the mass: live by `mass > 0`, dead by the
+        # rule. Its own transfer row would be (0, 1), which moves the twin's
+        # marginal by 1e-20 only, so no fallback hides it.
+        q = QuantumStructure(
+            2, [math.sqrt(1.0 - 1e-20), 1e-10], [IDENTITY2], {"U": [0], "D": [1]}
+        )
+        assert 0.0 < q.law(0, 0)[1, 1] < typicality.DEGENERATE_NORM_TOL
+        twin = matched_markov_chain(q)
+        assert (twin.kernels[0][1] == q.law(1, 1).diagonal()).all()
+        assert (twin.kernels[0][0] == [1.0, 0.0]).all()
 
     @settings(max_examples=150, deadline=None)
     @given(twin_tables())
